@@ -446,9 +446,25 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         );
     }
     let s = res.sim_stats;
+    let p = res.phase_secs;
     println!(
-        "engine: {} sends, {} dropped ({} by partition, {} by crash), {} delivered",
-        s.sends_attempted, s.sends_dropped, s.partition_dropped, s.crash_dropped, s.deliveries
+        "engine: {} sends, {} dropped ({} by partition, {} by crash), {} delivered; \
+         {:.3}s = deliver {:.3} + refresh {:.3} + solve {:.3} + compute-y {:.3} + dispatch {:.3} \
+         + sample {:.3} + publish {:.3} + other {:.3}",
+        s.sends_attempted,
+        s.sends_dropped,
+        s.partition_dropped,
+        s.crash_dropped,
+        s.deliveries,
+        res.engine_secs,
+        p.deliver,
+        p.refresh,
+        p.solve,
+        p.compute_y,
+        p.dispatch,
+        p.sample,
+        p.publish,
+        res.engine_secs - p.total(),
     );
     if engine_workers > 1 {
         let b = res.sched_stats;

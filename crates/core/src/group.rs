@@ -15,7 +15,8 @@
 //! its row-stochastic orientation; ours is transposed), so Theorems 3.1–3.3
 //! guarantee convergence.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 use dpr_graph::{PageId, WebGraph};
 use dpr_linalg::pool::SharedSlice;
@@ -123,6 +124,24 @@ impl SpMatVec for GroupMatrix {
     }
 }
 
+/// A value derived from the rest of its owner and computed on first use.
+/// It never takes part in equality: two contexts with the same structure
+/// are equal whether or not either has filled its memos yet.
+#[derive(Debug, Clone)]
+struct Memo<T>(OnceLock<T>);
+
+impl<T> Default for Memo<T> {
+    fn default() -> Self {
+        Self(OnceLock::new())
+    }
+}
+
+impl<T> PartialEq for Memo<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// One efferent edge: `(local source index, α/d(source), global destination
 /// page)`.
 type EfferentEdge = (u32, f64, PageId);
@@ -133,6 +152,42 @@ type EfferentEdge = (u32, f64, PageId);
 struct EfferentBatch {
     dest: GroupId,
     edges: Vec<EfferentEdge>,
+    /// The distinct destination pages of `edges`, ascending — the page-id
+    /// half of every `Y` this batch publishes. Built the first time the
+    /// group publishes and shared by pointer with every part and receiver.
+    pattern: Memo<Arc<[PageId]>>,
+}
+
+impl EfferentBatch {
+    fn new(dest: GroupId, mut edges: Vec<EfferentEdge>) -> Self {
+        edges.sort_unstable_by_key(|&(_, _, v)| v);
+        Self { dest, edges, pattern: Memo::default() }
+    }
+
+    fn pattern(&self) -> &Arc<[PageId]> {
+        self.pattern.0.get_or_init(|| {
+            let mut pages: Vec<PageId> = self.edges.iter().map(|&(_, _, v)| v).collect();
+            pages.dedup();
+            pages.into()
+        })
+    }
+
+    /// The score half of this batch's `Y`, aligned with
+    /// [`EfferentBatch::pattern`]: per destination page, the products
+    /// `α/d(u) · R(u)` added in edge order.
+    fn scores(&self, r: &[f64]) -> Vec<f64> {
+        let mut out: Vec<f64> = Vec::with_capacity(self.pattern().len());
+        let mut last_v = None;
+        for &(lu, w, v) in &self.edges {
+            let score = w * r[lu as usize];
+            match out.last_mut() {
+                Some(acc) if last_v == Some(v) => *acc += score,
+                _ => out.push(score),
+            }
+            last_v = Some(v);
+        }
+        out
+    }
 }
 
 /// Everything one page ranker needs to run Algorithms 2–4 on its group.
@@ -149,6 +204,35 @@ pub struct GroupContext {
     beta_e: Vec<f64>,
     /// Outgoing rank routes, one batch per destination group.
     efferent: Vec<EfferentBatch>,
+    /// `min(‖A‖∞, ‖A‖₁)` of `a` (two passes over the matrix), computed by
+    /// the first solve that reports it.
+    norm: Memo<f64>,
+}
+
+/// The group matrix with its contraction norm read from the context's
+/// memo: what the solvers are handed, so a solve per think window does not
+/// pay two matrix passes for a bound nobody on that path reads.
+struct MemoNorm<'a>(&'a GroupContext);
+
+impl SpMatVec for MemoNorm<'_> {
+    fn n_rows(&self) -> usize {
+        self.0.a.n_rows()
+    }
+    fn n_cols(&self) -> usize {
+        self.0.a.n_cols()
+    }
+    fn nnz(&self) -> usize {
+        self.0.a.nnz()
+    }
+    fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool) {
+        self.0.a.mul_into(x, y, ws, pool);
+    }
+    fn contraction_norm(&self) -> f64 {
+        self.0.contraction_norm()
+    }
+    fn gs_row(&self, i: usize, init: f64, x: &[f64]) -> (f64, f64) {
+        self.0.a.gs_row(i, init, x)
+    }
 }
 
 impl GroupContext {
@@ -228,13 +312,8 @@ impl GroupContext {
                 // chunk, so the slot accesses are disjoint.
                 let pages = std::mem::take(unsafe { &mut pages_slots.slice_mut(gid, 1)[0] });
                 let eff_map = unsafe { &mut eff_slots.slice_mut(gid, 1)[0] };
-                let mut efferent: Vec<EfferentBatch> = eff_map
-                    .drain()
-                    .map(|(dest, mut edges)| {
-                        edges.sort_unstable_by_key(|&(_, _, v)| v);
-                        EfferentBatch { dest, edges }
-                    })
-                    .collect();
+                let mut efferent: Vec<EfferentBatch> =
+                    eff_map.drain().map(|(dest, edges)| EfferentBatch::new(dest, edges)).collect();
                 efferent.sort_unstable_by_key(|b| b.dest);
                 let a = Self::assemble_matrix(g, cfg, &pages, &inner[gid], layout);
                 let ctx = GroupContext {
@@ -243,6 +322,7 @@ impl GroupContext {
                     a,
                     pages,
                     efferent,
+                    norm: Memo::default(),
                 };
                 unsafe { out_slots.slice_mut(gid, 1)[0] = Some(ctx) };
             });
@@ -340,16 +420,18 @@ impl GroupContext {
                 }
             }
         }
-        let mut efferent: Vec<EfferentBatch> = eff_map
-            .into_iter()
-            .map(|(dest, mut edges)| {
-                edges.sort_unstable_by_key(|&(_, _, v)| v);
-                EfferentBatch { dest, edges }
-            })
-            .collect();
+        let mut efferent: Vec<EfferentBatch> =
+            eff_map.into_iter().map(|(dest, edges)| EfferentBatch::new(dest, edges)).collect();
         efferent.sort_unstable_by_key(|b| b.dest);
         let a = Self::assemble_matrix(g, cfg, &pages, &inner, layout);
-        GroupContext { group_id: gid, beta_e: cfg.beta_e_for(&pages), a, pages, efferent }
+        GroupContext {
+            group_id: gid,
+            beta_e: cfg.beta_e_for(&pages),
+            a,
+            pages,
+            efferent,
+            norm: Memo::default(),
+        }
     }
 
     /// Patches this context in place for a delta that changed out-degrees
@@ -373,6 +455,16 @@ impl GroupContext {
             GroupMatrix::Implicit(m) => m.set_scale(scale),
             GroupMatrix::Explicit(m) => m.rescale_columns(&scale),
         }
+        // New column factors, new norm; the efferent patterns stand (the
+        // link structure did not move).
+        self.norm = Memo::default();
+    }
+
+    /// `min(‖A‖∞, ‖A‖₁)` of the group matrix — the contraction factor of
+    /// Theorems 3.2/3.3 — computed on first use and kept with the context.
+    #[must_use]
+    pub(crate) fn contraction_norm(&self) -> f64 {
+        *self.norm.0.get_or_init(|| self.a.contraction_norm())
     }
 
     /// The group's local propagation matrix.
@@ -439,7 +531,11 @@ impl GroupContext {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(x.len(), self.n_local());
         let f: Vec<f64> = self.beta_e.iter().zip(x).map(|(b, xi)| b + xi).collect();
-        FixedPointSolver { tolerance: epsilon, max_iters, pool: pool.clone() }.solve(&self.a, &f, r)
+        FixedPointSolver { tolerance: epsilon, max_iters, pool: pool.clone() }.solve(
+            &MemoNorm(self),
+            &f,
+            r,
+        )
     }
 
     /// `βE` restricted to this group's pages. Callers that keep a persistent
@@ -467,7 +563,7 @@ impl GroupContext {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(f.len(), self.n_local());
         FixedPointSolver { tolerance: epsilon, max_iters, pool: Pool::sequential() }
-            .solve_with_scratch(&self.a, f, r, scratch, ws)
+            .solve_with_scratch(&MemoNorm(self), f, r, scratch, ws)
     }
 
     /// [`GroupContext::group_pagerank`] with Gauss–Seidel/SOR inner sweeps
@@ -491,7 +587,7 @@ impl GroupContext {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(x.len(), self.n_local());
         let f: Vec<f64> = self.beta_e.iter().zip(x).map(|(b, xi)| b + xi).collect();
-        GaussSeidelSolver { tolerance: epsilon, max_iters, omega }.solve(&self.a, &f, r)
+        GaussSeidelSolver { tolerance: epsilon, max_iters, omega }.solve(&MemoNorm(self), &f, r)
     }
 
     /// [`GroupContext::group_pagerank_gs`] with a prepared `f = βE + X`
@@ -508,7 +604,7 @@ impl GroupContext {
     ) -> SolveReport {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(f.len(), self.n_local());
-        GaussSeidelSolver { tolerance: epsilon, max_iters, omega }.solve(&self.a, f, r)
+        GaussSeidelSolver { tolerance: epsilon, max_iters, omega }.solve(&MemoNorm(self), f, r)
     }
 
     /// One Gauss–Seidel/SOR sweep `R ← sweep(A, βE + X)` (the DPR2 node
@@ -562,21 +658,21 @@ impl GroupContext {
     /// page. Entries are `(global destination page, score)`.
     #[must_use]
     pub fn compute_y(&self, r: &[f64]) -> Vec<(GroupId, Vec<(PageId, f64)>)> {
-        assert_eq!(r.len(), self.n_local());
-        self.efferent
-            .iter()
-            .map(|batch| {
-                let mut out: Vec<(PageId, f64)> = Vec::new();
-                for &(lu, w, v) in &batch.edges {
-                    let score = w * r[lu as usize];
-                    match out.last_mut() {
-                        Some((last_v, acc)) if *last_v == v => *acc += score,
-                        _ => out.push((v, score)),
-                    }
-                }
-                (batch.dest, out)
-            })
+        self.y_parts(r)
+            .map(|(dest, pattern, scores)| (dest, pattern.iter().copied().zip(scores).collect()))
             .collect()
+    }
+
+    /// [`GroupContext::compute_y`] split the way the link structure splits
+    /// it: per destination group, the page-id pattern (fixed until a delta
+    /// rebuilds this context, memoized, shared by pointer) and this call's
+    /// scores, aligned with it.
+    pub(crate) fn y_parts<'a>(
+        &'a self,
+        r: &'a [f64],
+    ) -> impl Iterator<Item = (GroupId, &'a Arc<[PageId]>, Vec<f64>)> + 'a {
+        assert_eq!(r.len(), self.n_local());
+        self.efferent.iter().map(move |batch| (batch.dest, batch.pattern(), batch.scores(r)))
     }
 
     /// Localizes an incoming `Y` payload (global page ids) into
@@ -588,117 +684,412 @@ impl GroupContext {
     }
 }
 
-/// The afferent-rank bookkeeping every ranker needs: the latest localized
-/// `Y` received from each source group, materialized on demand into the
-/// dense `X` vector of Algorithm 2. A newer message from the same source
+/// The afferent-rank bookkeeping every ranker needs: the latest `Y`
+/// received from each source group, materialized on demand into the dense
+/// `X` vector of Algorithm 2. A newer message from the same source
 /// *replaces* the older one — `Y` is the sender's current outflow, not an
 /// increment — which is what makes DPR1's sequences monotone under loss
 /// (a dropped `Y` just leaves the previous, smaller one in place).
 ///
-/// # Dirty-row caching
+/// # Structure once, scores every window
 ///
-/// In the default *cached* mode the state also maintains a per-row inverted
-/// index (`rows[li]` = the `(src, score)` contributions touching local page
-/// `li`, sorted by source) plus a worklist of rows whose cached `x` entry is
-/// stale. [`AfferentState::refresh`] then recomputes only the stale rows —
-/// the common case between think steps is that a handful of sources
-/// re-published, leaving most rows untouched. Each stale row is re-summed
-/// *from scratch in ascending source order*, which is exactly the order the
-/// full rebuild adds contributions in (`received` is a `BTreeMap`), so the
-/// cached `X` is bit-identical to a full rebuild at every refresh —
-/// floating-point addition is not associative, and the engine promises
-/// bit-identical runs per seed. [`AfferentState::new_full_rebuild`] keeps
-/// the pre-cache behavior (rebuild every row on any change) as the
-/// benchmark baseline.
-#[derive(Debug, Clone, Default)]
+/// Between crawl deltas the link structure behind a source's `Y` never
+/// changes, only its scores do. The default mode therefore keeps, per
+/// source, the page-id *pattern* of its last `Y`, the local row of every
+/// entry, and a *slot* per entry into one flat value array laid out row
+/// by row, ascending source within a row (`row_ptr` + `slot_vals`: `X =
+/// S·vals` as a CSR with an implicit all-ones `S`). A delivery whose
+/// pattern matches the stored one — a pointer compare when sender and
+/// receiver share the memoized `Arc`, an id-by-id compare otherwise —
+/// writes its scores through the slots and marks exactly the rows whose
+/// bits moved. Only a pattern that really changed (first contact, a delta
+/// that rewired the sender, a checkpoint installed by
+/// [`AfferentState::set`]) re-localizes it and rebuilds the layout.
+///
+/// [`AfferentState::refresh`] re-sums each marked row as one contiguous
+/// slice, *from scratch in ascending source order* — the order the full
+/// rebuild adds contributions in (`received` is a `BTreeMap`) — so `X` is
+/// bit-identical to a full rebuild at every refresh: floating-point
+/// addition is not associative, and the engine promises bit-identical
+/// runs per seed.
+///
+/// Pages of a pattern this group does not own (a `Y` computed before a
+/// delta tombstoned them, still in flight) keep their place in the
+/// pattern and a slot in a trailing *spill row* that no `X` entry sums,
+/// so pattern and slots remain a faithful copy of the raw payload for
+/// [`AfferentState::replay_onto`].
+///
+/// [`AfferentState::new_full_rebuild`] keeps the pre-cache behavior
+/// (store localized entries, rebuild every row on any change) as the test
+/// oracle and benchmark baseline.
+#[derive(Debug, Clone)]
 pub struct AfferentState {
-    /// BTreeMap (not HashMap) so X materialization sums in a fixed order.
-    received: std::collections::BTreeMap<GroupId, Vec<(u32, f64)>>,
-    /// Per-row inverted index, sorted by source group (cached mode only).
-    rows: Vec<Vec<(GroupId, f64)>>,
-    /// Rows whose `x` entry is stale, deduplicated through `row_dirty`.
-    dirty_rows: Vec<u32>,
-    row_dirty: Vec<bool>,
     x: Vec<f64>,
-    dirty: bool,
-    full_rebuild: bool,
     rows_recomputed: u64,
+    store: Store,
+}
+
+#[derive(Debug, Clone)]
+enum Store {
+    Slotted(Slotted),
+    Full(FullRebuild),
+}
+
+/// The oracle: localized entries per source, every row re-summed on any
+/// change.
+#[derive(Debug, Clone, Default)]
+struct FullRebuild {
+    /// BTreeMap (not HashMap) so X materialization sums in a fixed order.
+    received: BTreeMap<GroupId, Vec<(u32, f64)>>,
+    dirty: bool,
+}
+
+/// One source group's latest contribution in slotted form; `local` and the
+/// scores are aligned entry for entry.
+#[derive(Debug, Clone)]
+struct Source {
+    src: GroupId,
+    /// Page ids of the last raw delivery. `None` once the contribution is
+    /// only known in localized form (after a `set` or `merge`).
+    pattern: Option<Arc<[PageId]>>,
+    /// Local row per entry, ascending; `n_local` (the spill row) for a
+    /// page this group does not own.
+    local: Vec<u32>,
+    held: Held,
+}
+
+/// Where a source's scores live.
+#[derive(Debug, Clone)]
+enum Held {
+    /// In `slot_vals`, entry `k` at `slots[k]`.
+    Slots(Vec<u32>),
+    /// With the source itself: its entry structure changed since the last
+    /// layout, and the next refresh gives it slots. Deferring that lets a
+    /// burst of first contacts (start-up, a takeover, a delta replay)
+    /// share one layout pass.
+    Staged(Vec<f64>),
+}
+
+/// Rows whose `x` entry is stale, deduplicated through `flags`.
+#[derive(Debug, Clone)]
+struct DirtyRows {
+    flags: Vec<bool>,
+    rows: Vec<u32>,
+}
+
+impl DirtyRows {
+    /// Marks row `li` stale; the spill row (`li == n_local`) has no `x`
+    /// entry and is skipped.
+    #[inline]
+    fn mark(&mut self, li: u32) {
+        if let Some(flag) = self.flags.get_mut(li as usize) {
+            if !*flag {
+                *flag = true;
+                self.rows.push(li);
+            }
+        }
+    }
+}
+
+/// Stores `v` in `cell` and marks row `li` stale when the bits moved. Bits,
+/// not `==`: `0.0`/`-0.0` differ and equal NaNs match.
+#[inline]
+fn store(cell: &mut f64, v: f64, li: u32, dirty: &mut DirtyRows) {
+    if cell.to_bits() != v.to_bits() {
+        *cell = v;
+        dirty.mark(li);
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Slotted {
+    /// Ascending by source group.
+    sources: Vec<Source>,
+    /// `n_local + 2` offsets into `slot_vals`: one row per local page plus
+    /// the spill row.
+    row_ptr: Vec<u32>,
+    /// The scores of every source that has slots, row-major, ascending
+    /// source within a row.
+    slot_vals: Vec<f64>,
+    dirty: DirtyRows,
+}
+
+impl Slotted {
+    fn new(n_local: usize) -> Self {
+        Self {
+            sources: Vec::new(),
+            row_ptr: vec![0; n_local + 2],
+            slot_vals: Vec::new(),
+            dirty: DirtyRows { flags: vec![false; n_local], rows: Vec::new() },
+        }
+    }
+
+    fn n_local(&self) -> u32 {
+        self.dirty.flags.len() as u32
+    }
+
+    fn find(&self, src: GroupId) -> Result<usize, usize> {
+        self.sources.binary_search_by_key(&src, |s| s.src)
+    }
+
+    /// The hot path: writes `scores` (aligned with `sources[i]`'s entries)
+    /// where they live and marks the rows whose bits moved.
+    fn write(&mut self, i: usize, scores: impl Iterator<Item = f64>) {
+        let s = &mut self.sources[i];
+        match &mut s.held {
+            Held::Slots(slots) => {
+                for ((&slot, &li), v) in slots.iter().zip(&s.local).zip(scores) {
+                    store(&mut self.slot_vals[slot as usize], v, li, &mut self.dirty);
+                }
+            }
+            Held::Staged(vals) => {
+                for ((cell, &li), v) in vals.iter_mut().zip(&s.local).zip(scores) {
+                    store(cell, v, li, &mut self.dirty);
+                }
+            }
+        }
+    }
+
+    /// Entry `k` of `s`.
+    fn score(&self, s: &Source, k: usize) -> f64 {
+        match &s.held {
+            Held::Slots(slots) => self.slot_vals[slots[k] as usize],
+            Held::Staged(vals) => vals[k],
+        }
+    }
+
+    /// The owned `(row, score)` entries of `s`, ascending by row.
+    fn localized<'a>(&'a self, s: &'a Source) -> impl Iterator<Item = (u32, f64)> + 'a {
+        let n = self.n_local();
+        s.local
+            .iter()
+            .enumerate()
+            .filter(move |(_, &li)| li < n)
+            .map(|(k, &li)| (li, self.score(s, k)))
+    }
+
+    /// Installs a contribution whose entry structure differs from the
+    /// stored one (or a first contribution): marks the rows where the
+    /// source's contribution appears, disappears or changes bits, and
+    /// stages the scores until the next layout.
+    fn restage(
+        &mut self,
+        src: GroupId,
+        pattern: Option<Arc<[PageId]>>,
+        local: Vec<u32>,
+        scores: Vec<f64>,
+    ) {
+        debug_assert_eq!(local.len(), scores.len());
+        let n = self.n_local();
+        let at = self.find(src);
+        let held: Vec<(u32, f64)> =
+            at.map_or_else(|_| Vec::new(), |i| self.localized(&self.sources[i]).collect());
+        let mut held = held.into_iter().peekable();
+        let mut fresh =
+            local.iter().zip(&scores).filter(|(&li, _)| li < n).map(|(&li, &v)| (li, v)).peekable();
+        // Both ascend by row: one merge pass finds the rows on one side
+        // only and the shared rows whose bits differ.
+        loop {
+            let li = match (held.peek().copied(), fresh.peek().copied()) {
+                (None, None) => break,
+                (Some((a, va)), Some((b, vb))) if a == b => {
+                    held.next();
+                    fresh.next();
+                    if va.to_bits() == vb.to_bits() {
+                        continue;
+                    }
+                    a
+                }
+                (Some((a, _)), Some((b, _))) if a < b => {
+                    held.next();
+                    a
+                }
+                (Some((a, _)), None) => {
+                    held.next();
+                    a
+                }
+                (_, Some((b, _))) => {
+                    fresh.next();
+                    b
+                }
+            };
+            self.dirty.mark(li);
+        }
+        drop(fresh);
+        let new = Source { src, pattern, local, held: Held::Staged(scores) };
+        match at {
+            Ok(i) => self.sources[i] = new,
+            Err(i) => self.sources.insert(i, new),
+        }
+    }
+
+    /// Lays `slot_vals` out afresh for the current entry structure of
+    /// every source: row by row, ascending source within a row. Values
+    /// move, none changes, so rows nobody marked re-sum to the same bits.
+    fn layout(&mut self) {
+        let entries: usize = self.sources.iter().map(|s| s.local.len()).sum();
+        assert!(
+            u32::try_from(entries).is_ok(),
+            "{entries} afferent entries overflow the u32 slots"
+        );
+        let mut row_ptr = vec![0u32; self.row_ptr.len()];
+        for s in &self.sources {
+            for &li in &s.local {
+                row_ptr[li as usize + 1] += 1;
+            }
+        }
+        for r in 1..row_ptr.len() {
+            row_ptr[r] += row_ptr[r - 1];
+        }
+        let mut cursor = row_ptr.clone();
+        let mut vals = vec![0.0; entries];
+        for i in 0..self.sources.len() {
+            let s = &self.sources[i];
+            let slots: Vec<u32> = (0..s.local.len())
+                .map(|k| {
+                    let next = &mut cursor[s.local[k] as usize];
+                    let slot = *next;
+                    *next += 1;
+                    vals[slot as usize] = self.score(s, k);
+                    slot
+                })
+                .collect();
+            self.sources[i].held = Held::Slots(slots);
+        }
+        self.row_ptr = row_ptr;
+        self.slot_vals = vals;
+    }
+
+    /// A raw delivery: `scores[k]` is `src`'s current outflow into page
+    /// `pattern[k]`; `pages` are the receiving group's own, ascending.
+    fn deliver(&mut self, pages: &[PageId], src: GroupId, pattern: &Arc<[PageId]>, scores: &[f64]) {
+        let at = self.find(src);
+        if let Ok(i) = at {
+            match &mut self.sources[i].pattern {
+                Some(held) if Arc::ptr_eq(held, pattern) => {
+                    return self.write(i, scores.iter().copied());
+                }
+                // After a delta rebuilt the sender the ids may match under
+                // a new allocation: adopt it so the next compare is a
+                // pointer compare again.
+                Some(held) if held[..] == pattern[..] => {
+                    *held = Arc::clone(pattern);
+                    return self.write(i, scores.iter().copied());
+                }
+                _ => {}
+            }
+        }
+        let n = pages.len() as u32;
+        let local: Vec<u32> =
+            pattern.iter().map(|p| pages.binary_search(p).map_or(n, |li| li as u32)).collect();
+        if let Ok(i) = at {
+            // Unknown or different ids that land on the same rows (the
+            // first delivery after a takeover installed this source from
+            // a checkpoint): the entry structure stands.
+            if self.sources[i].local == local {
+                self.sources[i].pattern = Some(Arc::clone(pattern));
+                return self.write(i, scores.iter().copied());
+            }
+        }
+        self.restage(src, Some(Arc::clone(pattern)), local, scores.to_vec());
+    }
+
+    fn set(&mut self, src: GroupId, entries: Vec<(u32, f64)>) {
+        if let Ok(i) = self.find(src) {
+            if self.sources[i].local.iter().copied().eq(entries.iter().map(|e| e.0)) {
+                self.sources[i].pattern = None;
+                return self.write(i, entries.iter().map(|e| e.1));
+            }
+        }
+        let (local, scores) = entries.into_iter().unzip();
+        self.restage(src, None, local, scores);
+    }
+
+    fn merge(&mut self, src: GroupId, entries: &[(u32, f64)]) {
+        let Ok(i) = self.find(src) else {
+            return self.set(src, entries.to_vec());
+        };
+        // A full publication, the common case: straight through.
+        if self.sources[i].local.iter().copied().eq(entries.iter().map(|e| e.0)) {
+            self.sources[i].pattern = None;
+            return self.write(i, entries.iter().map(|e| e.1));
+        }
+        // A partial one: what the source held, upserted, replaces it.
+        let mut union: Vec<(u32, f64)> = self.localized(&self.sources[i]).collect();
+        for &(li, v) in entries {
+            match union.binary_search_by_key(&li, |e| e.0) {
+                Ok(at) => union[at].1 = v,
+                Err(at) => union.insert(at, (li, v)),
+            }
+        }
+        self.set(src, union);
+    }
 }
 
 impl AfferentState {
-    /// State for a group with `n_local` pages (X starts at zero), with
-    /// dirty-row caching on.
+    /// State for a group with `n_local` pages (X starts at zero), in the
+    /// default slotted mode.
     #[must_use]
     pub fn new(n_local: usize) -> Self {
         Self {
-            received: std::collections::BTreeMap::new(),
-            rows: vec![Vec::new(); n_local],
-            dirty_rows: Vec::new(),
-            row_dirty: vec![false; n_local],
             x: vec![0.0; n_local],
-            dirty: false,
-            full_rebuild: false,
             rows_recomputed: 0,
+            store: Store::Slotted(Slotted::new(n_local)),
         }
     }
 
     /// The pre-cache baseline: every refresh rebuilds the whole `X` vector
-    /// and no inverted index is maintained. Kept so benchmarks can compare
-    /// the two modes honestly; results are bit-identical either way.
+    /// from the stored localized entries. Kept as the oracle the slotted
+    /// mode is tested against and so benchmarks can compare the two
+    /// honestly; results are bit-identical either way.
     #[must_use]
     pub fn new_full_rebuild(n_local: usize) -> Self {
-        Self { rows: Vec::new(), row_dirty: Vec::new(), full_rebuild: true, ..Self::new(n_local) }
+        Self { store: Store::Full(FullRebuild::default()), ..Self::new(n_local) }
     }
 
-    /// Marks row `li` stale (cached mode).
-    #[inline]
-    fn mark_row(row_dirty: &mut [bool], dirty_rows: &mut Vec<u32>, li: u32) {
-        if !row_dirty[li as usize] {
-            row_dirty[li as usize] = true;
-            dirty_rows.push(li);
-        }
-    }
-
-    /// Upserts `src`'s contribution to row `li` in the inverted index.
-    #[inline]
-    fn index_row(row: &mut Vec<(GroupId, f64)>, src: GroupId, s: f64) {
-        match row.binary_search_by_key(&src, |&(g, _)| g) {
-            Ok(pos) => row[pos].1 = s,
-            Err(pos) => row.insert(pos, (src, s)),
-        }
-    }
-
-    /// Bitwise equality on localized `Y` payloads. `==` on `f64` would
-    /// conflate `0.0`/`-0.0` and reject equal NaNs; the caching contract is
-    /// about *bits*, so compare bits.
-    #[inline]
-    fn entries_bits_equal(a: &[(u32, f64)], b: &[(u32, f64)]) -> bool {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
-    }
-
-    /// Returns whether a localized `Y` stream from `src` is bit-identical
-    /// to the contribution already stored, i.e. whether [`AfferentState::set`]
-    /// would take its steady-state short-circuit. Receivers use this to
-    /// skip materializing the localized payload at all once ranks stall —
-    /// the stream is compared entry-by-entry against the stored slice
-    /// without allocating. Always `false` in full-rebuild mode (the
-    /// baseline re-stores every arrival).
-    pub fn bits_match(&self, src: GroupId, entries: impl Iterator<Item = (u32, f64)>) -> bool {
-        if self.full_rebuild {
-            return false;
-        }
-        let Some(old) = self.received.get(&src) else {
-            return false;
-        };
-        let mut matched = 0usize;
-        for (li, s) in entries {
-            match old.get(matched) {
-                Some(&(oli, os)) if oli == li && os.to_bits() == s.to_bits() => matched += 1,
-                _ => return false,
+    /// Records the latest raw `Y` from `src`: `scores[k]` flows into page
+    /// `pattern[k]` (global ids, strictly ascending — what
+    /// [`GroupContext::y_parts`] produces). `pages` is the receiving
+    /// group's own sorted page list ([`GroupContext::pages`]); pattern
+    /// pages outside it contribute nothing. Replaces any previous
+    /// contribution from the same source, like [`AfferentState::set`] of
+    /// the localized payload, without materializing it.
+    ///
+    /// # Panics
+    /// If `pattern` and `scores` differ in length or `pages` is not this
+    /// state's group.
+    pub fn deliver(
+        &mut self,
+        pages: &[PageId],
+        src: GroupId,
+        pattern: &Arc<[PageId]>,
+        scores: &[f64],
+    ) {
+        assert_eq!(pattern.len(), scores.len(), "one score per pattern page");
+        assert_eq!(pages.len(), self.x.len(), "pages must be the receiving group's");
+        debug_assert!(pattern.windows(2).all(|w| w[0] < w[1]), "pattern must ascend");
+        match &mut self.store {
+            Store::Slotted(s) => s.deliver(pages, src, pattern, scores),
+            Store::Full(_) => {
+                let localized = pattern
+                    .iter()
+                    .zip(scores)
+                    .filter_map(|(p, &s)| pages.binary_search(p).ok().map(|li| (li as u32, s)))
+                    .collect();
+                self.set(src, localized);
             }
         }
-        matched == old.len()
+    }
+
+    fn check_entries(&self, entries: &[(u32, f64)]) {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "Y entries must be sorted by unique local index"
+        );
+        assert!(
+            entries.last().is_none_or(|e| (e.0 as usize) < self.x.len()),
+            "Y entry outside the group's rows"
+        );
     }
 
     /// Records the latest `Y` from `src` (already localized); replaces any
@@ -706,45 +1097,15 @@ impl AfferentState {
     /// by strictly increasing local index (what
     /// [`GroupContext::localize`] produces).
     pub fn set(&mut self, src: GroupId, entries: Vec<(u32, f64)>) {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "Y entries must be sorted by unique local index"
-        );
-        // Steady-state short-circuit (cached mode): a re-publication whose
-        // payload is bit-identical to what this source already contributed
-        // changes nothing — replacing it, re-indexing it, and re-summing
-        // its rows would all reproduce the exact same bits. Converged
-        // senders keep publishing (the wire protocol never goes quiet), so
-        // this is the hot path once ranks stall. The full-rebuild baseline
-        // deliberately skips this check: it models the pre-cache engine,
-        // which rebuilt on every arrival.
-        if !self.full_rebuild {
-            if let Some(old) = self.received.get(&src) {
-                if Self::entries_bits_equal(old, &entries) {
-                    return;
-                }
+        self.check_entries(&entries);
+        match &mut self.store {
+            Store::Slotted(s) => s.set(src, entries),
+            // The baseline models the pre-cache engine: it re-stores and
+            // rebuilds on every arrival, bit-identical or not.
+            Store::Full(f) => {
+                f.received.insert(src, entries);
+                f.dirty = true;
             }
-        }
-        let old = self.received.insert(src, entries);
-        self.dirty = true;
-        if self.full_rebuild {
-            return;
-        }
-        // Retract the superseded contribution: rows it touched go stale and
-        // lose their index entry (re-added below if the new Y touches them
-        // too).
-        if let Some(old) = old {
-            for &(li, _) in &old {
-                let row = &mut self.rows[li as usize];
-                if let Ok(pos) = row.binary_search_by_key(&src, |&(g, _)| g) {
-                    row.remove(pos);
-                }
-                Self::mark_row(&mut self.row_dirty, &mut self.dirty_rows, li);
-            }
-        }
-        for &(li, s) in &self.received[&src] {
-            Self::index_row(&mut self.rows[li as usize], src, s);
-            Self::mark_row(&mut self.row_dirty, &mut self.dirty_rows, li);
         }
     }
 
@@ -752,30 +1113,25 @@ impl AfferentState {
     /// sender chose not to re-send — the receive side of *thresholded* `Y`
     /// publication (the §4.5/§7 communication-reduction future work): a
     /// sender may suppress entries that barely changed, so absence means
-    /// "unchanged", not "zero".
+    /// "unchanged", not "zero". Entries must be sorted like
+    /// [`AfferentState::set`]'s.
     pub fn merge(&mut self, src: GroupId, entries: &[(u32, f64)]) {
+        self.check_entries(entries);
         if entries.is_empty() {
             return;
         }
-        let full_rebuild = self.full_rebuild;
-        let stored = self.received.entry(src).or_default();
-        let mut changed = false;
-        for &(li, s) in entries {
-            match stored.binary_search_by_key(&li, |&(i, _)| i) {
-                // Bit-identical upsert: nothing to re-index or re-sum
-                // (cached mode; the baseline still rebuilds below).
-                Ok(pos) if !full_rebuild && stored[pos].1.to_bits() == s.to_bits() => continue,
-                Ok(pos) => stored[pos].1 = s,
-                Err(pos) => stored.insert(pos, (li, s)),
+        match &mut self.store {
+            Store::Slotted(s) => s.merge(src, entries),
+            Store::Full(f) => {
+                let stored = f.received.entry(src).or_default();
+                for &(li, s) in entries {
+                    match stored.binary_search_by_key(&li, |&(i, _)| i) {
+                        Ok(pos) => stored[pos].1 = s,
+                        Err(pos) => stored.insert(pos, (li, s)),
+                    }
+                }
+                f.dirty = true;
             }
-            changed = true;
-            if !full_rebuild {
-                Self::index_row(&mut self.rows[li as usize], src, s);
-                Self::mark_row(&mut self.row_dirty, &mut self.dirty_rows, li);
-            }
-        }
-        if full_rebuild || changed {
-            self.dirty = true;
         }
     }
 
@@ -791,38 +1147,46 @@ impl AfferentState {
     /// persistent `f = βE + X` buffer — use the worklist to update exactly
     /// the rows that may have changed.
     pub fn refresh_tracked(&mut self, touched: Option<&mut Vec<u32>>) {
-        if !self.dirty {
-            return;
-        }
-        if self.full_rebuild {
-            self.x.iter_mut().for_each(|v| *v = 0.0);
-            for entries in self.received.values() {
-                for &(li, s) in entries {
-                    self.x[li as usize] += s;
+        match &mut self.store {
+            Store::Full(f) => {
+                if !f.dirty {
+                    return;
                 }
-            }
-            self.rows_recomputed += self.x.len() as u64;
-            if let Some(t) = touched {
-                t.extend(0..self.x.len() as u32);
-            }
-        } else {
-            for &li in &self.dirty_rows {
-                self.row_dirty[li as usize] = false;
-                // From-scratch re-sum in ascending source order: the same
-                // additions, in the same order, as the full rebuild above.
-                let mut sum = 0.0;
-                for &(_, s) in &self.rows[li as usize] {
-                    sum += s;
+                self.x.iter_mut().for_each(|v| *v = 0.0);
+                for entries in f.received.values() {
+                    for &(li, s) in entries {
+                        self.x[li as usize] += s;
+                    }
                 }
-                self.x[li as usize] = sum;
+                self.rows_recomputed += self.x.len() as u64;
+                if let Some(t) = touched {
+                    t.extend(0..self.x.len() as u32);
+                }
+                f.dirty = false;
             }
-            self.rows_recomputed += self.dirty_rows.len() as u64;
-            if let Some(t) = touched {
-                t.extend_from_slice(&self.dirty_rows);
+            Store::Slotted(s) => {
+                if s.sources.iter().any(|source| matches!(source.held, Held::Staged(_))) {
+                    s.layout();
+                }
+                for &li in &s.dirty.rows {
+                    s.dirty.flags[li as usize] = false;
+                    let row = s.row_ptr[li as usize] as usize..s.row_ptr[li as usize + 1] as usize;
+                    // From-scratch re-sum in ascending source order: the
+                    // same additions, in the same order, as the full
+                    // rebuild above.
+                    let mut sum = 0.0;
+                    for &v in &s.slot_vals[row] {
+                        sum += v;
+                    }
+                    self.x[li as usize] = sum;
+                }
+                self.rows_recomputed += s.dirty.rows.len() as u64;
+                if let Some(t) = touched {
+                    t.extend_from_slice(&s.dirty.rows);
+                }
+                s.dirty.rows.clear();
             }
-            self.dirty_rows.clear();
         }
-        self.dirty = false;
     }
 
     /// The current `X` without refreshing (test/inspection use).
@@ -834,22 +1198,49 @@ impl AfferentState {
     /// Number of source groups heard from so far.
     #[must_use]
     pub fn n_sources(&self) -> usize {
-        self.received.len()
+        match &self.store {
+            Store::Slotted(s) => s.sources.len(),
+            Store::Full(f) => f.received.len(),
+        }
     }
 
-    /// Copies out the per-source contributions, in ascending source order —
-    /// the checkpoint payload the replication protocol ships. Replaying the
-    /// snapshot through [`AfferentState::set`] in this order reproduces `X`
-    /// bit-identically on a fresh instance: `received` is a `BTreeMap`, so
-    /// both the original and the restored state sum rows in the same
-    /// ascending source order.
+    /// Copies out the per-source contributions in localized form, in
+    /// ascending source order — the checkpoint payload the replication
+    /// protocol ships. Replaying the snapshot through
+    /// [`AfferentState::set`] in this order reproduces `X` bit-identically
+    /// on a fresh instance: both the original and the restored state sum
+    /// rows in the same ascending source order.
     #[must_use]
     pub fn snapshot_received(&self) -> Vec<(GroupId, Vec<(u32, f64)>)> {
-        self.received.iter().map(|(&g, v)| (g, v.clone())).collect()
+        match &self.store {
+            Store::Slotted(s) => {
+                s.sources.iter().map(|source| (source.src, s.localized(source).collect())).collect()
+            }
+            Store::Full(f) => f.received.iter().map(|(&g, v)| (g, v.clone())).collect(),
+        }
+    }
+
+    /// Re-delivers every source's last raw `Y` into `fresh`, the state of
+    /// the same group after a delta changed its page set to `pages` —
+    /// exactly what receiving those messages again under the new context
+    /// would do: shifted local indices and dropped pages fall out of the
+    /// re-localization. Only sources whose raw pattern is known replay; one
+    /// installed by [`AfferentState::set`] (a checkpoint) is repopulated
+    /// by its sender's next publication, and the full-rebuild baseline
+    /// keeps no raw payloads at all.
+    pub fn replay_onto(&self, pages: &[PageId], fresh: &mut AfferentState) {
+        let Store::Slotted(s) = &self.store else { return };
+        for source in &s.sources {
+            if let Some(pattern) = &source.pattern {
+                let scores: Vec<f64> =
+                    (0..source.local.len()).map(|k| s.score(source, k)).collect();
+                fresh.deliver(pages, source.src, pattern, &scores);
+            }
+        }
     }
 
     /// Total rows recomputed across all refreshes (a full rebuild counts
-    /// every row) — the work the dirty-row cache is there to avoid.
+    /// every row) — the work the slotted mode is there to avoid.
     #[must_use]
     pub fn rows_recomputed(&self) -> u64 {
         self.rows_recomputed
@@ -920,6 +1311,55 @@ mod tests {
         }
     }
 
+    #[test]
+    fn raw_deliveries_track_patterns_spill_foreign_pages_and_replay() {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // The group owns pages 10, 20, 30; page 25 is foreign.
+        let pages = [10, 20, 30];
+        let pattern: Arc<[PageId]> = Arc::from([10, 25, 30]);
+        let mut st = AfferentState::new(3);
+        st.deliver(&pages, 4, &pattern, &[1.0, 9.0, 2.0]);
+        st.deliver(&pages, 2, &Arc::from([20, 30]), &[0.5, 0.25]);
+        assert_eq!(st.refresh(), &[1.0, 0.5, 2.25]);
+        assert_eq!(st.rows_recomputed(), 3);
+        // Same pattern by pointer, one score moved: one row re-summed.
+        st.deliver(&pages, 4, &pattern, &[1.0, 9.0, 3.0]);
+        assert_eq!(st.refresh(), &[1.0, 0.5, 3.25]);
+        assert_eq!(st.rows_recomputed(), 4);
+        // Equal ids under another allocation, identical bits: nothing to do.
+        st.deliver(&pages, 4, &Arc::from([10, 25, 30]), &[1.0, 9.0, 3.0]);
+        st.refresh();
+        assert_eq!(st.rows_recomputed(), 4);
+        // The checkpoint form drops the foreign entry.
+        let snap = st.snapshot_received();
+        assert_eq!(snap, vec![(2, vec![(1, 0.5), (2, 0.25)]), (4, vec![(0, 1.0), (2, 3.0)])]);
+
+        // A takeover installs the snapshot; each source's next delivery
+        // lands on the same rows and only has to bring its pattern along.
+        let mut taken = AfferentState::new(3);
+        for (src, entries) in &snap {
+            taken.set(*src, entries.clone());
+        }
+        assert_eq!(bits(taken.refresh()), bits(st.x()));
+        let recomputed = taken.rows_recomputed();
+        taken.deliver(&pages, 2, &Arc::from([20, 30]), &[0.5, 0.25]);
+        taken.refresh();
+        assert_eq!(taken.rows_recomputed(), recomputed);
+
+        // A delta tombstones page 10 and brings page 25 in: the replay
+        // re-localizes the full raw payload, foreign score included, and
+        // skips the source known only in localized form.
+        let mut fresh = AfferentState::new(3);
+        st.replay_onto(&[20, 25, 30], &mut fresh);
+        assert_eq!(fresh.refresh(), &[0.5, 9.0, 3.25]);
+        let mut from_taken = AfferentState::new(3);
+        taken.replay_onto(&[20, 25, 30], &mut from_taken);
+        assert_eq!(from_taken.n_sources(), 1);
+        // An empty part retracts a source's whole contribution.
+        fresh.deliver(&[20, 25, 30], 4, &Arc::from([]), &[]);
+        assert_eq!(fresh.refresh(), &[0.5, 0.0, 0.25]);
+    }
+
     fn split_cycle() -> (WebGraph, Vec<GroupContext>) {
         // Cycle of 6 split into two groups of alternating pages: every link
         // crosses groups.
@@ -986,6 +1426,65 @@ mod tests {
         for (_, s) in entries {
             assert!((s - 0.85).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn y_parts_share_one_memoized_pattern_per_destination() {
+        let g = dpr_graph::generators::random::erdos_renyi(300, 6, 6.0, 9);
+        let partition = Partition::build(&g, &Strategy::HashByUrl, 5, 0);
+        let cfg = RankConfig::default();
+        for ctx in &GroupContext::build_all(&g, &partition, &cfg) {
+            let r: Vec<f64> = (0..ctx.n_local()).map(|i| 0.1 + 0.37 * i as f64).collect();
+            let mut dests = ctx.efferent_groups();
+            for ((dest, a, scores), (_, b, _)) in ctx.y_parts(&r).zip(ctx.y_parts(&r)) {
+                assert_eq!(Some(dest), dests.next());
+                // Every publication hands out the same allocation, which
+                // is what receivers compare by pointer.
+                assert!(Arc::ptr_eq(a, b));
+                assert!(a.windows(2).all(|w| w[0] < w[1]), "ascending, distinct pages");
+                assert!(a.iter().all(|&p| partition.group_of(p) == dest));
+                assert_eq!(a.len(), scores.len());
+            }
+            // The scores are the cross-group rank flow, link by link.
+            let total: f64 = ctx.y_parts(&r).flat_map(|(_, _, scores)| scores).sum();
+            let mut expect = 0.0;
+            for (lu, &u) in ctx.pages().iter().enumerate() {
+                let out =
+                    g.out_links(u).iter().filter(|&&v| partition.group_of(v) != ctx.group_id());
+                expect += out.count() as f64 * cfg.alpha / f64::from(g.out_degree(u)) * r[lu];
+            }
+            assert!((total - expect).abs() <= 1e-9 * expect.max(1.0), "{total} vs {expect}");
+        }
+    }
+
+    #[test]
+    fn contraction_norm_is_memoized_and_follows_a_rescale() {
+        use dpr_graph::{DeltaOp, GraphDelta};
+        let g = dpr_graph::generators::random::erdos_renyi(120, 4, 5.0, 2);
+        let partition = Partition::build(&g, &Strategy::HashBySite, 2, 0);
+        let cfg = RankConfig::default();
+        let mut ctx = GroupContext::build_all(&g, &partition, &cfg).swap_remove(0);
+        assert_eq!(ctx.contraction_norm(), ctx.matrix().contraction_norm());
+        // The solvers report the same certified bound through the memo as
+        // straight off the matrix.
+        let x = vec![0.0; ctx.n_local()];
+        let mut r = vec![0.0; ctx.n_local()];
+        let report = ctx.group_pagerank(&mut r, &x, 1e-12, 1000);
+        let mut r2 = vec![0.0; ctx.n_local()];
+        let direct =
+            FixedPointSolver { tolerance: 1e-12, max_iters: 1000, pool: Pool::sequential() }.solve(
+                ctx.matrix(),
+                ctx.beta_e(),
+                &mut r2,
+            );
+        assert_eq!(report, direct);
+        // More external links on every page shrink every column.
+        let ops = ctx.pages().iter().map(|&page| DeltaOp::SetExternal { page, ext_out: 50 });
+        let g2 = GraphDelta::new(ops.collect()).apply(&g);
+        let before = ctx.contraction_norm();
+        ctx.rescale_in_place(&g2, &cfg);
+        assert!(ctx.contraction_norm() < before);
+        assert_eq!(ctx.contraction_norm(), ctx.matrix().contraction_norm());
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub use dpr_overlay::RouteCacheStats;
 pub use group::{AfferentState, GroupContext, GroupMatrix, MatrixLayout};
 pub use netrun::{
     group_owners, try_run_over_network, AdaptiveEpsilon, ChurnUnsupported, GroupSnapshot,
-    InnerSolver, NetCounters, NetRunConfig, NetRunError, NetRunResult, OverlayKind, Reliability,
-    Transmission,
+    InnerSolver, NetCounters, NetRunConfig, NetRunError, NetRunResult, OverlayKind, PhaseSecs,
+    Reliability, Transmission,
 };
 pub use query::{distributed_top_k, query_cost, site_totals, Hit, QueryCost};
 pub use run::{run_distributed, DistributedRun, DistributedRunConfig, RunResult};

@@ -24,11 +24,12 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::RwLock;
 
 use dpr_graph::{GraphDelta, PageId, WebGraph};
-use dpr_linalg::{vec_ops, SpMatVec};
+use dpr_linalg::vec_ops;
 use dpr_overlay::{
     CanNetwork, ChordNetwork, NodeIndex, Overlay, PastryNetwork, RouteCache, RouteCacheStats,
 };
@@ -532,18 +533,24 @@ impl Default for NetRunConfig {
 }
 
 /// One `Y` in flight: the publishing group, the destination group, and the
-/// aggregated `(page, score)` payload.
+/// aggregated rank transfers, `scores[k]` into page `pattern[k]`. Both
+/// halves are shared, not owned, so every coalesced, relayed or
+/// retransmitted copy bumps two pointers. On the wire a part is still
+/// priced as `scores.len()` §4.5 updates: the split is how the simulator
+/// holds a message, not a protocol change.
 #[derive(Debug, Clone)]
 pub struct YPart {
     /// Publishing group.
     pub src_group: GroupId,
     /// Destination group.
     pub dest_group: GroupId,
-    /// Aggregated rank transfers (global page ids). Shared, not owned: a
-    /// converged group re-publishes the same `Y` every wake, and the `Arc`
-    /// lets every re-publication (and every coalesced/relayed copy) alias
-    /// the sender's memoized buffer instead of cloning it onto the wire.
-    pub entries: Arc<Vec<(PageId, f64)>>,
+    /// Destination pages (global ids, ascending): the sender's memoized
+    /// efferent pattern, the same allocation in every publication until a
+    /// delta rebuilds the sender, so a receiver recognizes it by pointer.
+    pub pattern: Arc<[PageId]>,
+    /// This publication's scores. A converged group re-publishes the same
+    /// `Arc` every wake.
+    pub scores: Arc<Vec<f64>>,
 }
 
 /// A package of parts sharing one overlay hop.
@@ -686,12 +693,67 @@ pub struct NetCounters {
     pub sweeps_saved: u64,
 }
 
+/// Wall-clock seconds per layer of the run, measured inside the program:
+/// every node accumulates its own and the driver adds the two it runs
+/// itself. Always on (a few clock reads per data message, wake and group
+/// think); never read by the simulation, so it cannot move a simulated
+/// number. What `engine_secs` holds beyond their sum is the event engine
+/// itself, the reliability and replication protocols, and churn. With
+/// `engine_workers > 1` the node-side layers overlap across threads and
+/// the sum may exceed `engine_secs`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseSecs {
+    /// Receive path: raw `Y` parts into the afferent states.
+    pub deliver: f64,
+    /// Afferent refresh: dirty `X` rows re-summed, `f = βE + X` patched.
+    pub refresh: f64,
+    /// Inner solves (Algorithm 2 or one DPR2 step).
+    pub solve: f64,
+    /// `Y` assembly from the solved ranks.
+    pub compute_y: f64,
+    /// Coalescing, routing and sending a wake's parts (deliveries to
+    /// groups on the same node are counted under `deliver`, not here).
+    pub dispatch: f64,
+    /// Driver: assembling the global rank vector and the error sample
+    /// after every slice.
+    pub sample: f64,
+    /// Driver: store publication after every slice.
+    pub publish: f64,
+}
+
+impl PhaseSecs {
+    /// Seconds accounted for across all layers.
+    #[must_use]
+    pub fn total(&self) -> f64 {
+        self.deliver
+            + self.refresh
+            + self.solve
+            + self.compute_y
+            + self.dispatch
+            + self.sample
+            + self.publish
+    }
+}
+
+impl std::ops::AddAssign for PhaseSecs {
+    fn add_assign(&mut self, o: Self) {
+        self.deliver += o.deliver;
+        self.refresh += o.refresh;
+        self.solve += o.solve;
+        self.compute_y += o.compute_y;
+        self.dispatch += o.dispatch;
+        self.sample += o.sample;
+        self.publish += o.publish;
+    }
+}
+
+/// Memoized per-destination `Y` publication: `(dest group, pattern,
+/// scores)`.
+type YCache = Vec<(GroupId, Arc<[PageId]>, Arc<Vec<f64>>)>;
+
 /// One group's ranking state hosted on a node. The `f_buf`/`scratch`/
 /// `touched` buffers persist across think steps so the steady-state wake
 /// path allocates nothing (the §4.5 "million-page" scaling requirement).
-/// Memoized per-destination `Y` publication: `(dest group, shared payload)`.
-type YCache = Vec<(GroupId, Arc<Vec<(PageId, f64)>>)>;
-
 struct GroupState {
     /// Static group structure, shared with the run-wide context directory
     /// (every node can rebuild any group's state from it on takeover).
@@ -715,16 +777,10 @@ struct GroupState {
     /// would reproduce `r` bit-for-bit, so the think step may skip it
     /// (cached mode only).
     last_delta: f64,
-    /// Memoized `compute_y(&r)` — a deterministic function of `r`, valid
-    /// until a solve changes `r` (cached mode only). Entries are behind
+    /// Memoized `y_parts(&r)` — a deterministic function of `r`, valid
+    /// until a solve changes `r` (cached mode only). Both halves are behind
     /// `Arc`s so publication is a pointer bump, not a payload copy.
     y_cache: Option<YCache>,
-    /// Last accepted raw `Y` payload per source, as `(page, rank bits)` —
-    /// the receive-path twin of the sender's `y_cache`. A re-publication
-    /// that bit-matches it is dropped before any page→local translation;
-    /// the localized comparison in [`AfferentState::bits_match`] remains as
-    /// the slow-path check when the raw bytes differ (cached mode only).
-    last_payload: BTreeMap<GroupId, Vec<(PageId, u64)>>,
     outer_iterations: u64,
     /// Inner-solver sweeps this group ran (see
     /// [`NetCounters::inner_sweeps`]; collected per node at run end).
@@ -753,7 +809,6 @@ impl GroupState {
             touched: Vec::new(),
             last_delta: f64::INFINITY,
             y_cache: None,
-            last_payload: BTreeMap::new(),
             outer_iterations: 0,
             inner_sweeps: 0,
             sweeps_saved: 0,
@@ -776,7 +831,7 @@ fn adaptive_sweeps_saved(cfg: &NetRunConfig, ctx: &GroupContext, final_delta: f6
     if final_delta <= cfg.inner_epsilon {
         return 0;
     }
-    let norm = ctx.matrix().contraction_norm();
+    let norm = ctx.contraction_norm();
     if !(norm > 0.0 && norm < 1.0) {
         return 0;
     }
@@ -812,6 +867,8 @@ pub struct NetNode {
     active: bool,
     /// Network cost counters for traffic *originated or forwarded* here.
     pub counters: NetCounters,
+    /// Where this node's wall-clock time went (see [`PhaseSecs`]).
+    phase: PhaseSecs,
     /// Next data sequence number (reliability protocol).
     next_seq: u64,
     /// Unacked packages awaiting retransmission, by sequence number
@@ -864,49 +921,15 @@ struct PendingSend {
 
 impl NetNode {
     fn payload_bytes(&self, parts: &[YPart]) -> u64 {
-        let updates: u64 = parts.iter().map(|p| p.entries.len() as u64).sum();
+        let updates: u64 = parts.iter().map(|p| p.scores.len() as u64).sum();
         updates * self.cfg.update_bytes + self.cfg.header_bytes
     }
 
-    /// Delivers a part to a locally hosted group.
+    /// Delivers a part to a locally hosted group, raw: the afferent state
+    /// recognizes the pattern and writes the scores through its slots.
     fn deliver_local(&mut self, part: &YPart) {
-        let ext_cache = self.cfg.ext_cache;
         if let Some(gs) = self.groups.iter_mut().find(|g| g.ctx.group_id() == part.dest_group) {
-            if !ext_cache {
-                let localized = gs.ctx.localize(&part.entries);
-                gs.afferent.set(part.src_group, localized);
-                return;
-            }
-            // Steady-state receive path: once the sender's ranks stall its
-            // re-publications are bit-identical and `set` would discard the
-            // payload unread. Cheapest check first — the raw `(page, bits)`
-            // copy of the last accepted payload, a flat scan with no
-            // page→local translation at all.
-            if let Some(prev) = gs.last_payload.get(&part.src_group) {
-                if prev.len() == part.entries.len()
-                    && prev
-                        .iter()
-                        .zip(part.entries.iter())
-                        .all(|(&(pp, pb), &(p, s))| pp == p && pb == s.to_bits())
-                {
-                    return;
-                }
-            }
-            // Raw bytes differ; the *localized* payload may still match
-            // (e.g. the delta is confined to pages this group no longer
-            // owns). Compare lazily before paying the allocation.
-            let lazily_localized = part
-                .entries
-                .iter()
-                .filter_map(|&(p, s)| gs.ctx.local_index(p).map(|i| (i as u32, s)));
-            if !gs.afferent.bits_match(part.src_group, lazily_localized) {
-                let localized = gs.ctx.localize(&part.entries);
-                gs.afferent.set(part.src_group, localized);
-            }
-            gs.last_payload.insert(
-                part.src_group,
-                part.entries.iter().map(|&(p, s)| (p, s.to_bits())).collect(),
-            );
+            gs.afferent.deliver(gs.ctx.pages(), part.src_group, &part.pattern, &part.scores);
         }
         // A part for a group we do not host is stale traffic after a
         // membership change; §4.2 lets nodes drop it silently.
@@ -1033,16 +1056,33 @@ impl NetNode {
         }
     }
 
+    /// Sends `parts` on their way ([`NetNode::route_parts`], the dispatch
+    /// phase), then delivers the ones bound for groups hosted right here
+    /// (the deliver phase). Nothing on the send path reads group state, so
+    /// delivering after the sends changes nothing but the timing split.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_, NetMsg>, parts: Vec<YPart>) {
+        let start = Instant::now();
+        let local = self.route_parts(ctx, parts);
+        let routed = Instant::now();
+        for part in &local {
+            self.deliver_local(part);
+        }
+        self.phase.dispatch += (routed - start).as_secs_f64();
+        self.phase.deliver += routed.elapsed().as_secs_f64();
+    }
+
     /// Routes parts one overlay hop (indirect) or directly to the owner
     /// (direct), grouping by next hop so each neighbor gets one package.
     /// With coalescing on, superseded same-`(src, dest)` parts are merged
     /// away first and direct mode additionally batches everything bound
     /// for one owner into a single package (one data message, one header;
-    /// every part's destination still pays its §4.5 lookup).
-    fn dispatch(&mut self, ctx: &mut Ctx<'_, NetMsg>, mut parts: Vec<YPart>) {
+    /// every part's destination still pays its §4.5 lookup). Returns, in
+    /// order, the parts whose destination group lives on this node.
+    fn route_parts(&mut self, ctx: &mut Ctx<'_, NetMsg>, mut parts: Vec<YPart>) -> Vec<YPart> {
         if self.cfg.coalesce {
             self.coalesce_parts(&mut parts);
         }
+        let mut local = Vec::new();
         match self.cfg.transmission {
             Transmission::Direct if self.cfg.coalesce => {
                 // BTreeMap: package send order must be deterministic.
@@ -1050,7 +1090,7 @@ impl NetNode {
                 for part in parts {
                     let owner = self.owner_of.read()[part.dest_group as usize];
                     if owner == self.me {
-                        self.deliver_local(&part);
+                        local.push(part);
                         continue;
                     }
                     let hops = self.lookup_hops(part.dest_group);
@@ -1070,7 +1110,7 @@ impl NetNode {
                 for part in parts {
                     let owner = self.owner_of.read()[part.dest_group as usize];
                     if owner == self.me {
-                        self.deliver_local(&part);
+                        local.push(part);
                         continue;
                     }
                     // Pay the lookup: h messages of r bytes, plus latency
@@ -1087,7 +1127,7 @@ impl NetNode {
                 let mut by_hop: BTreeMap<NodeIndex, Vec<YPart>> = BTreeMap::new();
                 for part in parts {
                     match self.next_hop_for(part.dest_group) {
-                        None => self.deliver_local(&part),
+                        None => local.push(part),
                         Some(hop) => by_hop.entry(hop).or_default().push(part),
                     }
                 }
@@ -1096,6 +1136,7 @@ impl NetNode {
                 }
             }
         }
+        local
     }
 
     /// The DPR loop body for every hosted group: refresh afferent state,
@@ -1110,6 +1151,7 @@ impl NetNode {
             if gs.ctx.n_local() == 0 {
                 continue;
             }
+            let refresh_start = Instant::now();
             if self.cfg.ext_cache {
                 // Dirty-row path: refresh only the stale X rows, patch the
                 // persistent f = βE + X on exactly those rows, and solve
@@ -1121,6 +1163,12 @@ impl NetNode {
                 for &li in &gs.touched {
                     gs.f_buf[li as usize] = beta_e[li as usize] + x[li as usize];
                 }
+            } else {
+                gs.afferent.refresh();
+            }
+            let solve_start = Instant::now();
+            self.phase.refresh += (solve_start - refresh_start).as_secs_f64();
+            if self.cfg.ext_cache {
                 // Stall short-circuit: no row of f changed and the last
                 // solve ended with a successive difference of exactly 0.0,
                 // so `r` is the exact f64 fixed point of `r ← A·r + f` —
@@ -1200,7 +1248,7 @@ impl NetNode {
                     gs.sweeps_saved += 1;
                 }
             } else {
-                let x = gs.afferent.refresh();
+                let x = gs.afferent.x();
                 let sweeps = match (self.cfg.variant, self.cfg.inner_solver) {
                     (DprVariant::Dpr1, InnerSolver::Jacobi) => {
                         gs.ctx
@@ -1230,30 +1278,29 @@ impl NetNode {
                 gs.inner_sweeps += sweeps;
             }
             gs.outer_iterations += 1;
-            let src = gs.ctx.group_id();
-            if self.cfg.ext_cache {
-                // Y is a pure function of `r`; while `r` is bitwise
-                // unchanged the memoized parts are bit-identical to a
-                // fresh computation and only need cloning onto the wire.
-                let y = gs.y_cache.get_or_insert_with(|| {
-                    gs.ctx.compute_y(&gs.r).into_iter().map(|(d, e)| (d, Arc::new(e))).collect()
-                });
-                for (dest, entries) in y {
-                    self.pending_y.push(YPart {
-                        src_group: src,
-                        dest_group: *dest,
-                        entries: Arc::clone(entries),
-                    });
-                }
-            } else {
-                for (dest, entries) in gs.ctx.compute_y(&gs.r) {
-                    self.pending_y.push(YPart {
-                        src_group: src,
-                        dest_group: dest,
-                        entries: Arc::new(entries),
-                    });
-                }
+            let y_start = Instant::now();
+            self.phase.solve += (y_start - solve_start).as_secs_f64();
+            // Y is a pure function of `r`: while `r` is bitwise unchanged
+            // the memoized parts are bit-identical to a fresh computation
+            // and only need cloning onto the wire. The pattern half never
+            // changes at all, so a solve that moved `r` costs the scores.
+            if !self.cfg.ext_cache {
+                gs.y_cache = None;
             }
+            let y = gs.y_cache.get_or_insert_with(|| {
+                gs.ctx
+                    .y_parts(&gs.r)
+                    .map(|(dest, pattern, scores)| (dest, Arc::clone(pattern), Arc::new(scores)))
+                    .collect()
+            });
+            let src_group = gs.ctx.group_id();
+            self.pending_y.extend(y.iter().map(|(dest, pattern, scores)| YPart {
+                src_group,
+                dest_group: *dest,
+                pattern: Arc::clone(pattern),
+                scores: Arc::clone(scores),
+            }));
+            self.phase.compute_y += y_start.elapsed().as_secs_f64();
         }
     }
 
@@ -1512,6 +1559,7 @@ impl Actor for NetNode {
             self.counters.payload_clones += 1;
             (*shared).clone()
         });
+        let start = Instant::now();
         for part in parts {
             if self.owner_of.read()[part.dest_group as usize] == self.me {
                 self.deliver_local(&part);
@@ -1521,6 +1569,7 @@ impl Actor for NetNode {
                 self.relay.push(part);
             }
         }
+        self.phase.deliver += start.elapsed().as_secs_f64();
     }
 }
 
@@ -1552,6 +1601,9 @@ pub struct NetRunResult {
     /// overhead (error tracking), not protocol work. Subtract it when
     /// comparing incremental-update engine time against a cold restart.
     pub delta_ref_secs: f64,
+    /// Where the `engine_secs` window went, layer by layer, summed over
+    /// every node and the driver (see [`PhaseSecs`]).
+    pub phase_secs: PhaseSecs,
     /// Engine counters.
     pub sim_stats: SimStats,
     /// Event-scheduler allocation counters (arena recycling
@@ -1603,7 +1655,7 @@ pub fn try_run_over_network_with_store(
     cfg: NetRunConfig,
     store: Option<&crate::store::RankStore>,
 ) -> Result<NetRunResult, NetRunError> {
-    let wall_start = std::time::Instant::now();
+    let wall_start = Instant::now();
     cfg.rank.validate(g.n_pages());
     if cfg.k < 1 || cfg.n_nodes < 1 {
         return Err(NetRunError::Config {
@@ -1795,6 +1847,7 @@ pub fn try_run_over_network_with_store(
             uplink_busy_until: 0.0,
             active: true,
             counters: NetCounters::default(),
+            phase: PhaseSecs::default(),
             next_seq: 0,
             pending: BTreeMap::new(),
             seen: HashSet::new(),
@@ -1829,8 +1882,9 @@ pub fn try_run_over_network_with_store(
     // commits in the identical (time, seq) order and is bit-identical.
     let engine_pool =
         (cfg.engine_workers > 1).then(|| dpr_linalg::pool::Pool::with_workers(cfg.engine_workers));
-    let engine_start = std::time::Instant::now();
+    let engine_start = Instant::now();
     let mut delta_ref_secs = 0.0f64;
+    let mut phase_secs = PhaseSecs::default();
     let mut rel_err = TimeSeries::new();
     let mut n_pages = g.n_pages();
     let mut churn = churn.into_iter().peekable();
@@ -1892,7 +1946,7 @@ pub fn try_run_over_network_with_store(
                             dead.push(p);
                         }
                         n_pages = gl.n_pages();
-                        let ref_start = std::time::Instant::now();
+                        let ref_start = Instant::now();
                         reference = open_pagerank(gl, &cfg.rank).ranks;
                         for &p in &dead {
                             reference[p as usize] = 0.0;
@@ -1906,6 +1960,7 @@ pub fn try_run_over_network_with_store(
             Some(pool) => sim.run_until_pooled(next_t, pool),
             None => sim.run_until(next_t),
         }
+        let sample_start = Instant::now();
         rel_err.push(next_t, vec_ops::relative_error(&assemble(sim.actors(), n_pages), &reference));
         // A dirtied group leaves the resolving set once its solver has
         // re-stalled on the exact post-delta fixed point (reads state
@@ -1923,6 +1978,8 @@ pub fn try_run_over_network_with_store(
                 })
             });
         }
+        let publish_start = Instant::now();
+        phase_secs.sample += (publish_start - sample_start).as_secs_f64();
         if let Some(store) = store {
             // Group state is only read here: publication cannot perturb
             // the run. Crashed/migrated groups publish from their current
@@ -1941,8 +1998,10 @@ pub fn try_run_over_network_with_store(
                 })
             }));
         }
+        phase_secs.publish += publish_start.elapsed().as_secs_f64();
         t = next_t;
     }
+    let publish_start = Instant::now();
     if let Some(store) = store {
         // Final flush, gate lifted: a group still mid-resolve at `t_end`
         // publishes its best current state, so the served view equals
@@ -1957,8 +2016,12 @@ pub fn try_run_over_network_with_store(
             })
         }));
     }
+    phase_secs.publish += publish_start.elapsed().as_secs_f64();
 
     let engine_secs = engine_start.elapsed().as_secs_f64();
+    for node in sim.actors() {
+        phase_secs += node.phase;
+    }
     let final_ranks = assemble(sim.actors(), n_pages);
     let per_node: Vec<NetCounters> = sim
         .actors()
@@ -2003,6 +2066,7 @@ pub fn try_run_over_network_with_store(
         setup_secs,
         engine_secs,
         delta_ref_secs,
+        phase_secs,
         sim_stats: sim.stats(),
         sched_stats: sim.sched_stats(),
         mean_route_hops: if hop_count == 0 { 0.0 } else { hop_total as f64 / hop_count as f64 },
@@ -2102,6 +2166,7 @@ fn apply_join(
         uplink_busy_until: 0.0,
         active: true,
         counters: NetCounters::default(),
+        phase: PhaseSecs::default(),
         next_seq: 0,
         pending: BTreeMap::new(),
         seen: HashSet::new(),
@@ -2146,11 +2211,14 @@ fn apply_join(
 ///   gets a one-group [`GroupContext::rebuild`] against the new graph —
 ///   cost proportional to the group, not the web;
 /// * each dirty group's host *warm-starts*: surviving pages keep their
-///   converged ranks, the afferent history replays from the last
-///   accepted raw payloads (re-localized against the new context, so
+///   converged ranks, the afferent history replays from the patterns and
+///   slots of the old state (re-localized against the new context, so
 ///   shifted local indices and dropped pages are handled by
 ///   construction), and the outer epoch keeps counting — the solver
 ///   resumes from the previous fixed point instead of from zero;
+/// * a rebuilt group that no longer links into some destination group
+///   sends it one empty part with its host's next wake, retracting the
+///   contribution that destination would otherwise keep for ever;
 /// * every untouched group keeps its context, its ranks, and its stall
 ///   short-circuit — it never notices the delta;
 /// * each node owning at least one dirty group is charged one delta
@@ -2255,7 +2323,7 @@ fn apply_delta(
         charged.insert(host);
         let node = &mut actors[host];
         let mut gs = GroupState::new(new_ctx, cfg.ext_cache);
-        {
+        let dropped: Vec<GroupId> = {
             let old = &node.groups[slot];
             // Surviving pages keep their converged ranks; inserted pages
             // start at zero.
@@ -2264,24 +2332,29 @@ fn apply_delta(
                     gs.r[li] = old.r[j];
                 }
             }
-            // Replay the afferent history from the last accepted raw
-            // payloads — exactly what re-delivering those messages would
-            // do under the new context. (Without the ext cache no raw
-            // payloads are retained; peers repopulate `X` as they
+            // Replay the afferent history from the patterns and slots the
+            // old state holds — exactly what re-delivering those messages
+            // would do under the new context. (Without the ext cache no
+            // raw payloads are retained; peers repopulate `X` as they
             // republish every wake.)
-            for (&src, payload) in &old.last_payload {
-                let localized: Vec<(u32, f64)> = payload
-                    .iter()
-                    .filter_map(|&(p, bits)| {
-                        gs.ctx.local_index(p).map(|i| (i as u32, f64::from_bits(bits)))
-                    })
-                    .collect();
-                gs.afferent.set(src, localized);
-                gs.last_payload.insert(src, payload.clone());
-            }
+            old.afferent.replay_onto(gs.ctx.pages(), &mut gs.afferent);
             gs.outer_iterations = old.outer_iterations;
-        }
+            let kept: BTreeSet<GroupId> = gs.ctx.efferent_groups().collect();
+            old.ctx.efferent_groups().filter(|dest| !kept.contains(dest)).collect()
+        };
         node.groups[slot] = gs;
+        // A destination the rebuilt group no longer links to would keep
+        // this group's last contribution for ever — `y_parts` stops naming
+        // it, so nothing replaces it. Retract it: one empty part per
+        // dropped destination, sent with the host's next wake through the
+        // normal dispatch path (coalesced, priced as a header when it
+        // travels alone, retried under reliability).
+        node.pending_y.extend(dropped.into_iter().map(|dest_group| YPart {
+            src_group: gid,
+            dest_group,
+            pattern: Arc::from([]),
+            scores: Arc::default(),
+        }));
     }
     drop(dir);
     for host in charged {
@@ -2782,7 +2855,8 @@ mod tests {
         let parts = Arc::new(vec![YPart {
             src_group: 0,
             dest_group: 1,
-            entries: Arc::new(vec![(0, 0.5)]),
+            pattern: Arc::from([0]),
+            scores: Arc::new(vec![0.5]),
         }]);
         let original = Package(Arc::clone(&parts));
         let retransmitted = original.clone();
@@ -3484,5 +3558,203 @@ mod tests {
         );
         assert_eq!(par.counters, res.counters);
         assert_eq!(par.rel_err.points(), res.rel_err.points());
+    }
+
+    #[test]
+    fn phase_secs_are_populated_and_bounded_by_engine_secs() {
+        // The in-program layer times: every layer a run exercises reports
+        // a positive share, and on the sequential engine the layers are
+        // disjoint slices of the engine window, so they sum to at most
+        // `engine_secs`. A store is attached so the publish layer runs.
+        let g = edu_domain(&EduDomainConfig {
+            n_pages: 2_000,
+            n_sites: 20,
+            ..EduDomainConfig::default()
+        });
+        let store = crate::store::RankStore::new(16);
+        let cfg = NetRunConfig { k: 16, n_nodes: 8, t_end: 60.0, ..quick(Transmission::Direct) };
+        let res = try_run_over_network_with_store(&g, cfg, Some(&store)).expect("valid config");
+        let p = res.phase_secs;
+        for (name, secs) in [
+            ("deliver", p.deliver),
+            ("refresh", p.refresh),
+            ("solve", p.solve),
+            ("compute_y", p.compute_y),
+            ("dispatch", p.dispatch),
+            ("sample", p.sample),
+            ("publish", p.publish),
+        ] {
+            assert!(secs > 0.0 && secs.is_finite(), "{name} phase not populated: {secs}");
+        }
+        assert!(
+            p.total() <= res.engine_secs,
+            "phases {} exceed the engine window {}",
+            p.total(),
+            res.engine_secs
+        );
+    }
+
+    /// Sites of three pages in a ring, plus one link from each site to the
+    /// next: under `HashBySite` the only traffic between two groups is
+    /// what those chain links carry.
+    fn site_chain(n_sites: usize) -> WebGraph {
+        let mut b = dpr_graph::GraphBuilder::new();
+        let first: Vec<PageId> = (0..n_sites)
+            .map(|s| {
+                let site = b.add_site(format!("s{s}.edu"));
+                let pages: Vec<PageId> = (0..3).map(|_| b.add_page(site)).collect();
+                for i in 0..3 {
+                    b.add_link(pages[i], pages[(i + 1) % 3]);
+                }
+                pages[0]
+            })
+            .collect();
+        for s in 0..n_sites {
+            b.add_link(first[s], first[(s + 1) % n_sites]);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn delta_dropping_the_last_link_to_a_group_retracts_its_part() {
+        // The stale-part defect: when a delta removes the only link from
+        // group A to group B, A's `Y` stops naming B, and without a
+        // retraction B would keep A's last contribution for ever. The
+        // rebuilt owner sends B one empty part; the run lands on the final
+        // graph's fixed point.
+        let g = site_chain(8);
+        let k = 8;
+        let partition = Partition::build(&g, &Strategy::HashBySite, k, 0);
+        // A chain link whose two groups exchange nothing else.
+        let pair = |s: usize| {
+            (partition.group_of(3 * s as u32), partition.group_of(3 * ((s + 1) % 8) as u32))
+        };
+        let s = (0..8)
+            .find(|&s| {
+                let (a, b) = pair(s);
+                a != b && (0..8).filter(|&o| pair(o) == (a, b)).count() == 1
+            })
+            .expect("some chain link is the only one between its groups");
+        let (from, to) = (3 * s as u32, 3 * ((s + 1) % 8) as u32);
+        let delta = GraphDelta::new(vec![DeltaOp::RemoveLink { from, to }]);
+        let base = NetRunConfig {
+            k,
+            n_nodes: 8,
+            strategy: Strategy::HashBySite,
+            // A reference tight enough to show 1e-10 on 24 pages.
+            rank: RankConfig { epsilon: 1e-13, ..RankConfig::default() },
+            t_end: 400.0,
+            deltas: vec![(150.0, delta)],
+            ..NetRunConfig::default()
+        };
+        for transmission in [Transmission::Direct, Transmission::Indirect] {
+            let res = run_over_network(&g, NetRunConfig { transmission, ..base.clone() });
+            let before = res.rel_err.value_at(149.0).unwrap();
+            assert!(before < 1e-10, "converged before the delta: {before}");
+            assert!(
+                res.final_rel_err <= 1e-10,
+                "{transmission:?}: the dropped destination kept a stale part: {}",
+                res.final_rel_err
+            );
+        }
+        // Nothing dropped, nothing sent: an add-only delta costs exactly
+        // the delta shipment over the undisturbed run's bytes up to the
+        // point it lands.
+        let add = GraphDelta::new(vec![DeltaOp::AddLink { from, to }]);
+        let quiet =
+            run_over_network(&g, NetRunConfig { deltas: vec![], t_end: 150.0, ..base.clone() });
+        let added =
+            run_over_network(&g, NetRunConfig { deltas: vec![(150.0, add)], t_end: 150.0, ..base });
+        assert_eq!(added.counters.data_messages, quiet.counters.data_messages);
+        assert_eq!(added.counters.bytes - added.counters.delta_bytes, quiet.counters.bytes);
+    }
+
+    #[test]
+    fn link_churn_that_drops_group_pairs_still_reconverges() {
+        // 48 URL-hashed groups over 1 500 pages share a handful of links
+        // per pair, so a 5% churn removes the last link of some pairs.
+        // Before the retraction part every seed of this setup stalled near
+        // 5e-4 relative error.
+        let g = edu_domain(&EduDomainConfig {
+            n_pages: 1_500,
+            n_sites: 15,
+            ..EduDomainConfig::default()
+        });
+        let res = run_over_network(
+            &g,
+            NetRunConfig {
+                k: 48,
+                n_nodes: 48,
+                strategy: Strategy::HashByUrl,
+                t_end: 400.0,
+                deltas: vec![(150.0, GraphDelta::link_churn(&g, 0.05, 1))],
+                ..NetRunConfig::default()
+            },
+        );
+        assert!(res.final_rel_err <= 1e-10, "stalled at {}", res.final_rel_err);
+    }
+
+    #[test]
+    fn takeover_then_delta_replay_is_bit_identical_across_engine_workers() {
+        // The two ways a group's afferent state is rebuilt, back to back:
+        // a replica installs an orphaned group from its checkpoint
+        // (localized entries, pattern unknown until each source's next
+        // delivery), then crawl deltas repage and rewire groups and the
+        // states replay from patterns and slots. Both are pure functions
+        // of the event order, so every worker count lands on the same
+        // bits.
+        let g = edu_domain(&EduDomainConfig {
+            n_pages: 2_000,
+            n_sites: 20,
+            ..EduDomainConfig::default()
+        });
+        let crash = 60.0;
+        let mut rewire = GraphDelta::link_churn(&g, 0.02, 11);
+        rewire.ops.push(DeltaOp::InsertPage { site: 1, ext_out: 1, links: vec![2, 700] });
+        let mut again = GraphDelta::link_churn(&rewire.apply(&g), 0.01, 12);
+        again.ops.push(DeltaOp::DeletePage { page: 5 });
+        let base = NetRunConfig {
+            k: 24,
+            n_nodes: 24,
+            overlay: OverlayKind::Chord,
+            strategy: Strategy::HashByUrl,
+            variant: DprVariant::Dpr2,
+            replication: 2,
+            t_end: 300.0,
+            ..quick(Transmission::Direct)
+        };
+        let victim = group_owners(&base)[0];
+        let base = NetRunConfig {
+            departures: vec![(crash, victim)],
+            faults: Some(
+                FaultPlan::new()
+                    .with_latency(0.01)
+                    .with_default_success(0.9)
+                    .with_permanent_crash(victim, crash),
+            ),
+            // Suspicion takes two checkpoint intervals (8.0) plus a wake:
+            // the first delta lands just after the takeover, while sources
+            // are still re-delivering to the freshly installed groups.
+            deltas: vec![(crash + 14.0, rewire), (crash + 80.0, again)],
+            ..base
+        };
+        let run = |workers| {
+            run_over_network(&g, NetRunConfig { engine_workers: workers, ..base.clone() })
+        };
+        let seq = run(1);
+        assert!(seq.counters.takeovers_warm > 0, "the crash must be survived warm");
+        assert!(seq.counters.delta_messages > 0, "the deltas must dirty hosted groups");
+        assert!(seq.final_rel_err < 1e-6, "rel err {}", seq.final_rel_err);
+        for workers in [2, 4] {
+            let par = run(workers);
+            assert_eq!(
+                par.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                seq.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                "rank bits diverged at {workers} workers"
+            );
+            assert_eq!(par.counters, seq.counters, "counters diverged at {workers} workers");
+            assert_eq!(par.per_node, seq.per_node);
+            assert_eq!(par.rel_err.points(), seq.rel_err.points());
+        }
     }
 }

@@ -1,10 +1,14 @@
-//! Property-based verification of the dirty-row external-contribution
-//! cache: across random update arrival patterns (set vs merge, arbitrary
-//! sources, arbitrary row subsets, interleaved refreshes) the cached
+//! Property-based verification of the slotted afferent receive path:
+//! across random update arrival patterns (raw deliveries with unchanged,
+//! grown, shrunk, empty and foreign-page patterns; set vs merge; arbitrary
+//! sources and row subsets; interleaved refreshes) the slotted
 //! [`AfferentState`] must materialize an `X` vector that is **bit-for-bit**
 //! identical to the full-rebuild baseline — floating-point addition is not
 //! associative, so this only holds because both modes sum each row's
 //! contributions from scratch in ascending source order.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dpr::core::AfferentState;
 use proptest::prelude::*;
@@ -58,6 +62,152 @@ proptest! {
         prop_assert_eq!(cached.n_sources(), full.n_sources());
         // The cache must never do *more* row work than the full rebuild.
         prop_assert!(cached.rows_recomputed() <= full.rows_recomputed());
+    }
+}
+
+/// Scores that stress the *bits* contract: signed zeros and subnormals
+/// beside ordinary values.
+fn edge_score(pick: u8, v: f64) -> f64 {
+    match pick % 8 {
+        0 => -0.0,
+        1 => 0.0,
+        2 => 5e-324,
+        3 => -f64::MIN_POSITIVE / 4.0,
+        _ => v,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The receive path netrun uses: raw `(page, score)` parts delivered
+    /// straight into the state. Every op goes to the slotted state and to
+    /// the oracle alike; in between, the group's page set shrinks (a delta
+    /// tombstones pages) and both are rebuilt — the slotted one by replay,
+    /// the oracle by re-delivering each source's last raw payload.
+    #[test]
+    fn raw_deliveries_match_full_rebuild_bit_for_bit(
+        owned in prop::collection::vec(any::<bool>(), 1..48),
+        ops in prop::collection::vec(
+            (
+                0u32..6,                                              // source group
+                0u8..8,                                               // what arrives
+                any::<bool>(),                                        // refresh afterwards?
+                prop::collection::vec((0u32..48, any::<u8>(), -1.0f64..1.0), 0..=30),
+            ),
+            0..60,
+        ),
+    ) {
+        // Pages the group owns; every other id below 48 is foreign.
+        let mut pages: Vec<u32> =
+            owned.iter().enumerate().filter(|(_, &o)| o).map(|(p, _)| p as u32).collect();
+        let mut slotted = AfferentState::new(pages.len());
+        let mut full = AfferentState::new_full_rebuild(pages.len());
+        // The last raw payload of every source still known by its pattern.
+        let mut last: BTreeMap<u32, (Arc<[u32]>, Vec<f64>)> = BTreeMap::new();
+        for (src, kind, refresh_after, mut raw) in ops {
+            raw.sort_by_key(|e| e.0);
+            raw.dedup_by_key(|e| e.0);
+            let scores: Vec<f64> = raw.iter().map(|&(_, pick, v)| edge_score(pick, v)).collect();
+            let localized = |pages: &[u32]| -> Vec<(u32, f64)> {
+                raw.iter()
+                    .zip(&scores)
+                    .filter_map(|(&(p, _, _), &s)| pages.binary_search(&p).ok().map(|li| (li as u32, s)))
+                    .collect()
+            };
+            match kind {
+                // A fresh pattern: grown, shrunk, disjoint, with foreign
+                // pages, sometimes empty.
+                0 | 1 => {
+                    let pattern: Arc<[u32]> = if kind == 1 && raw.len() % 3 == 0 {
+                        Arc::from([])
+                    } else {
+                        raw.iter().map(|e| e.0).collect()
+                    };
+                    let scores = scores[..pattern.len()].to_vec();
+                    slotted.deliver(&pages, src, &pattern, &scores);
+                    full.deliver(&pages, src, &pattern, &scores);
+                    last.insert(src, (pattern, scores));
+                }
+                // The same pattern again — by pointer, or as an equal copy
+                // under a new allocation — with new scores, or with the
+                // very same bits (a converged sender republishing).
+                2..=4 => {
+                    let Some((pattern, old)) = last.get(&src).cloned() else { continue };
+                    let pattern: Arc<[u32]> =
+                        if kind == 3 { pattern.iter().copied().collect() } else { pattern };
+                    let scores: Vec<f64> = if kind == 4 {
+                        old
+                    } else {
+                        (0..pattern.len())
+                            .map(|k| scores.get(k).copied().unwrap_or(0.25 * k as f64))
+                            .collect()
+                    };
+                    slotted.deliver(&pages, src, &pattern, &scores);
+                    full.deliver(&pages, src, &pattern, &scores);
+                    last.insert(src, (pattern, scores));
+                }
+                // Localized installs beside the raw path (a checkpoint
+                // restored by `set`, a thresholded `merge`): the pattern is
+                // unknown afterwards.
+                5 => {
+                    slotted.set(src, localized(&pages));
+                    full.set(src, localized(&pages));
+                    last.remove(&src);
+                }
+                6 => {
+                    let entries = localized(&pages);
+                    slotted.merge(src, &entries);
+                    full.merge(src, &entries);
+                    if !entries.is_empty() {
+                        last.remove(&src);
+                    }
+                }
+                // A delta tombstones every third owned page: rebuild both
+                // states against the shrunken page set.
+                _ => {
+                    prop_assert_eq!(bits(slotted.refresh()), bits(full.refresh()));
+                    let shrunk: Vec<u32> = pages
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i % 3 != (src as usize) % 3)
+                        .map(|(_, &p)| p)
+                        .collect();
+                    let mut replayed = AfferentState::new(shrunk.len());
+                    slotted.replay_onto(&shrunk, &mut replayed);
+                    let mut oracle = AfferentState::new_full_rebuild(shrunk.len());
+                    for (&s, (pattern, scores)) in &last {
+                        oracle.deliver(&shrunk, s, pattern, scores);
+                    }
+                    (pages, slotted, full) = (shrunk, replayed, oracle);
+                }
+            }
+            if refresh_after {
+                prop_assert_eq!(bits(slotted.refresh()), bits(full.refresh()));
+            }
+        }
+        prop_assert_eq!(bits(slotted.refresh()), bits(full.refresh()));
+        prop_assert_eq!(slotted.n_sources(), full.n_sources());
+        prop_assert!(slotted.rows_recomputed() <= full.rows_recomputed());
+
+        // The checkpoint contract: the localized snapshot equals the
+        // oracle's entry for entry, and replaying it through `set` lands on
+        // the same `X` bits in either mode.
+        let snap = slotted.snapshot_received();
+        let by_bits = |snap: &[(u32, Vec<(u32, f64)>)]| -> Vec<(u32, Vec<(u32, u64)>)> {
+            snap.iter()
+                .map(|(g, v)| (*g, v.iter().map(|&(li, s)| (li, s.to_bits())).collect()))
+                .collect()
+        };
+        prop_assert_eq!(by_bits(&snap), by_bits(&full.snapshot_received()));
+        for mut restored in
+            [AfferentState::new(pages.len()), AfferentState::new_full_rebuild(pages.len())]
+        {
+            for (src, entries) in &snap {
+                restored.set(*src, entries.clone());
+            }
+            prop_assert_eq!(bits(restored.refresh()), bits(slotted.x()));
+        }
     }
 }
 
