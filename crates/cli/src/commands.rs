@@ -49,7 +49,7 @@ COMMANDS:
             [--partition T1:T2:LO-HI] [--no-coalesce] [--no-route-cache]
             [--heap-scheduler] [--no-ext-cache] [--engine-workers W]
             [--replicas K] [--checkpoint-every T] [--suspect-after N]
-            [--store-topk K] [--explicit-matrix] [--unrolled-spmv]
+            [--store-topk K] [--explicit-matrix]
             [--inner-solver jacobi|gauss-seidel|sor:W] [--adaptive-epsilon]
             --reliable turns on ack/retry/dedup delivery; --crash departs
             nodes (state lost), --join adds nodes (graceful handoff),
@@ -77,9 +77,7 @@ COMMANDS:
             final ranks by construction);
             --explicit-matrix stores link-matrix values explicitly
             instead of the default bandwidth-lean implicit layout
-            (both solve bit-identically); --unrolled-spmv opts in to
-            the 4-wide unrolled gather kernel (different fp fold order,
-            still deterministic at every worker count);
+            (both solve bit-identically);
             --inner-solver picks the per-group solve kernel (default
             jacobi = the bit-exact baseline; gauss-seidel and sor:W use
             within-sweep updates — fewer sweeps, same fixed point,
@@ -389,7 +387,6 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         suspect_after: args.get("suspect-after", NetRunConfig::default().suspect_after),
         engine_workers: args.get("engine-workers", dpr_linalg::pool::Pool::host_threads()),
         explicit_matrix: args.flag("explicit-matrix"),
-        unrolled_spmv: args.flag("unrolled-spmv"),
         // Malformed spellings surface as the structured config error, the
         // same one the run itself would raise (never a panic).
         inner_solver: args
@@ -449,8 +446,8 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     let p = res.phase_secs;
     println!(
         "engine: {} sends, {} dropped ({} by partition, {} by crash), {} delivered; \
-         {:.3}s = deliver {:.3} + refresh {:.3} + solve {:.3} + compute-y {:.3} + dispatch {:.3} \
-         + sample {:.3} + publish {:.3} + other {:.3}",
+         {:.3}s = deliver {:.3} + refresh {:.3} + solve {:.3} ({:.1}M rows/s) + compute-y {:.3} \
+         + dispatch {:.3} + sample {:.3} + publish {:.3} + other {:.3}",
         s.sends_attempted,
         s.sends_dropped,
         s.partition_dropped,
@@ -460,6 +457,9 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         p.deliver,
         p.refresh,
         p.solve,
+        // The rate the inner solves ran at, to compare with the kernel's
+        // own (`BENCH_spmv.json`, `sweep`).
+        res.counters.rows_swept as f64 / p.solve.max(f64::MIN_POSITIVE) / 1e6,
         p.compute_y,
         p.dispatch,
         p.sample,

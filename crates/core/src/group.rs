@@ -37,10 +37,6 @@ pub enum MatrixLayout {
     /// Implicit per-column values (`α/d(u)`), `u32` gather kernel.
     #[default]
     Implicit,
-    /// Implicit values with the 4-wide unrolled accumulator. The unroll
-    /// re-associates per-row sums, so results can differ from the other
-    /// two layouts in the low bits — a documented opt-in.
-    ImplicitUnrolled,
     /// Explicit per-entry `f64` values (the legacy layout, kept for
     /// benchmarking the bandwidth win).
     Explicit,
@@ -48,8 +44,8 @@ pub enum MatrixLayout {
 
 /// A group's local propagation matrix in its chosen layout. Both variants
 /// hold the *same entries* — the explicit form is materialized from the
-/// implicit one (`values[k] = scale[col_idx[k]]`) — so plain-kernel solves
-/// are bit-identical across layouts.
+/// implicit one (`values[k] = scale[col_idx[k]]`) — so solves are
+/// bit-identical across layouts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GroupMatrix {
     /// Explicit-value CSR.
@@ -82,7 +78,6 @@ impl GroupMatrix {
     pub fn layout(&self) -> MatrixLayout {
         match self {
             GroupMatrix::Explicit(_) => MatrixLayout::Explicit,
-            GroupMatrix::Implicit(m) if m.is_unrolled() => MatrixLayout::ImplicitUnrolled,
             GroupMatrix::Implicit(_) => MatrixLayout::Implicit,
         }
     }
@@ -108,6 +103,20 @@ impl SpMatVec for GroupMatrix {
         match self {
             GroupMatrix::Explicit(m) => m.mul_into(x, y, ws, pool),
             GroupMatrix::Implicit(m) => m.mul_into(x, y, ws, pool),
+        }
+    }
+    fn sweep(
+        &self,
+        k: usize,
+        x: &[f64],
+        f: &[f64],
+        next: &mut [f64],
+        ws: &mut Vec<f64>,
+        pool: &Pool,
+    ) -> f64 {
+        match self {
+            GroupMatrix::Explicit(m) => m.sweep(k, x, f, next, ws, pool),
+            GroupMatrix::Implicit(m) => m.sweep(k, x, f, next, ws, pool),
         }
     }
     fn contraction_norm(&self) -> f64 {
@@ -227,6 +236,17 @@ impl SpMatVec for MemoNorm<'_> {
     fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool) {
         self.0.a.mul_into(x, y, ws, pool);
     }
+    fn sweep(
+        &self,
+        k: usize,
+        x: &[f64],
+        f: &[f64],
+        next: &mut [f64],
+        ws: &mut Vec<f64>,
+        pool: &Pool,
+    ) -> f64 {
+        self.0.a.sweep(k, x, f, next, ws, pool)
+    }
     fn contraction_norm(&self) -> f64 {
         self.0.contraction_norm()
     }
@@ -336,7 +356,7 @@ impl GroupContext {
     /// `dpr_linalg::column_scale`). Parallel inner links stay as separate
     /// entries in *every* layout — the explicit form is materialized from
     /// the implicit one — so layouts share identical entry structure and
-    /// plain-kernel solves match bit for bit.
+    /// solves match bit for bit.
     fn assemble_matrix(
         g: &WebGraph,
         cfg: &RankConfig,
@@ -367,7 +387,6 @@ impl GroupContext {
         let m = CsrImplicit::from_raw_parts(n, n, row_ptr, col_idx, scale);
         match layout {
             MatrixLayout::Implicit => GroupMatrix::Implicit(m),
-            MatrixLayout::ImplicitUnrolled => GroupMatrix::Implicit(m.with_unrolled(true)),
             MatrixLayout::Explicit => GroupMatrix::Explicit(m.to_explicit()),
         }
     }
@@ -1384,9 +1403,7 @@ mod tests {
     #[test]
     fn matrix_layouts_solve_bit_identically() {
         // Implicit (default) and explicit layouts hold the same entries, so
-        // a GroupPageRank solve must produce the same rank bits; the
-        // unrolled opt-in re-associates sums and only matches within
-        // round-off.
+        // a GroupPageRank solve must produce the same rank bits.
         let g = toy::complete(10);
         let assignment = (0..10u32).map(|p| p % 2).collect();
         let partition = Partition::from_assignment(2, assignment);
@@ -1394,7 +1411,6 @@ mod tests {
         let build = |layout| GroupContext::build_all_with_layout(&g, &partition, &cfg, layout);
         let implicit = build(MatrixLayout::Implicit);
         let explicit = build(MatrixLayout::Explicit);
-        let unrolled = build(MatrixLayout::ImplicitUnrolled);
         assert!(matches!(implicit[0].matrix(), GroupMatrix::Implicit(_)));
         assert!(matches!(explicit[0].matrix(), GroupMatrix::Explicit(_)));
         assert_eq!(implicit[0].matrix().nnz(), explicit[0].matrix().nnz());
@@ -1408,9 +1424,7 @@ mod tests {
         };
         let r_i = solve(&implicit);
         let r_e = solve(&explicit);
-        let r_u = solve(&unrolled);
         assert!(r_i.iter().zip(&r_e).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert!(r_i.iter().zip(&r_u).all(|(a, b)| (a - b).abs() < 1e-12));
     }
 
     #[test]
@@ -1573,9 +1587,7 @@ mod tests {
         let g = dpr_graph::generators::random::erdos_renyi(200, 5, 4.0, 3);
         let partition = Partition::build(&g, &Strategy::HashBySite, 4, 0);
         let cfg = RankConfig::default();
-        for layout in
-            [MatrixLayout::Implicit, MatrixLayout::Explicit, MatrixLayout::ImplicitUnrolled]
-        {
+        for layout in [MatrixLayout::Implicit, MatrixLayout::Explicit] {
             let all = GroupContext::build_all_with_layout(&g, &partition, &cfg, layout);
             for ctx in &all {
                 let rebuilt = GroupContext::rebuild(
@@ -1620,9 +1632,7 @@ mod tests {
         let assignment = vec![0u32, 0, 1, 1, 0, 1];
         let partition = Partition::from_assignment(2, assignment.clone());
         let cfg = RankConfig::default();
-        for layout in
-            [MatrixLayout::Implicit, MatrixLayout::Explicit, MatrixLayout::ImplicitUnrolled]
-        {
+        for layout in [MatrixLayout::Implicit, MatrixLayout::Explicit] {
             let old = GroupContext::build_all_with_layout(&g, &partition, &cfg, layout);
             for ctx in &old {
                 let mut patched = ctx.clone();

@@ -462,14 +462,9 @@ pub struct NetRunConfig {
     pub engine_workers: usize,
     /// Use the legacy explicit-value CSR layout for the group matrices
     /// instead of the default bandwidth-lean implicit layout. Both layouts
-    /// hold identical entries and the plain kernels are bit-identical, so
-    /// this is a pure performance A/B switch.
+    /// hold identical entries and their sweeps are bit-identical, so this
+    /// is a pure performance A/B switch.
     pub explicit_matrix: bool,
-    /// Opt into the 4-wide unrolled SpMV accumulator (implicit layout
-    /// only). The unroll re-associates per-row sums, so ranks may differ
-    /// from the default kernel in the low bits — a documented opt-in per
-    /// the bit-identity contract. Ignored when `explicit_matrix` is set.
-    pub unrolled_spmv: bool,
     /// Which solver runs the per-group inner solve (Jacobi, Gauss–Seidel,
     /// or SOR). The default [`InnerSolver::Jacobi`] is bit-for-bit the
     /// pre-option baseline; the within-sweep modes reach each window's
@@ -524,7 +519,6 @@ impl Default for NetRunConfig {
             suspect_after: 2,
             engine_workers: 1,
             explicit_matrix: false,
-            unrolled_spmv: false,
             inner_solver: InnerSolver::Jacobi,
             inner_epsilon: 1e-10,
             adaptive_epsilon: None,
@@ -684,6 +678,11 @@ pub struct NetCounters {
     /// FLOP-side twin of [`NetCounters::rows_recomputed`]. Charged to the
     /// group's host at collection time.
     pub inner_sweeps: u64,
+    /// Matrix rows those sweeps updated: per solve, its sweeps times the
+    /// group's page count at that moment (a delta may resize a group
+    /// mid-run). An exact count; over [`PhaseSecs::solve`] it is the rate
+    /// the inner solves ran at, to set beside the kernel's own.
+    pub rows_swept: u64,
     /// Sweeps the think step avoided relative to re-solving every window
     /// to the full inner tolerance: each stall-short-circuited window
     /// saves its one verification sweep, and an adaptive-ε window that
@@ -765,9 +764,9 @@ struct GroupState {
     f_buf: Vec<f64>,
     /// Reusable solve double buffer.
     scratch: Vec<f64>,
-    /// Reusable multiply workspace: the implicit-value matrix pre-scales
-    /// the iterate into it once per SpMV (stays empty for the explicit
-    /// layout).
+    /// Reusable sweep workspace: the implicit-value matrix keeps the
+    /// pre-scaled iterate of the current and the next sweep in it (stays
+    /// empty for the explicit layout). Nothing in it outlives a solve.
     ws: Vec<f64>,
     /// Worklist of `X` rows the last refresh recomputed.
     touched: Vec<u32>,
@@ -785,6 +784,8 @@ struct GroupState {
     /// Inner-solver sweeps this group ran (see
     /// [`NetCounters::inner_sweeps`]; collected per node at run end).
     inner_sweeps: u64,
+    /// Rows those sweeps updated (see [`NetCounters::rows_swept`]).
+    rows_swept: u64,
     /// Sweeps avoided by the stall short-circuit and adaptive-ε early
     /// stops (see [`NetCounters::sweeps_saved`]).
     sweeps_saved: u64,
@@ -811,6 +812,7 @@ impl GroupState {
             y_cache: None,
             outer_iterations: 0,
             inner_sweeps: 0,
+            rows_swept: 0,
             sweeps_saved: 0,
         }
     }
@@ -1168,6 +1170,7 @@ impl NetNode {
             }
             let solve_start = Instant::now();
             self.phase.refresh += (solve_start - refresh_start).as_secs_f64();
+            let sweeps_before = gs.inner_sweeps;
             if self.cfg.ext_cache {
                 // Stall short-circuit: no row of f changed and the last
                 // solve ended with a successive difference of exactly 0.0,
@@ -1277,6 +1280,7 @@ impl NetNode {
                 };
                 gs.inner_sweeps += sweeps;
             }
+            gs.rows_swept += (gs.inner_sweeps - sweeps_before) * gs.ctx.n_local() as u64;
             gs.outer_iterations += 1;
             let y_start = Instant::now();
             self.phase.solve += (y_start - solve_start).as_secs_f64();
@@ -1797,8 +1801,6 @@ pub fn try_run_over_network_with_store(
     // shipped) when a replica takes over an orphaned group.
     let layout = if cfg.explicit_matrix {
         crate::group::MatrixLayout::Explicit
-    } else if cfg.unrolled_spmv {
-        crate::group::MatrixLayout::ImplicitUnrolled
     } else {
         crate::group::MatrixLayout::Implicit
     };
@@ -2030,6 +2032,7 @@ pub fn try_run_over_network_with_store(
             let mut c = n.counters;
             c.rows_recomputed = n.groups.iter().map(|g| g.afferent.rows_recomputed()).sum();
             c.inner_sweeps = n.groups.iter().map(|g| g.inner_sweeps).sum();
+            c.rows_swept = n.groups.iter().map(|g| g.rows_swept).sum();
             c.sweeps_saved = n.groups.iter().map(|g| g.sweeps_saved).sum();
             c
         })
@@ -2053,6 +2056,7 @@ pub fn try_run_over_network_with_store(
         acc.delta_messages += c.delta_messages;
         acc.delta_bytes += c.delta_bytes;
         acc.inner_sweeps += c.inner_sweeps;
+        acc.rows_swept += c.rows_swept;
         acc.sweeps_saved += c.sweeps_saved;
         acc
     });
@@ -3592,6 +3596,48 @@ mod tests {
             p.total(),
             res.engine_secs
         );
+    }
+
+    #[test]
+    fn rows_swept_is_sweeps_times_group_size_per_group() {
+        // Two groups of different sizes on two different nodes: each host's
+        // `rows_swept` is its own group's sweeps times that group's page
+        // count, and the run's is their sum.
+        let g = edu_domain(&EduDomainConfig {
+            n_pages: 1_500,
+            n_sites: 7,
+            ..EduDomainConfig::default()
+        });
+        let base = NetRunConfig {
+            k: 2,
+            n_nodes: 4,
+            strategy: Strategy::HashBySite,
+            t_end: 40.0,
+            ..NetRunConfig::default()
+        };
+        let cfg = (0..64)
+            .map(|seed| NetRunConfig { seed, ..base.clone() })
+            .find(|c| {
+                let owners = group_owners(c);
+                owners[0] != owners[1]
+            })
+            .expect("some deployment seed separates two groups on four nodes");
+        let sizes: Vec<u64> = Partition::build(&g, &cfg.strategy, cfg.k, 0)
+            .group_pages()
+            .iter()
+            .map(|p| p.len() as u64)
+            .collect();
+        assert!(sizes[0] != sizes[1] && sizes.iter().all(|&n| n > 0), "sizes {sizes:?}");
+        let owners = group_owners(&cfg);
+        let res = run_over_network(&g, cfg);
+        let mut total = 0;
+        for (gid, &owner) in owners.iter().enumerate() {
+            let c = &res.per_node[owner];
+            assert!(c.inner_sweeps > 0, "group {gid} never solved");
+            assert_eq!(c.rows_swept, c.inner_sweeps * sizes[gid], "group {gid}");
+            total += c.rows_swept;
+        }
+        assert_eq!(res.counters.rows_swept, total);
     }
 
     /// Sites of three pages in a ring, plus one link from each site to the

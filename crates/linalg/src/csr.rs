@@ -13,7 +13,7 @@
 //! The ranking matrices have a special structure: every stored value is
 //! `α / d(u)`, a function of the *column* alone. [`CsrImplicit`] exploits
 //! that by dropping the values array entirely and keeping one `scale[u]`
-//! per column; each solve step pre-scales the input once
+//! per column; each multiply pre-scales the input once
 //! (`ws[u] = scale[u] · x[u]`) and the inner loop becomes a pure
 //! `u32`-index gather-sum (≤ 8 bytes/nnz). Each product is computed exactly
 //! once from the same two operands and the per-row addition order is
@@ -22,6 +22,7 @@
 //! `implicit_matches_explicit_bitwise` in the tests for the proptest.
 
 use crate::pool::{Pool, SharedSlice};
+use crate::vec_ops;
 
 /// Row count above which the pooled SpMV kernels split across the worker
 /// pool even when the matrix is sparse.
@@ -169,6 +170,28 @@ pub trait SpMatVec {
     /// `y ← A·x` on `pool`, bit-identical at every worker count. `ws` is a
     /// reusable workspace; layouts that need none leave it untouched.
     fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool);
+    /// Sweep `k` of a Jacobi solve: `next ← A·x + f`, returning
+    /// `δ = ‖next − x‖₁`, bit-identical at every worker count and across
+    /// layouts. A solve numbers its sweeps `0, 1, 2, …`, hands each one the
+    /// previous one's `next` as `x`, and leaves `ws` alone in between;
+    /// `ws` may hold anything when sweep `0` starts. The default body is
+    /// the four-pass reference (multiply, `+ f`, `δ`).
+    fn sweep(
+        &self,
+        k: usize,
+        x: &[f64],
+        f: &[f64],
+        next: &mut [f64],
+        ws: &mut Vec<f64>,
+        pool: &Pool,
+    ) -> f64 {
+        let _ = k;
+        self.mul_into(x, next, ws, pool);
+        for (s, fi) in next.iter_mut().zip(f) {
+            *s += fi;
+        }
+        vec_ops::l1_diff_pool(next, x, pool)
+    }
     /// The contraction bound `min(‖A‖∞, ‖A‖₁)` used for solver error
     /// bounds (Theorem 3.2: any norm bounds the spectral radius).
     fn contraction_norm(&self) -> f64;
@@ -487,85 +510,215 @@ impl PtrWord for u64 {
     }
 }
 
-/// Single-accumulator gather: the reference fold order shared with the
-/// explicit kernel (`acc += term_k` left to right).
+/// Rows per window of the [`SweepOrder`]. The sort by in-degree is local to
+/// a window so that the row-indexed vectors (`f`, the iterate, the scaled
+/// workspace) are still walked front to back, 2 KiB of each at a time.
+/// Measured on the 100 groups of the `rank-1m` benchmark graph (cold
+/// solves to 1e-10, one thread, best of alternating runs; the four-pass
+/// kernel this replaced ran 73 M rows/s): 64 rows 146 M, 128 rows 129–138
+/// M, **256 rows 148–150 M**, 512 rows 143–145 M, 1024 rows 125–128 M,
+/// 4096 rows 116 M, and one window of 65 536 rows — a global sort in all
+/// but name — 86 M, with the 83k- and 123k-row groups at 60 M and 51 M,
+/// *below* the unsorted kernel's 66 M and 63 M: a wide sort scatters the
+/// row-indexed streams over more cache than it saves in the gather.
+pub const SWEEP_WINDOW: usize = 256;
+
+/// The order the gather visits rows in: per window of [`SWEEP_WINDOW`]
+/// consecutive rows, the rows' offsets into the window, stably
+/// counting-sorted by in-degree. `row_ptr` and `col_idx` are not permuted;
+/// the order only decides which row comes next, so that the four rows
+/// [`gather_quad`] takes side by side are of equal or nearly equal length
+/// and their add chains stay in step. Nothing but the permutation is
+/// stored — 2 bytes a row; the lengths are read off `row_ptr` as the
+/// gather goes.
 ///
-/// # Safety
-/// Every element of `cols` must be `< ws.len()`. [`gather_span`] asserts
-/// this once per multiply from the constructor invariant
-/// (`validate_raw_parts` bounds every column index by `n_cols`, and both
-/// `mul_vec` paths fill `ws` to exactly `n_cols`), which lets the inner
-/// loop skip the per-entry bounds check the explicit kernel pays.
-#[inline]
-unsafe fn gather_row_plain(cols: &[u32], ws: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for &c in cols {
-        // SAFETY: `c < ws.len()` per the function contract.
-        acc += unsafe { *ws.get_unchecked(c as usize) };
-    }
-    acc
+/// Built only by [`SweepOrder::build`] from a validated row pointer. The
+/// gather kernel rests on two facts it establishes about window `w`, which
+/// covers rows `base .. base + len` (`base = w·SWEEP_WINDOW`,
+/// `len = min(SWEEP_WINDOW, n_rows − base)`):
+///
+/// 1. `offsets[base .. base + len]` is a permutation of `0 .. len`;
+/// 2. the in-degrees of rows `base + offsets[base + i]` do not decrease
+///    with `i`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SweepOrder {
+    offsets: Vec<u16>,
 }
 
-/// 4-wide unrolled gather. The four running sums re-associate the per-row
-/// addition, so this fold order **differs** from the reference kernel —
-/// bit identity forces it behind the explicit
-/// [`CsrImplicit::with_unrolled`] opt-in (see ROADMAP: "bit identity
-/// forces a documented opt-in").
-///
-/// # Safety
-/// Same contract as [`gather_row_plain`]: every element of `cols` must be
-/// `< ws.len()`.
-#[inline]
-unsafe fn gather_row_unrolled(cols: &[u32], ws: &[f64]) -> f64 {
-    let mut quads = cols.chunks_exact(4);
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0_f64, 0.0_f64, 0.0_f64, 0.0_f64);
-    for q in quads.by_ref() {
-        // SAFETY: every column index is `< ws.len()` per the contract.
-        unsafe {
-            a0 += *ws.get_unchecked(q[0] as usize);
-            a1 += *ws.get_unchecked(q[1] as usize);
-            a2 += *ws.get_unchecked(q[2] as usize);
-            a3 += *ws.get_unchecked(q[3] as usize);
+// Window offsets are stored as `u16`.
+const _: () = assert!(SWEEP_WINDOW <= 1 << 16);
+
+impl SweepOrder {
+    /// Counting sort per window: linear in rows + entries, because the
+    /// degree histogram of a window is never longer than its entry count.
+    fn build(row_ptr: &RowPtr, n_rows: usize) -> Self {
+        let mut offsets = vec![0u16; n_rows];
+        // `slot[d]`: first the number of rows of degree `d` in the window,
+        // then the next free position among the rows of that degree.
+        let mut slot: Vec<u32> = Vec::new();
+        let mut degrees = [0usize; SWEEP_WINDOW];
+        for (w, out) in offsets.chunks_mut(SWEEP_WINDOW).enumerate() {
+            let degrees = &mut degrees[..out.len()];
+            for (i, d) in degrees.iter_mut().enumerate() {
+                let (lo, hi) = row_ptr.bounds(w * SWEEP_WINDOW + i);
+                *d = hi - lo;
+            }
+            slot.clear();
+            slot.resize(degrees.iter().max().map_or(0, |m| m + 1), 0);
+            for &d in degrees.iter() {
+                slot[d] += 1;
+            }
+            let mut first = 0;
+            for s in &mut slot {
+                first += std::mem::replace(s, first);
+            }
+            for (i, &d) in degrees.iter().enumerate() {
+                out[slot[d] as usize] = i as u16;
+                slot[d] += 1;
+            }
         }
+        Self { offsets }
     }
-    let mut acc = (a0 + a1) + (a2 + a3);
-    for &c in quads.remainder() {
-        // SAFETY: as above.
-        acc += unsafe { *ws.get_unchecked(c as usize) };
+
+    fn heap_bytes(&self) -> usize {
+        self.offsets.len() * 2
+    }
+}
+
+/// `s[i]`, without the bounds check unless the `checked-kernels` feature
+/// is on.
+///
+/// # Safety
+/// `i < s.len()`.
+#[inline(always)]
+unsafe fn load<T: Copy>(s: &[T], i: usize) -> T {
+    #[cfg(feature = "checked-kernels")]
+    {
+        s[i]
+    }
+    #[cfg(not(feature = "checked-kernels"))]
+    {
+        // SAFETY: in bounds per the function contract.
+        unsafe { *s.get_unchecked(i) }
+    }
+}
+
+/// `s[i] = v`, the store twin of [`load`].
+///
+/// # Safety
+/// `i < s.len()`.
+#[inline(always)]
+unsafe fn store<T>(s: &mut [T], i: usize, v: T) {
+    #[cfg(feature = "checked-kernels")]
+    {
+        s[i] = v;
+    }
+    #[cfg(not(feature = "checked-kernels"))]
+    {
+        // SAFETY: in bounds per the function contract.
+        unsafe { *s.get_unchecked_mut(i) = v };
+    }
+}
+
+/// Gathers four rows side by side, `Σ_k ws[col_idx[first[j] + k]]` for
+/// `k < degree[j]` in lane `j`: four independent add chains, each row
+/// still folded left to right from `0.0` exactly like [`Csr::mul_vec`]. A
+/// lone chain is bound by the latency of its adds — one row after another
+/// ran 2.2–2.5 ns per entry on vectors that sit in L2; four overlap. The
+/// lengths must not decrease from lane to lane: all four chains advance
+/// together until the shortest row is done, then three, then two, then the
+/// longest alone, so after a sort by in-degree almost every step is
+/// four-wide.
+///
+/// There is one body for every length. Versions with a compile-time trip
+/// count for four equal rows of in-degree ≤ 8 measured 1.00× and for ≤ 16
+/// 0.94× the sweep rate of this loop alone (same graph and method as
+/// [`SWEEP_WINDOW`]): the dispatch and the code it drags through the
+/// instruction cache cost what the known trip count saves.
+///
+/// # Safety
+/// `degree[0] <= degree[1] <= degree[2] <= degree[3]`; for each lane `j`,
+/// `first[j] .. first[j] + degree[j]` must lie inside `col_idx`; every
+/// element of `col_idx` must be `< ws.len()`.
+#[inline(always)]
+unsafe fn gather_quad(
+    col_idx: &[u32],
+    ws: &[f64],
+    first: [usize; 4],
+    degree: [usize; 4],
+) -> [f64; 4] {
+    // SAFETY: lane `j` is only asked for `k < degree[j]` (the degrees
+    // ascend, and lane `j` sits out the loops from `degree[j]` on), so both
+    // loads hold per the function contract.
+    let term = |j: usize, k: usize| unsafe { load(ws, load(col_idx, first[j] + k) as usize) };
+    let mut acc = [0.0_f64; 4];
+    for k in 0..degree[0] {
+        acc[0] += term(0, k);
+        acc[1] += term(1, k);
+        acc[2] += term(2, k);
+        acc[3] += term(3, k);
+    }
+    for k in degree[0]..degree[1] {
+        acc[1] += term(1, k);
+        acc[2] += term(2, k);
+        acc[3] += term(3, k);
+    }
+    for k in degree[1]..degree[2] {
+        acc[2] += term(2, k);
+        acc[3] += term(3, k);
+    }
+    for k in degree[2]..degree[3] {
+        acc[3] += term(3, k);
     }
     acc
 }
 
-/// Gathers rows `[base, base + ys.len())` of the implicit layout into `ys`.
+/// Gathers the window of rows `base .. base + offsets.len()` in the order
+/// `offsets` gives: `emit(o, Σ_k ws[col_idx[row_ptr[base + o] + k]])` for
+/// every offset `o`, each sum folded in storage order. The one gather
+/// kernel of the implicit layout — the multiply and the fused sweep differ
+/// only in `emit`.
 ///
 /// # Safety
-/// Every element of `col_idx` must be `< ws.len()`. Both callers satisfy
-/// this structurally: `validate_raw_parts` bounds every column index by
-/// `n_cols` at construction, and `mul_vec`/`mul_vec_pool` fill `ws` to
-/// exactly `n_cols` before gathering.
-#[inline]
-unsafe fn gather_span<P: PtrWord>(
+/// `offsets` must be one window of the [`SweepOrder`] of `row_ptr` and
+/// `base` that window's first row, `row_ptr`/`col_idx` must have passed
+/// [`validate_raw_parts`] against `n_cols`, and `ws.len() == n_cols`.
+#[inline(always)]
+unsafe fn gather_window<P: PtrWord>(
     row_ptr: &[P],
     col_idx: &[u32],
     ws: &[f64],
     base: usize,
-    ys: &mut [f64],
-    unrolled: bool,
+    offsets: &[u16],
+    mut emit: impl FnMut(usize, f64),
 ) {
-    let ptrs = &row_ptr[base..base + ys.len() + 1];
-    for (yr, w) in ys.iter_mut().zip(ptrs.windows(2)) {
-        let (lo, hi) = (w[0].idx(), w[1].idx());
-        // SAFETY: `validate_raw_parts` proved `row_ptr` monotone with every
-        // entry `≤ col_idx.len()`, so `lo..hi` is in bounds; the column
-        // contract is forwarded from this function's contract.
-        *yr = unsafe {
-            let cols = col_idx.get_unchecked(lo..hi);
-            if unrolled {
-                gather_row_unrolled(cols, ws)
-            } else {
-                gather_row_plain(cols, ws)
-            }
-        };
+    // SAFETY: `SweepOrder` fact 1 — `base + o` is a row of the matrix, so
+    // `row_ptr` (validated: `n_rows + 1` entries) holds both its ends.
+    let bounds = |o: u16| unsafe {
+        let r = base + o as usize;
+        (load(row_ptr, r).idx(), load(row_ptr, r + 1).idx())
+    };
+    let mut quads = offsets.chunks_exact(4);
+    for q in quads.by_ref() {
+        let b = [bounds(q[0]), bounds(q[1]), bounds(q[2]), bounds(q[3])];
+        // SAFETY: the in-degrees ascend along the window (`SweepOrder`
+        // fact 2); `validate_raw_parts` placed every row's `lo .. hi`
+        // inside `col_idx` and every column index below
+        // `n_cols == ws.len()`.
+        let acc =
+            unsafe { gather_quad(col_idx, ws, b.map(|(lo, _)| lo), b.map(|(lo, hi)| hi - lo)) };
+        for (&o, a) in q.iter().zip(acc) {
+            emit(o as usize, a);
+        }
+    }
+    for &o in quads.remainder() {
+        let (lo, hi) = bounds(o);
+        let mut acc = 0.0;
+        for k in lo..hi {
+            // SAFETY: as above.
+            acc += unsafe { load(ws, load(col_idx, k) as usize) };
+        }
+        emit(o as usize, acc);
     }
 }
 
@@ -575,12 +728,16 @@ unsafe fn gather_span<P: PtrWord>(
 /// (in the ranking matrices, `α / d(u)`). One pre-scale pass per multiply
 /// (`ws[u] = scale[u] · x[u]`) turns the inner loop into a `u32` gather-sum
 /// that streams 4 bytes of column index per non-zero instead of 12 — plus a
-/// row pointer that auto-narrows to `u32` via [`RowPtr`].
+/// row pointer that auto-narrows to `u32` via [`RowPtr`]. A Jacobi solve
+/// pre-scales once and then makes one pass per sweep
+/// ([`SpMatVec::sweep`]); both walk the rows in the matrix's
+/// [`SweepOrder`], four rows side by side.
 ///
 /// The multiply is bit-identical to [`Csr::mul_vec`] over the same entries:
 /// each product `scale[u] · x[u]` is one f64 multiply of the same operands
 /// the explicit kernel uses (`values[k] ≡ scale[col_idx[k]]`), computed
-/// exactly once, and the per-row fold order is unchanged.
+/// exactly once, and the per-row fold order is unchanged — the order rows
+/// are visited in touches no sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrImplicit {
     n_rows: usize,
@@ -590,9 +747,9 @@ pub struct CsrImplicit {
     /// `scale[u]` — the implicit value of every entry in column `u`.
     /// Exactly `0.0` for dangling (zero out-degree) columns.
     scale: Vec<f64>,
-    /// Opt-in 4-wide unrolled accumulator (different fold order; see
-    /// [`CsrImplicit::with_unrolled`]).
-    unrolled: bool,
+    /// The order the gather visits rows in — a function of `row_ptr` alone,
+    /// so a rescale keeps it.
+    order: SweepOrder,
 }
 
 impl CsrImplicit {
@@ -615,31 +772,15 @@ impl CsrImplicit {
         validate_raw_parts(n_rows, n_cols, &row_ptr, &col_idx, col_idx.len());
         assert_eq!(scale.len(), n_cols, "scale must have one factor per column");
         assert!(scale.iter().all(|s| s.is_finite()), "scale factors must be finite");
-        Self {
-            n_rows,
-            n_cols,
-            row_ptr: RowPtr::from_wide(row_ptr),
-            col_idx,
-            scale,
-            unrolled: false,
-        }
+        let row_ptr = RowPtr::from_wide(row_ptr);
+        let order = SweepOrder::build(&row_ptr, n_rows);
+        Self { n_rows, n_cols, row_ptr, col_idx, scale, order }
     }
 
     /// An `n_rows × n_cols` matrix with no stored entries (all scales 0).
     #[must_use]
     pub fn zero(n_rows: usize, n_cols: usize) -> Self {
         Self::from_raw_parts(n_rows, n_cols, vec![0; n_rows + 1], Vec::new(), vec![0.0; n_cols])
-    }
-
-    /// Opts into the 4-wide unrolled accumulator. The unrolled fold order
-    /// differs from the reference kernel (four running sums combined at row
-    /// end), so results are *not* bit-identical to the plain kernel —
-    /// low-order bits may differ. Off by default; per ROADMAP, bit identity
-    /// forces this to be a documented opt-in.
-    #[must_use]
-    pub fn with_unrolled(mut self, unrolled: bool) -> Self {
-        self.unrolled = unrolled;
-        self
     }
 
     /// Forces the wide (`u64`) row pointer, undoing the automatic
@@ -675,12 +816,6 @@ impl CsrImplicit {
         self.row_ptr.is_narrow()
     }
 
-    /// Whether the 4-wide unrolled accumulator is enabled.
-    #[must_use]
-    pub fn is_unrolled(&self) -> bool {
-        self.unrolled
-    }
-
     /// The per-column scale factors.
     #[must_use]
     pub fn scale(&self) -> &[f64] {
@@ -702,11 +837,15 @@ impl CsrImplicit {
     }
 
     /// Heap bytes held by the matrix arrays (`row_ptr` + `col_idx` +
-    /// `scale`). The bandwidth benchmarks divide this by nnz: ≤ 8 bytes per
-    /// non-zero for the narrow layout versus 12+ for [`Csr`].
+    /// `scale` + the sweep order). The bandwidth benchmarks divide this by
+    /// nnz: ≤ 8 bytes per non-zero for the narrow layout versus 12+ for
+    /// [`Csr`].
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.row_ptr.heap_bytes() + self.col_idx.len() * 4 + self.scale.len() * 8
+        self.row_ptr.heap_bytes()
+            + self.col_idx.len() * 4
+            + self.scale.len() * 8
+            + self.order.heap_bytes()
     }
 
     /// Materializes the explicit twin: a [`Csr`] with the identical entry
@@ -724,10 +863,63 @@ impl CsrImplicit {
         )
     }
 
-    /// Pre-scale pass: `ws[u] = scale[u] · x[u]`. Element-wise, so chunking
-    /// cannot affect bits.
-    fn prescale(&self, x: &[f64], ws: &mut Vec<f64>) {
-        crate::vec_ops::hadamard_into(&self.scale, x, ws);
+    /// Pre-scale pass `out[u] = scale[u] · x[u]`: one multiply per column,
+    /// the same two operands the explicit kernel multiplies per entry.
+    /// Element-wise, so chunking over `pool` cannot affect bits.
+    fn prescale(&self, x: &[f64], out: &mut [f64], pool: &Pool) {
+        debug_assert!(x.len() == self.n_cols && out.len() == self.n_cols);
+        if !spmv_parallel(pool, self.n_rows, self.nnz()) {
+            for ((w, &s), &xu) in out.iter_mut().zip(&self.scale).zip(x) {
+                *w = s * xu;
+            }
+            return;
+        }
+        let shared = SharedSlice::new(out);
+        pool.for_each_chunk(self.n_cols.div_ceil(PRESCALE_CHUNK), |c| {
+            let base = c * PRESCALE_CHUNK;
+            let len = PRESCALE_CHUNK.min(self.n_cols - base);
+            // SAFETY: chunk `c` covers elements `[base, base + len)` and
+            // chunks are pairwise disjoint.
+            let out = unsafe { shared.slice_mut(base, len) };
+            for (i, w) in out.iter_mut().enumerate() {
+                *w = self.scale[base + i] * x[base + i];
+            }
+        });
+    }
+
+    /// Runs `window(w)` for every window of the sweep order — on `pool`
+    /// when the matrix is worth fanning out, inline otherwise. Windows are
+    /// fixed row ranges, so which thread runs one cannot change a bit.
+    fn for_each_window(&self, pool: &Pool, window: impl Fn(usize) + Sync) {
+        let n_windows = self.n_rows.div_ceil(SWEEP_WINDOW);
+        if spmv_parallel(pool, self.n_rows, self.nnz()) {
+            pool.for_each_chunk(n_windows, window);
+        } else {
+            (0..n_windows).for_each(window);
+        }
+    }
+
+    /// Gathers window `w` over the pre-scaled `ws`, handing `emit(i, sum)`
+    /// every row `w·SWEEP_WINDOW + i` of the window once.
+    ///
+    /// # Panics
+    /// If `ws.len() != n_cols`.
+    #[inline(always)]
+    fn gather(&self, ws: &[f64], w: usize, emit: impl FnMut(usize, f64)) {
+        assert_eq!(ws.len(), self.n_cols);
+        let base = w * SWEEP_WINDOW;
+        let offsets = &self.order.offsets[base..self.n_rows.min(base + SWEEP_WINDOW)];
+        // SAFETY: `order` was built in the constructor from this very
+        // `row_ptr` (and survives only operations that keep every row's
+        // in-degree: `set_scale`, `with_wide_row_ptr`), the arrays passed
+        // `validate_raw_parts` against `n_cols`, and `ws.len() == n_cols`
+        // was just asserted.
+        unsafe {
+            match &self.row_ptr {
+                RowPtr::U32(p) => gather_window(p, &self.col_idx, ws, base, offsets, emit),
+                RowPtr::U64(p) => gather_window(p, &self.col_idx, ws, base, offsets, emit),
+            }
+        }
     }
 
     /// Sequential SpMV: `y ← A·x`, with `ws` as the pre-scale workspace
@@ -736,68 +928,27 @@ impl CsrImplicit {
     /// # Panics
     /// If `x.len() != n_cols` or `y.len() != n_rows`.
     pub fn mul_vec(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.n_cols);
-        assert_eq!(y.len(), self.n_rows);
-        self.prescale(x, ws);
-        debug_assert_eq!(ws.len(), self.n_cols);
-        // SAFETY: `validate_raw_parts` bounded every column index by
-        // `n_cols` at construction and `prescale` filled `ws` to `n_cols`.
-        unsafe {
-            match &self.row_ptr {
-                RowPtr::U32(p) => gather_span(p, &self.col_idx, ws, 0, y, self.unrolled),
-                RowPtr::U64(p) => gather_span(p, &self.col_idx, ws, 0, y, self.unrolled),
-            }
-        }
+        self.mul_vec_pool(x, y, ws, &Pool::sequential());
     }
 
     /// Pool-parallel SpMV: `y ← A·x`. Bit-identical to
     /// [`CsrImplicit::mul_vec`] at every worker count: the pre-scale pass
-    /// is element-wise and the gather uses the same fixed chunk plan
-    /// ([`spmv_chunk_rows`]) as the explicit kernel.
+    /// is element-wise, rows are independent, and the windows handed to
+    /// the workers are fixed row ranges.
     pub fn mul_vec_pool(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool) {
         assert_eq!(x.len(), self.n_cols);
         assert_eq!(y.len(), self.n_rows);
-        if !spmv_parallel(pool, self.n_rows, self.nnz()) {
-            return self.mul_vec(x, y, ws);
-        }
         ws.resize(self.n_cols, 0.0);
-        {
-            let shared_ws = SharedSlice::new(ws.as_mut_slice());
-            let n_chunks = self.n_cols.div_ceil(PRESCALE_CHUNK);
-            pool.for_each_chunk(n_chunks, |c| {
-                let base = c * PRESCALE_CHUNK;
-                let len = PRESCALE_CHUNK.min(self.n_cols - base);
-                // SAFETY: chunk `c` covers elements `[base, base + len)`
-                // and chunks are pairwise disjoint.
-                let out = unsafe { shared_ws.slice_mut(base, len) };
-                for (i, w) in out.iter_mut().enumerate() {
-                    let u = base + i;
-                    *w = self.scale[u] * x[u];
-                }
-            });
-        }
-        let chunk_rows = spmv_chunk_rows(self.n_rows, self.nnz());
-        let n_chunks = self.n_rows.div_ceil(chunk_rows);
+        self.prescale(x, ws, pool);
         let out = SharedSlice::new(y);
-        let ws_ref: &[f64] = ws;
-        pool.for_each_chunk(n_chunks, |c| {
-            let base = c * chunk_rows;
-            let len = chunk_rows.min(self.n_rows - base);
-            // SAFETY: chunk `c` covers rows `[base, base + len)` and chunks
-            // are pairwise disjoint.
-            let ys = unsafe { out.slice_mut(base, len) };
-            // SAFETY: `validate_raw_parts` bounded every column index by
-            // `n_cols` at construction and `ws` was resized to `n_cols`.
-            unsafe {
-                match &self.row_ptr {
-                    RowPtr::U32(p) => {
-                        gather_span(p, &self.col_idx, ws_ref, base, ys, self.unrolled)
-                    }
-                    RowPtr::U64(p) => {
-                        gather_span(p, &self.col_idx, ws_ref, base, ys, self.unrolled)
-                    }
-                }
-            }
+        self.for_each_window(pool, |w| {
+            let base = w * SWEEP_WINDOW;
+            // SAFETY: window `w` covers rows `[base, base + len)` and
+            // windows are pairwise disjoint.
+            let ys = unsafe { out.slice_mut(base, SWEEP_WINDOW.min(self.n_rows - base)) };
+            // SAFETY (`store`): `SweepOrder` fact 1 — a row of window `w`
+            // lies in `[base, base + ys.len())`.
+            self.gather(ws, w, |i, sum| unsafe { store(ys, i, sum) });
         });
     }
 
@@ -846,6 +997,52 @@ impl SpMatVec for CsrImplicit {
     }
     fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool) {
         self.mul_vec_pool(x, y, ws, pool);
+    }
+    /// The fused sweep, one pass over the matrix: `ws` holds two pre-scaled
+    /// vectors of `n` elements, the one sweep `k` gathers from (filled from
+    /// `x` when `k == 0`, by sweep `k − 1` otherwise) and the one it fills
+    /// for sweep `k + 1`. Per row `r` it writes `next[r] = Σ + f[r]` and
+    /// `scale[r]·next[r]` — every product still one multiply of the two
+    /// operands the explicit kernel multiplies per entry, every row sum the
+    /// same left-to-right fold, `δ` the same chunk partials — so iterate
+    /// and `δ` equal the default body's on the explicit twin bit for bit.
+    fn sweep(
+        &self,
+        k: usize,
+        x: &[f64],
+        f: &[f64],
+        next: &mut [f64],
+        ws: &mut Vec<f64>,
+        pool: &Pool,
+    ) -> f64 {
+        let n = self.n_rows;
+        assert_eq!(self.n_cols, n, "a sweep needs a square matrix");
+        assert!(x.len() == n && f.len() == n && next.len() == n);
+        ws.resize(2 * n, 0.0);
+        let (even, odd) = ws.split_at_mut(n);
+        let (ws_cur, ws_next) = if k.is_multiple_of(2) { (even, odd) } else { (odd, even) };
+        if k == 0 {
+            self.prescale(x, ws_cur, pool);
+        }
+        let ws_cur: &[f64] = ws_cur;
+        let (out, ws_out) = (SharedSlice::new(next), SharedSlice::new(ws_next));
+        self.for_each_window(pool, |w| {
+            let base = w * SWEEP_WINDOW;
+            let len = SWEEP_WINDOW.min(n - base);
+            // SAFETY (both): window `w` covers rows `[base, base + len)`
+            // and windows are pairwise disjoint.
+            let (out, ws_out) = unsafe { (out.slice_mut(base, len), ws_out.slice_mut(base, len)) };
+            let (f, scale) = (&f[base..base + len], &self.scale[base..base + len]);
+            // SAFETY (`load`/`store`): `SweepOrder` fact 1 — a row of
+            // window `w` lies in `[base, base + len)`, the length of all
+            // four window slices.
+            self.gather(ws_cur, w, |i, sum| unsafe {
+                let v = sum + load(f, i);
+                store(out, i, v);
+                store(ws_out, i, load(scale, i) * v);
+            });
+        });
+        vec_ops::l1_diff_pool(next, x, pool)
     }
     fn contraction_norm(&self) -> f64 {
         self.inf_norm().min(self.one_norm())
@@ -1158,41 +1355,74 @@ mod tests {
     }
 
     #[test]
-    fn unrolled_gather_matches_plain_within_tolerance() {
-        let m = random_implicit(800, 12, 0.85, 5);
-        let fast = m.clone().with_unrolled(true);
-        assert!(fast.is_unrolled() && !m.is_unrolled());
-        let x: Vec<f64> = (0..800).map(|i| ((i as f64) * 0.37).sin().abs()).collect();
-        let (mut y1, mut y2) = (vec![0.0; 800], vec![0.0; 800]);
-        let (mut w1, mut w2) = (Vec::new(), Vec::new());
-        m.mul_vec(&x, &mut y1, &mut w1);
-        fast.mul_vec(&x, &mut y2, &mut w2);
-        // Different fold order: equal within round-off, not necessarily
-        // bit-identical — which is exactly why it's opt-in.
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0));
+    fn sweep_order_is_a_degree_sorted_permutation_of_every_window() {
+        // The two facts the unchecked gather rests on, over sizes below,
+        // equal to and past a window, with a ragged last window.
+        for n in [0, 1, 3, SWEEP_WINDOW - 1, SWEEP_WINDOW, SWEEP_WINDOW + 1, 5 * SWEEP_WINDOW + 9] {
+            let m = random_implicit(n, 12, 0.85, n as u64 + 1);
+            assert_eq!(m.order.offsets.len(), n);
+            for (w, offsets) in m.order.offsets.chunks(SWEEP_WINDOW).enumerate() {
+                let base = w * SWEEP_WINDOW;
+                let mut seen = vec![false; offsets.len()];
+                let degree = |o: u16| {
+                    let (lo, hi) = m.row_ptr.bounds(base + o as usize);
+                    hi - lo
+                };
+                for pair in offsets.windows(2) {
+                    assert!(degree(pair[0]) <= degree(pair[1]), "window {w} not degree-sorted");
+                    // Stable: equal degrees keep row order.
+                    assert!(degree(pair[0]) < degree(pair[1]) || pair[0] < pair[1]);
+                }
+                for &o in offsets {
+                    assert!(!std::mem::replace(&mut seen[o as usize], true), "row visited twice");
+                }
+            }
         }
     }
 
     #[test]
-    fn unrolled_pooled_is_bit_identical_across_worker_counts() {
-        // The opt-in changes the fold order vs the plain kernel, but it is
-        // still deterministic across worker counts (fixed chunk plan).
-        let m = random_implicit(3200, 12, 0.85, 21).with_unrolled(true);
-        assert!(m.nnz() >= PAR_NNZ_THRESHOLD, "test matrix must cross the nnz gate");
-        let x: Vec<f64> = (0..3200).map(|i| ((i as f64) * 0.11).cos().abs()).collect();
-        let mut seq = vec![0.0; 3200];
-        let mut ws = Vec::new();
-        m.mul_vec(&x, &mut seq, &mut ws);
+    fn sweep_order_survives_set_scale_and_equals_a_rebuild() {
+        let m = random_implicit(3 * SWEEP_WINDOW + 5, 9, 0.85, 17);
+        let mut rescaled = m.clone();
+        rescaled.set_scale(m.scale().iter().map(|s| s * 0.5).collect());
+        assert_eq!(rescaled.order, m.order);
+        assert_ne!(rescaled, m);
+        // Same structure, built again: same order, and the halved scales
+        // give the very same matrix as the in-place patch.
+        let rebuilt = CsrImplicit::from_raw_parts(
+            m.n_rows,
+            m.n_cols,
+            m.row_ptr.to_wide(),
+            m.col_idx.clone(),
+            rescaled.scale().to_vec(),
+        );
+        assert_eq!(rebuilt, rescaled);
+        assert_eq!(m.clone().with_wide_row_ptr().order, m.order);
+    }
+
+    #[test]
+    fn fused_sweep_matches_the_explicit_twin_where_delta_fans_out() {
+        // Long enough for the pooled `δ` (16 384 elements) as well as the
+        // pooled gather, and not a multiple of the window or of the
+        // reduction chunk.
+        let n = (1 << 14) + 300;
+        let m = random_implicit(n, 6, 0.85, 3);
+        let twin = m.to_explicit();
+        let f: Vec<f64> = (0..n).map(|i| 1e-3 / (1.0 + (i % 13) as f64)).collect();
+        let x0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin().abs()).collect();
         for workers in [1, 2, 8] {
             let pool = Pool::with_workers(workers);
-            let mut y = vec![f64::NAN; 3200];
-            let mut w = Vec::new();
-            m.mul_vec_pool(&x, &mut y, &mut w, &pool);
-            assert!(
-                seq.iter().zip(&y).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "unrolled pooled gather diverged at {workers} workers"
-            );
+            let (mut x_i, mut x_e) = (x0.clone(), x0.clone());
+            let (mut next_i, mut next_e) = (vec![0.0; n], vec![0.0; n]);
+            let (mut ws_i, mut ws_e) = (Vec::new(), Vec::new());
+            for k in 0..5 {
+                let d_i = m.sweep(k, &x_i, &f, &mut next_i, &mut ws_i, &pool);
+                let d_e = twin.sweep(k, &x_e, &f, &mut next_e, &mut ws_e, &pool);
+                assert_eq!(d_i.to_bits(), d_e.to_bits(), "sweep {k}, {workers} workers");
+                assert!(next_i.iter().zip(&next_e).all(|(a, b)| a.to_bits() == b.to_bits()));
+                std::mem::swap(&mut x_i, &mut next_i);
+                std::mem::swap(&mut x_e, &mut next_e);
+            }
         }
     }
 

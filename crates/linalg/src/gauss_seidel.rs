@@ -12,8 +12,8 @@
 //! "partially asynchronous iteration" regime — which is how the netrun
 //! engine uses this solver as its per-group inner solve (`--inner-solver
 //! gauss-seidel`). The sweep is generic over [`SpMatVec`] via
-//! [`SpMatVec::gs_row`], so it drives the explicit, implicit and unrolled
-//! matrix layouts alike.
+//! [`SpMatVec::gs_row`], so it drives the explicit and implicit matrix
+//! layouts alike.
 
 use crate::csr::SpMatVec;
 use crate::solver::SolveReport;

@@ -10,7 +10,6 @@
 use crate::csr::SpMatVec;
 use crate::pool::Pool;
 use crate::theory;
-use crate::vec_ops;
 
 /// Configuration for the Jacobi-style fixed-point iteration.
 #[derive(Debug, Clone)]
@@ -80,11 +79,12 @@ impl FixedPointSolver {
     }
 
     /// Solves `x = A·x + f` in place, starting from the current contents of
-    /// `x`. `scratch` must be the same length as `x` and is used as the
-    /// double buffer; `ws` is the matrix layout's multiply workspace (an
-    /// implicit-value matrix pre-scales into it; the explicit layout leaves
-    /// it untouched). Callers in hot loops reuse both across solves to
-    /// avoid reallocation.
+    /// `x`. `scratch` is the double buffer (resized to `x`'s length); `ws`
+    /// is the matrix layout's sweep workspace (an implicit-value matrix
+    /// keeps the pre-scaled iterate in it; the explicit layout leaves it
+    /// untouched). Callers in hot loops reuse both across solves to avoid
+    /// reallocation; neither carries anything from one solve to the next,
+    /// so their contents on entry are irrelevant.
     ///
     /// Generic over [`SpMatVec`] so the same iteration drives the explicit
     /// [`crate::Csr`] and the bandwidth-lean [`crate::CsrImplicit`].
@@ -113,12 +113,8 @@ impl FixedPointSolver {
         let mut iters = 0;
         while iters < self.max_iters {
             // scratch ← A·x + f
-            a.mul_into(x, scratch, ws, &self.pool);
-            for (s, fi) in scratch.iter_mut().zip(f.iter()) {
-                *s += fi;
-            }
+            delta = a.sweep(iters, x, f, scratch, ws, &self.pool);
             iters += 1;
-            delta = vec_ops::l1_diff_pool(scratch, x, &self.pool);
             std::mem::swap(x, scratch);
             if delta <= self.tolerance {
                 break;
@@ -146,8 +142,8 @@ impl FixedPointSolver {
 
     /// [`Self::step`] with caller-provided double and workspace buffers, so
     /// per-wake hot loops (one step per think time, thousands of think
-    /// times per run) never reallocate. The scratch contents are irrelevant
-    /// on entry — the SpMV overwrites every element.
+    /// times per run) never reallocate. The buffers' contents are
+    /// irrelevant on entry — the first sweep overwrites every element.
     pub fn step_with_scratch<M: SpMatVec>(
         &self,
         a: &M,
@@ -163,12 +159,8 @@ impl FixedPointSolver {
         assert_eq!(x.len(), n);
         scratch.resize(n, 0.0);
         let mut delta = 0.0;
-        for _ in 0..steps {
-            a.mul_into(x, scratch, ws, &self.pool);
-            for (s, fi) in scratch.iter_mut().zip(f.iter()) {
-                *s += fi;
-            }
-            delta = vec_ops::l1_diff_pool(scratch, x, &self.pool);
+        for k in 0..steps {
+            delta = a.sweep(k, x, f, scratch, ws, &self.pool);
             std::mem::swap(x, scratch);
         }
         delta
@@ -180,6 +172,7 @@ mod tests {
     use super::*;
     use crate::csr::{column_scale, Csr, CsrImplicit};
     use crate::triplet::TripletMatrix;
+    use crate::vec_ops;
 
     /// 2×2 contraction with known fixed point:
     /// x = [[0.5, 0], [0.25, 0.25]]·x + [1, 1] ⇒ x* = [2, 2].
@@ -269,6 +262,43 @@ mod tests {
         let mut x: Vec<f64> = vec![];
         let report = FixedPointSolver::default().solve(&a, &[], &mut x);
         assert!(report.converged);
+    }
+
+    #[test]
+    fn solve_ignores_whatever_the_buffers_hold_on_entry() {
+        // Nothing is carried from one solve to the next: a `ws` and a
+        // `scratch` left over from a solve of a *different* system (other
+        // length, other scales) — or filled with NaN — change no bit.
+        let degrees = [2u32, 2, 1, 0];
+        let m = CsrImplicit::from_raw_parts(
+            4,
+            4,
+            vec![0, 1, 2, 4, 5],
+            vec![2, 0, 0, 1, 1],
+            column_scale(0.85, &degrees),
+        );
+        let f = vec![0.15 / 4.0; 4];
+        let solver = FixedPointSolver::new(1e-12);
+        let mut clean = vec![0.25; 4];
+        let want = solver.solve(&m, &f, &mut clean);
+        for (scratch, ws) in [
+            (vec![f64::NAN; 9], vec![f64::NAN; 8]),
+            (vec![7.0; 2], vec![-3.0; 31]),
+            (Vec::new(), vec![f64::INFINITY; 3]),
+        ] {
+            let (mut scratch, mut ws) = (scratch, ws);
+            let mut x = vec![0.25; 4];
+            let got = solver.solve_with_scratch(&m, &f, &mut x, &mut scratch, &mut ws);
+            assert_eq!(got, want);
+            assert!(x.iter().zip(&clean).all(|(a, b)| a.to_bits() == b.to_bits()));
+            // And again on the buffers that solve left behind, as a step.
+            let mut y = vec![0.25; 4];
+            let mut z = vec![0.25; 4];
+            let d1 = solver.step_with_scratch(&m, &f, &mut y, 3, &mut scratch, &mut ws);
+            let d2 = solver.step(&m, &f, &mut z, 3);
+            assert_eq!(d1.to_bits(), d2.to_bits());
+            assert_eq!(y, z);
+        }
     }
 
     #[test]

@@ -91,14 +91,50 @@ pub fn linf_norm(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
 }
 
+/// Adds to `acc`, in chunk order, the partials of `‖x − y‖₁` over the
+/// first `L` chunks of `x` and `y` (all full) and advances both past them.
+/// The `L` add chains run side by side: each partial is the same
+/// left-to-right fold from `-0.0` (std's float `Sum` identity) that a chunk
+/// summed alone gets, so no bit depends on `L`, but a lone chain is bound by
+/// the latency of its adds and `L` of them overlap.
+fn l1_diff_chunks<const L: usize>(x: &mut &[f64], y: &mut &[f64], acc: &mut f64) {
+    let (xs, ys) = (&x[..L * REDUCE_CHUNK], &y[..L * REDUCE_CHUNK]);
+    let mut partials = [-0.0_f64; L];
+    for i in 0..REDUCE_CHUNK {
+        for (j, p) in partials.iter_mut().enumerate() {
+            let k = j * REDUCE_CHUNK + i;
+            *p += (xs[k] - ys[k]).abs();
+        }
+    }
+    for p in partials {
+        *acc += p;
+    }
+    (*x, *y) = (&x[L * REDUCE_CHUNK..], &y[L * REDUCE_CHUNK..]);
+}
+
 /// The L1 distance `‖x − y‖₁` without materialising the difference vector.
+///
+/// This is the `δ` of every Jacobi sweep, so the per-chunk add chains run
+/// up to four at a time (see [`l1_diff_chunks`]); the partials and the
+/// order they are added in are those of [`chunked_reduce`].
 #[must_use]
-pub fn l1_diff(x: &[f64], y: &[f64]) -> f64 {
+pub fn l1_diff(mut x: &[f64], mut y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
+    let mut acc = 0.0;
+    while x.len() >= 4 * REDUCE_CHUNK {
+        l1_diff_chunks::<4>(&mut x, &mut y, &mut acc);
+    }
+    match x.len() / REDUCE_CHUNK {
+        3 => l1_diff_chunks::<3>(&mut x, &mut y, &mut acc),
+        2 => l1_diff_chunks::<2>(&mut x, &mut y, &mut acc),
+        1 => l1_diff_chunks::<1>(&mut x, &mut y, &mut acc),
+        _ => {}
+    }
+    if !x.is_empty() {
+        acc += x.iter().zip(y).map(|(a, b)| (a - b).abs()).sum::<f64>();
+    }
     // `+ 0.0`: see `l1_norm` — keeps the empty diff at +0.0, not -0.0.
-    chunked_reduce(x.len(), |lo, hi| {
-        x[lo..hi].iter().zip(&y[lo..hi]).map(|(a, b)| (a - b).abs()).sum()
-    }) + 0.0
+    acc + 0.0
 }
 
 /// [`l1_diff`] with the chunk partials computed on `pool`'s workers.
@@ -167,15 +203,6 @@ pub fn add_scalar(a: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi += a;
     }
-}
-
-/// Element-wise product `out ← a ⊙ b`, clearing and refilling `out` (the
-/// implicit-value SpMV's pre-scale pass `ws[u] = scale[u]·x[u]`).
-/// Element-wise, so chunking cannot affect bits.
-pub fn hadamard_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
-    debug_assert_eq!(a.len(), b.len());
-    out.clear();
-    out.extend(a.iter().zip(b).map(|(&ai, &bi)| ai * bi));
 }
 
 /// Element-wise `x ≥ y` (the partial order `r₁ ≥ r₂` of the appendix).
@@ -267,6 +294,24 @@ mod tests {
     }
 
     #[test]
+    fn l1_diff_side_by_side_chains_keep_the_chunked_fold() {
+        // The reference: one chunk at a time, each folded left to right by
+        // std's `Sum`, partials added in chunk order.
+        let reference = |x: &[f64], y: &[f64]| {
+            chunked_reduce(x.len(), |lo, hi| {
+                x[lo..hi].iter().zip(&y[lo..hi]).map(|(a, b)| (a - b).abs()).sum()
+            }) + 0.0
+        };
+        let c = REDUCE_CHUNK;
+        for len in [0, 1, c - 1, c, c + 1, 2 * c + 5, 3 * c, 4 * c, 4 * c + 1, 7 * c + 99, 9 * c] {
+            let x: Vec<f64> = (0..len).map(|i| ((i as f64) * 0.7371).sin() / 3.0).collect();
+            let y: Vec<f64> = x.iter().map(|v| v * 1.0001 - 1e-7).collect();
+            assert_eq!(l1_diff(&x, &y).to_bits(), reference(&x, &y).to_bits(), "len {len}");
+            assert_eq!(l1_diff(&x, &x).to_bits(), 0, "len {len}: equal vectors give +0.0");
+        }
+    }
+
+    #[test]
     fn linf_norm_basic() {
         assert_eq!(linf_norm(&[1.0, -7.0, 3.0]), 7.0);
         assert_eq!(linf_norm(&[]), 0.0);
@@ -310,15 +355,6 @@ mod tests {
         assert!(ge_elementwise(&[1.0, 2.0], &[1.0, 1.5]));
         assert!(!ge_elementwise(&[1.0, 1.0], &[1.0, 1.5]));
         assert!(ge_elementwise_tol(&[1.0, 1.0], &[1.0, 1.0 + 1e-13], 1e-12));
-    }
-
-    #[test]
-    fn hadamard_into_refills_and_matches() {
-        let mut out = vec![99.0; 7];
-        hadamard_into(&[2.0, -3.0, 0.5], &[4.0, 1.0, 8.0], &mut out);
-        assert_eq!(out, vec![8.0, -3.0, 4.0]);
-        hadamard_into(&[], &[], &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

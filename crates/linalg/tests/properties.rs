@@ -1,8 +1,10 @@
 //! Property tests for the linear-algebra substrate: CSR operations are
 //! checked against naive dense references on arbitrary matrices.
 
-use dpr_linalg::{Csr, FixedPointSolver, TripletMatrix};
+use dpr_linalg::csr::SWEEP_WINDOW;
+use dpr_linalg::{column_scale, Csr, CsrImplicit, FixedPointSolver, Pool, SpMatVec, TripletMatrix};
 use proptest::prelude::*;
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Arbitrary small sparse matrix as (rows, cols, entries).
 fn arb_matrix() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>)> {
@@ -26,6 +28,109 @@ fn csr_of(r: usize, c: usize, entries: &[(usize, usize, f64)]) -> Csr {
         t.push(i, j, v);
     }
     t.to_csr()
+}
+
+/// Row counts the fused-sweep property runs on: none, one, a few, just
+/// below / equal to / just above one window, several windows with and
+/// without a ragged last one, and two sizes big enough (with the in-degrees
+/// [`ranking_matrix`] draws) to cross the pool's fan-out gate.
+const SWEEP_SHAPES: [usize; 11] = [
+    0,
+    1,
+    5,
+    SWEEP_WINDOW - 1,
+    SWEEP_WINDOW,
+    SWEEP_WINDOW + 1,
+    3 * SWEEP_WINDOW,
+    3 * SWEEP_WINDOW + 77,
+    1000,
+    4 * 1024 + 3,
+    6000,
+];
+
+/// A random pull-oriented ranking matrix in implicit form with every
+/// shape the gather has a case for: dangling columns (out-degree 0, scale
+/// exactly 0), empty rows (the last eighth of the rows is never linked
+/// to), a diagonal entry, duplicate entries, and — once there are enough
+/// columns — one row longer than a window and one of 40 entries.
+fn ranking_matrix(n: usize, seed: u64) -> CsrImplicit {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let linked = (n - n / 8).max(1);
+    let mut degrees = vec![0u32; n];
+    let mut entries: Vec<(u32, u32)> = Vec::new();
+    for (u, degree) in degrees.iter_mut().enumerate() {
+        *degree = rng.gen_range(0..=9u32);
+        for _ in 0..*degree {
+            entries.push((rng.gen_range(0..linked) as u32, u as u32));
+        }
+    }
+    if n > 0 {
+        let r = rng.gen_range(0..n) as u32;
+        entries.push((r, r));
+        degrees[r as usize] += 1;
+    }
+    if n >= 8 {
+        for (row, len) in [(n / 2, SWEEP_WINDOW + 44), (n / 3, 40)] {
+            for k in 0..len {
+                let u = (k * 7 + 1) % n;
+                entries.push((row as u32, u as u32));
+                degrees[u] += 1;
+            }
+        }
+    }
+    entries.sort_unstable();
+    let mut row_ptr = vec![0u64; n + 1];
+    for &(v, _) in &entries {
+        row_ptr[v as usize + 1] += 1;
+    }
+    for r in 0..n {
+        row_ptr[r + 1] += row_ptr[r];
+    }
+    let col_idx = entries.iter().map(|&(_, u)| u).collect();
+    CsrImplicit::from_raw_parts(n, n, row_ptr, col_idx, column_scale(0.85, &degrees))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The fused sweep of the implicit layout against the four-pass default
+    /// body on its explicit twin: 20 consecutive sweeps, each fed its own
+    /// output, at 1, 2 and 8 workers — every iterate and every `δ` bit for
+    /// bit. The workspaces start out holding garbage.
+    #[test]
+    fn fused_sweep_matches_the_four_pass_sweep_bitwise(
+        seed in 0u64..1u64 << 32,
+        shape in 0usize..SWEEP_SHAPES.len(),
+    ) {
+        let n = SWEEP_SHAPES[shape];
+        let m = ranking_matrix(n, seed);
+        let twin = m.to_explicit();
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EE9);
+        let f: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..0.01)).collect();
+        let x0: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        for workers in [1usize, 2, 8] {
+            let pool = Pool::with_workers(workers);
+            let (mut x_i, mut x_e) = (x0.clone(), x0.clone());
+            let (mut next_i, mut next_e) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            let (mut ws_i, mut ws_e) = (vec![f64::NAN; 7], vec![f64::NAN; 7]);
+            for k in 0..20 {
+                let d_i = m.sweep(k, &x_i, &f, &mut next_i, &mut ws_i, &pool);
+                let d_e = twin.sweep(k, &x_e, &f, &mut next_e, &mut ws_e, &pool);
+                prop_assert_eq!(
+                    d_i.to_bits(), d_e.to_bits(),
+                    "delta of sweep {} diverged at {} workers (n = {})", k, workers, n
+                );
+                for r in 0..n {
+                    prop_assert_eq!(
+                        next_i[r].to_bits(), next_e[r].to_bits(),
+                        "row {} of sweep {} diverged at {} workers (n = {})", r, k, workers, n
+                    );
+                }
+                std::mem::swap(&mut x_i, &mut next_i);
+                std::mem::swap(&mut x_e, &mut next_e);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -147,13 +147,15 @@ fn scheduler_and_ext_cache_invisible_under_churn_and_faults() {
             );
             assert_eq!(run.sim_stats, reference.sim_stats);
             // Every counter except the work-observability ones must match
-            // the legacy engine exactly. Rows recomputed and inner sweeps
-            // measure the work the cache *saves* (the stall short-circuit
-            // only exists on the cached path), so they legitimately differ
-            // between ext_cache modes while ranks and traffic do not.
+            // the legacy engine exactly. Rows recomputed, inner sweeps and
+            // the rows they swept measure the work the cache *saves* (the
+            // stall short-circuit only exists on the cached path), so they
+            // legitimately differ between ext_cache modes while ranks and
+            // traffic do not.
             let mut c = run.counters;
             c.rows_recomputed = reference.counters.rows_recomputed;
             c.inner_sweeps = reference.counters.inner_sweeps;
+            c.rows_swept = reference.counters.rows_swept;
             c.sweeps_saved = reference.counters.sweeps_saved;
             assert_eq!(c, reference.counters);
             if ext_cache {
