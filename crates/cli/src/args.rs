@@ -2,7 +2,8 @@
 //! `--key value` options and positional arguments. No external parser
 //! dependency — the surface is small and the error messages are ours.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed command line: subcommand, positionals, options.
 #[derive(Debug, Clone, Default)]
@@ -12,7 +13,10 @@ pub struct Args {
     /// Positional arguments after the subcommand.
     pub positional: Vec<String>,
     /// `--key value` and bare `--flag` (value `"true"`).
-    pub options: HashMap<String, String>,
+    options: HashMap<String, String>,
+    /// Every option name a lookup asked for, passed or not: what is left
+    /// of `options` once the command has read its own is a mistake.
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -37,22 +41,52 @@ impl Args {
         out
     }
 
-    /// Typed option lookup with a default.
+    /// The raw value of `--key`, if passed.
     #[must_use]
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.options.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    pub fn get_opt(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.options.get(key).map(String::as_str)
+    }
+
+    /// Typed option lookup: `None` when the option was not passed, an error
+    /// naming the option when its value does not parse.
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get_opt(key)
+            .map(|v| v.parse().map_err(|_| format!("bad value `{v}` for --{key}")))
+            .transpose()
+    }
+
+    /// [`Args::get_parsed`] with a default.
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.get_parsed(key)?.unwrap_or(default))
     }
 
     /// String option lookup.
     #[must_use]
     pub fn get_str<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.options.get(key).map_or(default, String::as_str)
+        self.get_opt(key).unwrap_or(default)
     }
 
-    /// Whether a bare flag was passed.
-    #[must_use]
-    pub fn flag(&self, key: &str) -> bool {
-        self.options.get(key).map(String::as_str) == Some("true")
+    /// Whether a bare flag was passed; an error when it swallowed a value
+    /// (`--net graph.txt`).
+    pub fn flag(&self, key: &str) -> Result<bool, String> {
+        match self.get_opt(key) {
+            None => Ok(false),
+            Some("true") => Ok(true),
+            Some(v) => Err(format!("--{key} takes no value, got `{v}`")),
+        }
+    }
+
+    /// Call once the command has looked up every option it has: an option
+    /// that was passed and that nothing looked up is a typo, or a flag this
+    /// command does not (or no longer does) have, and running on without it
+    /// would report something the caller did not ask for.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self.options.keys().filter(|k| !read.contains(*k)).min() {
+            None => Ok(()),
+            Some(first) => Err(format!("`{}` has no option --{first}", self.command)),
+        }
     }
 
     /// The `i`-th positional argument, or an error message naming it.
@@ -77,9 +111,31 @@ mod tests {
         let a = parse(&["rank", "graph.txt", "--top", "5", "--accelerated"]);
         assert_eq!(a.command, "rank");
         assert_eq!(a.positional(0, "graph").unwrap(), "graph.txt");
-        assert_eq!(a.get("top", 0usize), 5);
-        assert!(a.flag("accelerated"));
-        assert!(!a.flag("absent"));
+        assert_eq!(a.get("top", 0usize), Ok(5));
+        assert_eq!(a.flag("accelerated"), Ok(true));
+        assert_eq!(a.flag("absent"), Ok(false));
+        assert_eq!(a.reject_unread(), Ok(()));
+    }
+
+    #[test]
+    fn unparsable_values_name_their_option() {
+        let a = parse(&["simulate", "g", "--k", "abc", "--net", "oops"]);
+        let err = a.get("k", 100usize).unwrap_err();
+        assert!(err.contains("--k") && err.contains("abc"), "{err}");
+        let err = a.flag("net").unwrap_err();
+        assert!(err.contains("--net") && err.contains("oops"), "{err}");
+        assert_eq!(a.get_parsed::<u32>("site"), Ok(None));
+    }
+
+    #[test]
+    fn options_nobody_read_are_rejected_by_name() {
+        let a = parse(&["simulate", "g", "--k", "8", "--no-ext-cache", "--zeta", "1"]);
+        assert_eq!(a.get("k", 100usize), Ok(8));
+        let err = a.reject_unread().unwrap_err();
+        assert!(err.contains("--no-ext-cache") && err.contains("simulate"), "{err}");
+        // Looking an option up is what makes it the command's own.
+        assert_eq!(a.flag("no-ext-cache"), Ok(true));
+        assert!(a.reject_unread().unwrap_err().contains("--zeta"));
     }
 
     #[test]
@@ -92,7 +148,7 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = parse(&["plan"]);
-        assert_eq!(a.get("rankers", 1000u64), 1000);
+        assert_eq!(a.get("rankers", 1000u64), Ok(1000));
         assert_eq!(a.get_str("strategy", "site"), "site");
     }
 

@@ -46,11 +46,9 @@ COMMANDS:
             [--reliable] [--ack-timeout T] [--max-retries R]
             [--crash T:NODE[,T:NODE...]] [--join T:SEED[,T:SEED...]]
             [--deltas T:CHURN[,T:CHURN...]] [--churn-rate R] [--churn-every T]
-            [--partition T1:T2:LO-HI] [--no-coalesce] [--no-route-cache]
-            [--heap-scheduler] [--no-ext-cache] [--engine-workers W]
+            [--partition T1:T2:LO-HI] [--engine-workers W]
             [--replicas K] [--checkpoint-every T] [--suspect-after N]
-            [--store-topk K] [--explicit-matrix]
-            [--inner-solver jacobi|gauss-seidel|sor:W] [--adaptive-epsilon]
+            [--store-topk K] [--inner-solver jacobi|gauss-seidel]
             --reliable turns on ack/retry/dedup delivery; --crash departs
             nodes (state lost), --join adds nodes (graceful handoff),
             --partition severs nodes LO..=HI from the rest during [T1,T2);
@@ -63,27 +61,18 @@ COMMANDS:
             every --checkpoint-every T time units; a replica re-hosts a
             crashed owner's groups warm after N missed checkpoints
             (--suspect-after); 0 replicas = the exact baseline;
-            --no-coalesce / --no-route-cache disable the fast message
-            path (per-destination merging, memoized overlay lookups);
-            --heap-scheduler / --no-ext-cache fall back to the legacy
-            BinaryHeap event queue and full external-contribution
-            rebuilds (bit-identical results, slower engine);
             --engine-workers W runs same-window node solves on W pool
-            threads (default: all hardware threads; 1 = sequential;
-            results are bit-identical at any W);
+            threads (default 1 = sequential; results are bit-identical
+            at any W);
             --store-topk K publishes epoch-versioned rank snapshots into
             the concurrent serving store after every sample slice and
             prints the store-served top K (bit-identical to the live
             final ranks by construction);
-            --explicit-matrix stores link-matrix values explicitly
-            instead of the default bandwidth-lean implicit layout
-            (both solve bit-identically);
             --inner-solver picks the per-group solve kernel (default
-            jacobi = the bit-exact baseline; gauss-seidel and sor:W use
-            within-sweep updates — fewer sweeps, same fixed point,
-            deterministic per mode); --adaptive-epsilon solves early
-            windows only as precisely as the group's own residual
-            warrants, tightening geometrically to full precision.
+            jacobi; gauss-seidel uses within-sweep updates — fewer
+            sweeps, same fixed point, deterministic).
+            An option the command does not have, or a value that does
+            not parse, is an error: nothing runs.
   top       FILE --ranks RANKS [--k K] [--site S]
             Top pages from a saved rank file (optionally one site only).
   analyze   FILE [--sinks-only]
@@ -126,12 +115,14 @@ pub fn generate(args: &Args) -> CmdResult {
         return Err("generate needs --out FILE".into());
     }
     let cfg = EduDomainConfig {
-        n_pages: args.get("pages", 50_000usize),
-        n_sites: args.get("sites", 100usize),
-        seed: args.get("seed", EduDomainConfig::default().seed),
+        n_pages: args.get("pages", 50_000usize)?,
+        n_sites: args.get("sites", 100usize)?,
+        seed: args.get("seed", EduDomainConfig::default().seed)?,
         ..EduDomainConfig::default()
     };
-    if args.flag("binary") {
+    let binary = args.flag("binary")?;
+    args.reject_unread()?;
+    if binary {
         // Stream rows straight to the compact snapshot — the edge list is
         // never materialized in memory, so 10M-page graphs are fine.
         dpr_graph::generators::edu_domain_to_snapshot_path(&cfg, out)
@@ -152,9 +143,9 @@ pub fn crawl(args: &Args) -> CmdResult {
         return Err("crawl needs --out FILE".into());
     }
     let web = HiddenWeb::new(HiddenWebConfig {
-        total_pages: args.get("web-pages", 100_000u64),
-        n_sites: args.get("sites", 100usize),
-        seed: args.get("seed", HiddenWebConfig::default().seed),
+        total_pages: args.get("web-pages", 100_000u64)?,
+        n_sites: args.get("sites", 100usize)?,
+        seed: args.get("seed", HiddenWebConfig::default().seed)?,
         ..HiddenWebConfig::default()
     });
     let mode = match args.get_str("mode", "exchange") {
@@ -163,8 +154,9 @@ pub fn crawl(args: &Args) -> CmdResult {
         "exchange" => Mode::Exchange,
         other => return Err(format!("unknown mode `{other}`")),
     };
-    let agents = args.get("agents", 4usize);
-    let budget = CrawlBudget { max_pages: args.get("budget", usize::MAX) };
+    let agents = args.get("agents", 4usize)?;
+    let budget = CrawlBudget { max_pages: args.get("budget", usize::MAX)? };
+    args.reject_unread()?;
     let res = parallel_crawl(&web, agents, mode, budget);
     let g = crawl_to_graph(&web, &res.fetched);
     dpr_graph::io::save(&g, out).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -181,6 +173,7 @@ pub fn crawl(args: &Args) -> CmdResult {
 
 /// `dpr stats`
 pub fn stats(args: &Args) -> CmdResult {
+    args.reject_unread()?;
     let g = load_graph(args.positional(0, "graph")?)?;
     println!("{}", GraphStats::compute(&g));
     Ok(())
@@ -188,9 +181,10 @@ pub fn stats(args: &Args) -> CmdResult {
 
 /// `dpr partition`
 pub fn partition(args: &Args) -> CmdResult {
-    let g = load_graph(args.positional(0, "graph")?)?;
-    let k = args.get("k", 64usize);
+    let k = args.get("k", 64usize)?;
     let strategy = parse_strategy(args.get_str("strategy", "site"))?;
+    args.reject_unread()?;
+    let g = load_graph(args.positional(0, "graph")?)?;
     let p = Partition::build(&g, &strategy, k, 0);
     let m = PartitionMetrics::compute(&g, &p);
     println!("strategy {} over K = {k} groups:", strategy.name());
@@ -201,12 +195,15 @@ pub fn partition(args: &Args) -> CmdResult {
 
 /// `dpr rank`
 pub fn rank(args: &Args) -> CmdResult {
+    let top = args.get("top", 10usize)?;
+    let cfg = RankConfig { alpha: args.get("alpha", 0.85f64)?, ..RankConfig::default() };
+    let algo = args.get_str("algo", "cpr");
+    let accelerated = args.flag("accelerated")?;
+    args.reject_unread()?;
     let g = load_graph(args.positional(0, "graph")?)?;
-    let top = args.get("top", 10usize);
-    let cfg = RankConfig { alpha: args.get("alpha", 0.85f64), ..RankConfig::default() };
-    let (name, ranks, iterations) = match args.get_str("algo", "cpr") {
+    let (name, ranks, iterations) = match algo {
         "cpr" => {
-            let out = if args.flag("accelerated") {
+            let out = if accelerated {
                 open_pagerank_accelerated(&g, &cfg)
             } else {
                 open_pagerank(&g, &cfg)
@@ -271,11 +268,12 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     use dpr_core::{NetRunConfig, OverlayKind, Reliability, Transmission};
     use dpr_sim::FaultPlan;
 
-    let k = args.get("k", 64usize);
+    let k = args.get("k", 64usize)?;
+    let can_dims = args.get("can-dims", 2usize)?;
     let overlay = match args.get_str("overlay", "pastry") {
         "pastry" => OverlayKind::Pastry,
         "chord" => OverlayKind::Chord,
-        "can" => OverlayKind::Can { d: args.get("can-dims", 2usize) },
+        "can" => OverlayKind::Can { d: can_dims },
         other => return Err(format!("unknown overlay `{other}` (pastry|chord|can)")),
     };
     let transmission = match args.get_str("transmission", "indirect") {
@@ -283,15 +281,12 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         "direct" => Transmission::Direct,
         other => return Err(format!("unknown transmission `{other}` (indirect|direct)")),
     };
-    let reliability = if args.flag("reliable") {
-        Some(Reliability {
-            ack_timeout: args.get("ack-timeout", Reliability::default().ack_timeout),
-            max_retries: args.get("max-retries", Reliability::default().max_retries),
-            ..Reliability::default()
-        })
-    } else {
-        None
+    let reliability = Reliability {
+        ack_timeout: args.get("ack-timeout", Reliability::default().ack_timeout)?,
+        max_retries: args.get("max-retries", Reliability::default().max_retries)?,
+        ..Reliability::default()
     };
+    let reliability = args.flag("reliable")?.then_some(reliability);
     let departures = match args.get_str("crash", "") {
         "" => Vec::new(),
         spec => parse_schedule::<usize>(spec, "--crash")?,
@@ -300,7 +295,7 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         "" => Vec::new(),
         spec => parse_schedule::<u64>(spec, "--join")?,
     };
-    let p = args.get("p", 1.0f64);
+    let p = args.get("p", 1.0f64)?;
     let faults = match args.get_str("partition", "") {
         "" => None,
         spec => {
@@ -313,8 +308,8 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
             )
         }
     };
-    let t_end = args.get("t-end", 200.0f64);
-    let seed = args.get("seed", 0u64);
+    let t_end = args.get("t-end", 200.0f64)?;
+    let seed = args.get("seed", 0u64)?;
     // Crawl-delta schedule: explicit (`--deltas T:CHURN,...`) or periodic
     // (`--churn-rate R` every `--churn-every T`). Each entry churns the
     // given link fraction; deltas are materialized sequentially against
@@ -324,12 +319,12 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         "" => Vec::new(),
         spec => parse_schedule::<f64>(spec, "--deltas")?,
     };
-    let churn_rate = args.get("churn-rate", 0.0f64);
+    let churn_rate = args.get("churn-rate", 0.0f64)?;
+    let every = args.get("churn-every", 50.0f64)?;
     if churn_rate > 0.0 {
         if !delta_spec.is_empty() {
             return Err("--churn-rate and --deltas are mutually exclusive".into());
         }
-        let every = args.get("churn-every", 50.0f64);
         if every <= 0.0 {
             return Err(format!("--churn-every must be positive, got {every}"));
         }
@@ -358,46 +353,38 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     let last_delta_at = deltas.last().map(|&(t, _)| t);
     let cfg = NetRunConfig {
         k,
-        n_nodes: args.get("nodes", k),
+        n_nodes: args.get("nodes", k)?,
         transmission,
         overlay,
         variant,
         strategy: parse_strategy(args.get_str("strategy", "site"))?,
-        t1: args.get("t1", 0.5f64),
-        t2: args.get("t2", 3.0f64),
+        t1: args.get("t1", 0.5f64)?,
+        t2: args.get("t2", 3.0f64)?,
         send_success_prob: p,
         seed,
         t_end,
-        sample_every: args.get("sample-every", 2.0f64),
+        sample_every: args.get("sample-every", 2.0f64)?,
         departures,
         joins,
         deltas,
         reliability,
         faults,
-        coalesce: !args.flag("no-coalesce"),
-        route_cache: !args.flag("no-route-cache"),
-        scheduler: if args.flag("heap-scheduler") {
-            dpr_sim::SchedulerKind::BinaryHeap
-        } else {
-            dpr_sim::SchedulerKind::Slab
-        },
-        ext_cache: !args.flag("no-ext-cache"),
-        replication: args.get("replicas", 0usize),
-        checkpoint_every: args.get("checkpoint-every", NetRunConfig::default().checkpoint_every),
-        suspect_after: args.get("suspect-after", NetRunConfig::default().suspect_after),
-        engine_workers: args.get("engine-workers", dpr_linalg::pool::Pool::host_threads()),
-        explicit_matrix: args.flag("explicit-matrix"),
+        replication: args.get("replicas", 0usize)?,
+        checkpoint_every: args.get("checkpoint-every", NetRunConfig::default().checkpoint_every)?,
+        suspect_after: args.get("suspect-after", NetRunConfig::default().suspect_after)?,
+        engine_workers: args.get("engine-workers", 1usize)?,
         // Malformed spellings surface as the structured config error, the
         // same one the run itself would raise (never a panic).
         inner_solver: args
             .get_str("inner-solver", "jacobi")
             .parse::<dpr_core::InnerSolver>()
             .map_err(|e| e.to_string())?,
-        adaptive_epsilon: args.flag("adaptive-epsilon").then(dpr_core::AdaptiveEpsilon::default),
         ..NetRunConfig::default()
     };
     let engine_workers = cfg.engine_workers;
-    let store_topk = args.get("store-topk", 0usize);
+    let n_nodes = cfg.n_nodes;
+    let store_topk = args.get("store-topk", 0usize)?;
+    args.reject_unread()?;
     let store = (store_topk > 0).then(|| {
         let site_of: Vec<u32> = (0..g.n_pages() as u32).map(|p| g.site(p)).collect();
         dpr_core::RankStore::new(store_topk).with_sites(site_of, g.n_sites())
@@ -405,8 +392,7 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     let res = dpr_core::netrun::try_run_over_network_with_store(g, cfg, store.as_ref())
         .map_err(|e| e.to_string())?;
     println!(
-        "whole-system run: {k} groups on {} {overlay:?} nodes, {transmission:?} transmission",
-        args.get("nodes", k)
+        "whole-system run: {k} groups on {n_nodes} {overlay:?} nodes, {transmission:?} transmission"
     );
     println!(
         "network: {} data msgs, {} lookups, {:.1} MB on the wire, {:.2} mean route hops",
@@ -527,19 +513,23 @@ pub fn simulate(args: &Args) -> CmdResult {
         "dpr2" => DprVariant::Dpr2,
         other => return Err(format!("unknown variant `{other}` (dpr1|dpr2)")),
     };
-    let p = args.get("p", 1.0f64);
+    let p = args.get("p", 1.0f64)?;
     if !(0.0..=1.0).contains(&p) {
         return Err(format!("--p must be a probability in [0, 1], got {p}"));
     }
-    if args.flag("net") {
+    if args.flag("net")? {
         return simulate_net(args, &g, variant);
     }
-    if args.flag("threaded") {
+    let k = args.get("k", 100usize)?;
+    let strategy = parse_strategy(args.get_str("strategy", "site"))?;
+    let save_ranks = args.get_opt("save-ranks");
+    if args.flag("threaded")? {
+        args.reject_unread()?;
         let res = dpr_core::run_threaded(
             &g,
             &dpr_core::ThreadedRunConfig {
-                k: args.get("k", 100usize),
-                strategy: parse_strategy(args.get_str("strategy", "site"))?,
+                k,
+                strategy,
                 variant,
                 ..dpr_core::ThreadedRunConfig::default()
             },
@@ -550,7 +540,7 @@ pub fn simulate(args: &Args) -> CmdResult {
             res.messages,
             res.final_rel_err * 100.0
         );
-        if let Some(path) = args.options.get("save-ranks") {
+        if let Some(path) = save_ranks {
             dpr_core::ranks_io::save(&res.final_ranks, path)
                 .map_err(|e| format!("cannot write ranks to {path}: {e}"))?;
             println!("saved converged ranks to {path}");
@@ -565,30 +555,28 @@ pub fn simulate(args: &Args) -> CmdResult {
             Some(ranks)
         }
     };
+    let t_end = args.get("t-end", 100.0f64)?;
     let cfg = DistributedRunConfig {
-        k: args.get("k", 100usize),
+        k,
         variant,
-        strategy: parse_strategy(args.get_str("strategy", "site"))?,
-        t1: args.get("t1", 0.0f64),
-        t2: args.get("t2", 6.0f64),
+        strategy,
+        t1: args.get("t1", 0.0f64)?,
+        t2: args.get("t2", 6.0f64)?,
         send_success_prob: p,
-        seed: args.get("seed", 0u64),
-        t_end: args.get("t-end", 100.0f64),
-        sample_every: args.get("sample-every", 1.0f64),
+        seed: args.get("seed", 0u64)?,
+        t_end,
+        sample_every: args.get("sample-every", 1.0f64)?,
         warm_start,
         ..DistributedRunConfig::default()
     };
+    args.reject_unread()?;
     let res = run_distributed(&g, cfg);
-    if let Some(path) = args.options.get("save-ranks") {
+    if let Some(path) = save_ranks {
         dpr_core::ranks_io::save(&res.final_ranks, path)
             .map_err(|e| format!("cannot write ranks to {path}: {e}"))?;
         println!("saved converged ranks to {path}");
     }
-    println!(
-        "K = {} rankers ({} active), variant {variant:?}",
-        args.get("k", 100usize),
-        res.active_groups
-    );
+    println!("K = {k} rankers ({} active), variant {variant:?}", res.active_groups);
     println!(
         "messages: {} sent, {} dropped, {} delivered",
         res.sim_stats.sends_attempted, res.sim_stats.sends_dropped, res.sim_stats.deliveries
@@ -598,10 +586,7 @@ pub fn simulate(args: &Args) -> CmdResult {
             "reached 0.01% relative error at t = {t:.1} ({:.1} mean outer iterations)",
             res.mean_outer_iters_at_threshold.unwrap_or(f64::NAN)
         ),
-        None => println!(
-            "did not reach 0.01% relative error within t = {}",
-            args.get("t-end", 100.0f64)
-        ),
+        None => println!("did not reach 0.01% relative error within t = {t_end}"),
     }
     println!(
         "final relative error {:.6}%, average rank {:.4}",
@@ -613,11 +598,14 @@ pub fn simulate(args: &Args) -> CmdResult {
 
 /// `dpr top`
 pub fn top(args: &Args) -> CmdResult {
-    let g = load_graph(args.positional(0, "graph")?)?;
     let ranks_path = args.get_str("ranks", "");
     if ranks_path.is_empty() {
         return Err("top needs --ranks FILE (from `simulate --save-ranks`)".into());
     }
+    let k = args.get("k", 10usize)?;
+    let site_filter: Option<u32> = args.get_parsed("site")?;
+    args.reject_unread()?;
+    let g = load_graph(args.positional(0, "graph")?)?;
     let ranks = dpr_core::ranks_io::load(ranks_path)?;
     if ranks.len() != g.n_pages() {
         return Err(format!(
@@ -626,8 +614,6 @@ pub fn top(args: &Args) -> CmdResult {
             g.n_pages()
         ));
     }
-    let k = args.get("k", 10usize);
-    let site_filter: Option<u32> = args.options.get("site").and_then(|v| v.parse().ok());
     let candidates: Option<Vec<u32>> =
         site_filter.map(|s| (0..g.n_pages() as u32).filter(|&p| g.site(p) == s).collect());
     let order = match &candidates {
@@ -654,6 +640,8 @@ pub fn top(args: &Args) -> CmdResult {
 
 /// `dpr analyze`
 pub fn analyze(args: &Args) -> CmdResult {
+    let sinks_only = args.flag("sinks-only")?;
+    args.reject_unread()?;
     let g = load_graph(args.positional(0, "graph")?)?;
     let sccs = dpr_graph::analysis::tarjan_scc(&g);
     let sinks = dpr_graph::analysis::rank_sinks(&g, false);
@@ -669,7 +657,7 @@ pub fn analyze(args: &Args) -> CmdResult {
             g.url_of(biggest.pages[0])
         );
     }
-    if !args.flag("sinks-only") {
+    if !sinks_only {
         // Reachability from each site's first page (crawler seeds).
         let seeds: Vec<u32> = {
             let mut first = vec![None; g.n_sites()];
@@ -701,11 +689,12 @@ pub fn analyze(args: &Args) -> CmdResult {
 /// `dpr plan`
 pub fn plan(args: &Args) -> CmdResult {
     let model = CapacityModel {
-        total_pages: args.get("pages", 3.0e9),
-        link_record_bytes: args.get("record-bytes", 100.0),
-        usable_bisection_bytes_per_sec: args.get("bisection-mb", 100.0) * 1e6,
+        total_pages: args.get("pages", 3.0e9)?,
+        link_record_bytes: args.get("record-bytes", 100.0)?,
+        usable_bisection_bytes_per_sec: args.get("bisection-mb", 100.0)? * 1e6,
     };
-    let n = args.get("rankers", 1_000u64);
+    let n = args.get("rankers", 1_000u64)?;
+    args.reject_unread()?;
     let row = model.row(n);
     println!(
         "ranking {:.2e} pages over {n} rankers (h ≈ {:.2} Pastry hops):",

@@ -28,13 +28,16 @@ fn main() {
         "top" => commands::top(&args),
         "analyze" => commands::analyze(&args),
         "plan" => commands::plan(&args),
-        "" | "help" | "--help" => {
+        "" | "help" => {
+            let _ = args.get_opt("help"); // `dpr --help` parses as an option
             print!("{}", commands::HELP);
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n\n{}", commands::HELP)),
     };
-    if let Err(e) = result {
+    // Every command rejects options it did not look up before it starts
+    // work; this catches a command that forgot to.
+    if let Err(e) = result.and_then(|()| args.reject_unread()) {
         eprintln!("dpr: {e}");
         std::process::exit(1);
     }

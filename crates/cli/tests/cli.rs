@@ -256,3 +256,79 @@ fn net_simulate_rejects_bad_specs() {
     .contains("not supported on the CAN overlay"));
     std::fs::remove_file(&graph).ok();
 }
+
+#[test]
+fn retired_and_unknown_options_fail_by_name_before_anything_runs() {
+    let graph = tmp("stale.graph");
+    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+        .unwrap();
+    // The A/B switches retired with their code paths: a script still
+    // passing one must fail, not report a comparison it never ran.
+    for stale in [
+        "--no-coalesce",
+        "--no-route-cache",
+        "--heap-scheduler",
+        "--no-ext-cache",
+        "--explicit-matrix",
+        "--adaptive-epsilon",
+    ] {
+        let err = commands::simulate(&args(&["simulate", &graph, "--net", "--k", "4", stale]))
+            .unwrap_err();
+        assert!(err.contains(stale), "{stale}: {err}");
+    }
+    let err = commands::simulate(&args(&[
+        "simulate",
+        &graph,
+        "--net",
+        "--k",
+        "4",
+        "--inner-solver",
+        "sor:1.1",
+    ]))
+    .unwrap_err();
+    assert!(err.contains("sor:1.1"), "{err}");
+    // A whole-system option without --net would be silently ignored.
+    let err = commands::simulate(&args(&["simulate", &graph, "--nodes", "8"])).unwrap_err();
+    assert!(err.contains("--nodes"), "{err}");
+    // Every command checks, including the ones with no options at all.
+    type Command = fn(&dpr_cli::args::Args) -> Result<(), String>;
+    let all: [(&str, Command); 9] = [
+        ("generate", commands::generate),
+        ("crawl", commands::crawl),
+        ("stats", commands::stats),
+        ("partition", commands::partition),
+        ("rank", commands::rank),
+        ("simulate", commands::simulate),
+        ("top", commands::top),
+        ("analyze", commands::analyze),
+        ("plan", commands::plan),
+    ];
+    let out = tmp("stale.out");
+    for (name, command) in all {
+        let err = command(&args(&[name, &graph, "--out", &out, "--ranks", &out, "--bogus", "1"]))
+            .unwrap_err();
+        assert!(err.contains("--bogus") && err.contains(name), "{name}: {err}");
+    }
+    assert!(!std::path::Path::new(&out).exists(), "a rejected command must not have run");
+    std::fs::remove_file(&graph).ok();
+}
+
+#[test]
+fn unparsable_values_fail_by_name_instead_of_running_the_default() {
+    let graph = tmp("unparsable.graph");
+    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+        .unwrap();
+    let err = commands::simulate(&args(&["simulate", &graph, "--k", "abc"])).unwrap_err();
+    assert!(err.contains("--k") && err.contains("abc"), "{err}");
+    let err = commands::simulate(&args(&["simulate", &graph, "--net", "--engine-workers", "two"]))
+        .unwrap_err();
+    assert!(err.contains("--engine-workers"), "{err}");
+    let err = commands::partition(&args(&["partition", &graph, "--k", "-3"])).unwrap_err();
+    assert!(err.contains("--k"), "{err}");
+    let err = commands::top(&args(&["top", &graph, "--ranks", &graph, "--site", "x"])).unwrap_err();
+    assert!(err.contains("--site"), "{err}");
+    // A flag that swallowed the next argument says so.
+    let err = commands::simulate(&args(&["simulate", &graph, "--threaded", "yes"])).unwrap_err();
+    assert!(err.contains("--threaded") && err.contains("yes"), "{err}");
+    std::fs::remove_file(&graph).ok();
+}

@@ -123,12 +123,8 @@ pub fn open_pagerank_gauss_seidel(g: &WebGraph, cfg: &RankConfig) -> PageRankOut
     let pages: Vec<u32> = (0..g.n_pages() as u32).collect();
     let f = cfg.beta_e_for(&pages);
     let mut r = vec![0.0; g.n_pages()];
-    let report = dpr_linalg::GaussSeidelSolver {
-        tolerance: cfg.epsilon,
-        max_iters: cfg.max_iters,
-        ..dpr_linalg::GaussSeidelSolver::default()
-    }
-    .solve(&a, &f, &mut r);
+    let report = dpr_linalg::GaussSeidelSolver { tolerance: cfg.epsilon, max_iters: cfg.max_iters }
+        .solve(&a, &f, &mut r);
     PageRankOutcome {
         ranks: r,
         iterations: report.iterations,

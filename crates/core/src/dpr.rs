@@ -21,21 +21,16 @@
 //! [`RankerNode::enable_theorem_tracking`] checks both properties at every
 //! step of a live run.
 
+use std::sync::Arc;
+
 use dpr_graph::PageId;
 use dpr_partition::GroupId;
 use dpr_sim::{Actor, Ctx};
 use rand::Rng;
 
-use crate::group::{AfferentState, GroupContext};
-
-/// Which distributed algorithm a node runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DprVariant {
-    /// Algorithm 3: inner-converge before every publish.
-    Dpr1,
-    /// Algorithm 4: one iteration per publish.
-    Dpr2,
-}
+use crate::group::GroupContext;
+pub use crate::ranker::DprVariant;
+use crate::ranker::{InnerSolver, Ranker};
 
 /// The `Y` payload one group sends another: aggregated
 /// `(destination page, score)` pairs. The sender is identified by the
@@ -78,25 +73,18 @@ struct TheoremTracker {
 /// (~1e-8) — so the slack must absorb that residual as well as float jitter.
 const THEOREM_TOL: f64 = 1e-6;
 
-/// One page ranker: a [`GroupContext`] plus the mutable DPR loop state.
+/// One page ranker as a simulator actor: a [`Ranker`] plus when it wakes
+/// and what it publishes of each think.
 pub struct RankerNode {
-    ctx: GroupContext,
+    ranker: Ranker,
     variant: DprVariant,
-    /// Current rank vector `R` (local indexing).
-    r: Vec<f64>,
-    /// Afferent-rank bookkeeping (`X` and the per-source latest `Y`s).
-    afferent: AfferentState,
     /// Mean think time of this group (drawn from `[T1, T2]` by the run
     /// harness).
     mean_wait: f64,
     /// Inner tolerance for DPR1's `GroupPageRank`.
     inner_epsilon: f64,
-    /// Inner iteration cap.
-    max_inner_iters: usize,
     /// Outer loop steps completed (the Fig 8 "number of iterations").
     pub outer_iterations: u64,
-    /// Total inner `R ← AR + f` applications (cost accounting).
-    pub inner_iterations: u64,
     /// Suppress re-sending `Y` entries that changed by at most this amount
     /// since they were last published (0.0 = always send everything). The
     /// §4.5/§7 communication-reduction knob; keep it well below the target
@@ -127,17 +115,12 @@ impl RankerNode {
     /// Theorems 4.1/4.2 hold).
     #[must_use]
     pub fn new(ctx: GroupContext, variant: DprVariant, mean_wait: f64) -> Self {
-        let n = ctx.n_local();
         Self {
-            ctx,
+            ranker: Ranker::new(Arc::new(ctx)),
             variant,
-            r: vec![0.0; n],
-            afferent: AfferentState::new(n),
             mean_wait,
             inner_epsilon: 1e-10,
-            max_inner_iters: 10_000,
             outer_iterations: 0,
-            inner_iterations: 0,
             y_threshold: 0.0,
             last_sent: None,
             y_entries_sent: 0,
@@ -191,14 +174,10 @@ impl RankerNode {
     /// fixed point is still expected; the contraction makes it so from any
     /// start).
     pub fn seed_ranks(&mut self, global: &[f64]) {
-        for (li, &p) in self.ctx.pages().iter().enumerate() {
-            if let Some(&v) = global.get(p as usize) {
-                self.r[li] = v;
-            }
-        }
+        self.ranker.seed_ranks(global);
         // Monotonicity tracking baselines must restart from the seed.
         if let Some(t) = &mut self.tracker {
-            t.prev_r.copy_from_slice(&self.r);
+            t.prev_r.copy_from_slice(self.ranker.ranks());
         }
     }
 
@@ -207,10 +186,10 @@ impl RankerNode {
     /// check monotonicity only.
     pub fn enable_theorem_tracking(&mut self, bound: Option<Vec<f64>>) {
         if let Some(b) = &bound {
-            assert_eq!(b.len(), self.ctx.n_local());
+            assert_eq!(b.len(), self.group().n_local());
         }
         self.tracker = Some(TheoremTracker {
-            prev_r: self.r.clone(),
+            prev_r: self.ranker.ranks().to_vec(),
             bound,
             monotone_ok: true,
             bounded_ok: true,
@@ -227,34 +206,25 @@ impl RankerNode {
     /// The group context.
     #[must_use]
     pub fn group(&self) -> &GroupContext {
-        &self.ctx
+        self.ranker.ctx()
     }
 
     /// Current local rank vector.
     #[must_use]
     pub fn ranks(&self) -> &[f64] {
-        &self.r
+        self.ranker.ranks()
     }
 
-    /// The loop body shared by both variants: refresh X, compute R, publish
-    /// Y. Factored out so tests can drive a node synchronously.
+    /// One wake's work: think, then publish this think's `Y` — all of it,
+    /// what moved past the threshold, or the previous wake's.
     fn loop_body(&mut self, ctx: &mut Ctx<'_, YMessage>) {
-        let x = self.afferent.refresh();
-        match self.variant {
-            DprVariant::Dpr1 => {
-                let report = self.ctx.group_pagerank(
-                    &mut self.r,
-                    x,
-                    self.inner_epsilon,
-                    self.max_inner_iters,
-                );
-                self.inner_iterations += report.iterations as u64;
-            }
-            DprVariant::Dpr2 => {
-                self.ctx.step(&mut self.r, x);
-                self.inner_iterations += 1;
-            }
-        }
+        let (parts, _) = self.ranker.think(self.variant, InnerSolver::Jacobi, self.inner_epsilon);
+        let ys: Vec<(GroupId, Vec<(PageId, f64)>)> = parts
+            .iter()
+            .map(|p| {
+                (p.dest_group, p.pattern.iter().copied().zip(p.scores.iter().copied()).collect())
+            })
+            .collect();
         self.outer_iterations += 1;
         self.check_theorems();
         // Split-phase: publish what the *previous* wake computed.
@@ -264,7 +234,6 @@ impl RankerNode {
                 ctx.send(dest as usize, YMessage { entries });
             }
         }
-        let ys = self.ctx.compute_y(&self.r);
         if self.deferred_publish {
             // Stash for the next wake (thresholding is bypassed in this
             // mode; the deferral itself already rate-limits publication).
@@ -309,19 +278,20 @@ impl RankerNode {
 
     fn check_theorems(&mut self) {
         let Some(t) = &mut self.tracker else { return };
-        for (new, old) in self.r.iter().zip(&t.prev_r) {
+        let r = self.ranker.ranks();
+        for (new, old) in r.iter().zip(&t.prev_r) {
             if *new < *old - THEOREM_TOL {
                 t.monotone_ok = false;
             }
         }
         if let Some(bound) = &t.bound {
-            for (new, b) in self.r.iter().zip(bound) {
+            for (new, b) in r.iter().zip(bound) {
                 if *new > *b + THEOREM_TOL {
                     t.bounded_ok = false;
                 }
             }
         }
-        t.prev_r.copy_from_slice(&self.r);
+        t.prev_r.copy_from_slice(r);
     }
 
     /// Samples an exponential think time with this node's mean (zero mean ⇒
@@ -361,7 +331,7 @@ impl Actor for RankerNode {
                 return;
             }
         }
-        if self.ctx.n_local() > 0 {
+        if self.group().n_local() > 0 {
             self.loop_body(ctx);
         }
         let w = self.sample_wait(ctx);
@@ -373,8 +343,7 @@ impl Actor for RankerNode {
         // an absent entry means "unchanged since the last Y", and for full
         // publications merge and replace coincide (the entry set per
         // destination is fixed by the link structure).
-        let localized = self.ctx.localize(&msg.entries);
-        self.afferent.merge(from as GroupId, &localized);
+        self.ranker.merge(from as GroupId, &msg.entries);
     }
 }
 

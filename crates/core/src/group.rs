@@ -37,8 +37,8 @@ pub enum MatrixLayout {
     /// Implicit per-column values (`α/d(u)`), `u32` gather kernel.
     #[default]
     Implicit,
-    /// Explicit per-entry `f64` values (the legacy layout, kept for
-    /// benchmarking the bandwidth win).
+    /// Explicit per-entry `f64` values: the reference the implicit layout's
+    /// solves are tested bit-identical against. No run uses it.
     Explicit,
 }
 
@@ -70,15 +70,6 @@ impl GroupMatrix {
         match self {
             GroupMatrix::Explicit(m) => m.heap_bytes(),
             GroupMatrix::Implicit(m) => m.heap_bytes(),
-        }
-    }
-
-    /// The layout tag this matrix was built with.
-    #[must_use]
-    pub fn layout(&self) -> MatrixLayout {
-        match self {
-            GroupMatrix::Explicit(_) => MatrixLayout::Explicit,
-            GroupMatrix::Implicit(_) => MatrixLayout::Implicit,
         }
     }
 }
@@ -522,23 +513,15 @@ impl GroupContext {
     }
 
     /// **Algorithm 2**: solves `R = A·R + βE + X` starting from the current
-    /// contents of `r` (warm starts make DPR1's later outer loops cheap).
+    /// contents of `r` (warm starts make DPR1's later outer loops cheap),
+    /// with the solve's SpMV/reduction kernels routed through `pool` —
+    /// bit-identical at every worker count (fixed chunk boundaries). Builds
+    /// `f = βE + X` and its buffers per call: the plain form, which the
+    /// real-thread driver uses and the tests hold [`Ranker`](crate::Ranker)
+    /// to.
     ///
     /// # Panics
     /// If `r` or `x` have the wrong length.
-    pub fn group_pagerank(
-        &self,
-        r: &mut Vec<f64>,
-        x: &[f64],
-        epsilon: f64,
-        max_iters: usize,
-    ) -> SolveReport {
-        self.group_pagerank_pooled(r, x, epsilon, max_iters, &Pool::sequential())
-    }
-
-    /// [`GroupContext::group_pagerank`] with the solve's SpMV/reduction
-    /// kernels routed through `pool`. Bit-identical to the sequential
-    /// variant at every worker count (fixed chunk boundaries).
     pub fn group_pagerank_pooled(
         &self,
         r: &mut Vec<f64>,
@@ -558,18 +541,17 @@ impl GroupContext {
     }
 
     /// `βE` restricted to this group's pages. Callers that keep a persistent
-    /// `f = βE + X` buffer (netrun's allocation-hoisted think step) rebuild
-    /// its rows from this slice.
+    /// `f = βE + X` buffer rebuild its rows from this slice.
     #[must_use]
     pub fn beta_e(&self) -> &[f64] {
         &self.beta_e
     }
 
-    /// [`GroupContext::group_pagerank`] with a *prepared* right-hand side:
-    /// the caller passes `f = βE + X` directly (maintained incrementally
-    /// across think steps) plus reusable solve and multiply-workspace
-    /// buffers, so the hot path allocates nothing. Bit-identical to the
-    /// allocating variant for equal `f`.
+    /// [`GroupContext::group_pagerank_pooled`] with a *prepared* right-hand
+    /// side: the caller passes `f = βE + X` directly (maintained
+    /// incrementally across think steps) plus reusable solve and
+    /// multiply-workspace buffers, so the hot path allocates nothing.
+    /// Bit-identical to the allocating form for equal `f`.
     pub fn group_pagerank_prepared(
         &self,
         r: &mut Vec<f64>,
@@ -585,72 +567,37 @@ impl GroupContext {
             .solve_with_scratch(&MemoNorm(self), f, r, scratch, ws)
     }
 
-    /// [`GroupContext::group_pagerank`] with Gauss–Seidel/SOR inner sweeps
-    /// instead of Jacobi: within the group the ranker owns every page, so
-    /// within-sweep ordering is locally legal and typically halves the
-    /// sweep count. `omega = 1.0` is plain Gauss–Seidel. The sweep is
-    /// sequential (no pool) and allocation-free, so it is bit-identical
-    /// across engine worker counts by construction.
-    ///
-    /// # Panics
-    /// If dimensions are inconsistent or `ω ∉ (0, 2)` (callers on the
-    /// netrun path validate ω into a structured error first).
-    pub fn group_pagerank_gs(
-        &self,
-        r: &mut [f64],
-        x: &[f64],
-        epsilon: f64,
-        max_iters: usize,
-        omega: f64,
-    ) -> SolveReport {
-        assert_eq!(r.len(), self.n_local());
-        assert_eq!(x.len(), self.n_local());
-        let f: Vec<f64> = self.beta_e.iter().zip(x).map(|(b, xi)| b + xi).collect();
-        GaussSeidelSolver { tolerance: epsilon, max_iters, omega }.solve(&MemoNorm(self), &f, r)
-    }
-
-    /// [`GroupContext::group_pagerank_gs`] with a prepared `f = βE + X`
-    /// (the allocation-free think-step form, mirroring
-    /// [`GroupContext::group_pagerank_prepared`]; Gauss–Seidel updates in
-    /// place, so no scratch buffers are needed).
+    /// [`GroupContext::group_pagerank_prepared`] with Gauss–Seidel inner
+    /// sweeps instead of Jacobi: within the group the ranker owns every
+    /// page, so within-sweep ordering is locally legal and cuts the sweep
+    /// count. The sweep is sequential (no pool) and updates in place, so it
+    /// needs no buffers and is bit-identical across engine worker counts by
+    /// construction.
     pub fn group_pagerank_gs_prepared(
         &self,
         r: &mut [f64],
         f: &[f64],
         epsilon: f64,
         max_iters: usize,
-        omega: f64,
     ) -> SolveReport {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(f.len(), self.n_local());
-        GaussSeidelSolver { tolerance: epsilon, max_iters, omega }.solve(&MemoNorm(self), f, r)
+        GaussSeidelSolver { tolerance: epsilon, max_iters }.solve(&MemoNorm(self), f, r)
     }
 
-    /// One Gauss–Seidel/SOR sweep `R ← sweep(A, βE + X)` (the DPR2 node
-    /// body under `--inner-solver gauss-seidel`). Returns the sweep's L1
+    /// One Gauss–Seidel sweep over a prepared `f = βE + X` (the DPR2 think
+    /// under `--inner-solver gauss-seidel`). Returns the sweep's L1
     /// difference.
-    pub fn step_gs(&self, r: &mut [f64], x: &[f64], omega: f64) -> f64 {
-        assert_eq!(r.len(), self.n_local());
-        assert_eq!(x.len(), self.n_local());
-        let f: Vec<f64> = self.beta_e.iter().zip(x).map(|(b, xi)| b + xi).collect();
-        GaussSeidelSolver { omega, ..GaussSeidelSolver::default() }.step(&self.a, &f, r, 1)
-    }
-
-    /// [`GroupContext::step_gs`] with a prepared `f = βE + X`.
-    pub fn step_gs_prepared(&self, r: &mut [f64], f: &[f64], omega: f64) -> f64 {
+    pub fn step_gs_prepared(&self, r: &mut [f64], f: &[f64]) -> f64 {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(f.len(), self.n_local());
-        GaussSeidelSolver { omega, ..GaussSeidelSolver::default() }.step(&self.a, f, r, 1)
+        GaussSeidelSolver::default().step(&self.a, f, r, 1)
     }
 
-    /// One iteration `R ← A·R + βE + X` (the DPR2 node body). Returns the
-    /// successive L1 difference.
-    pub fn step(&self, r: &mut Vec<f64>, x: &[f64]) -> f64 {
-        self.step_pooled(r, x, &Pool::sequential())
-    }
-
-    /// [`GroupContext::step`] on an explicit pool (same determinism
-    /// contract as [`GroupContext::group_pagerank_pooled`]).
+    /// One iteration `R ← A·R + βE + X` (the DPR2 node body) on an explicit
+    /// pool, in the plain allocating form of
+    /// [`GroupContext::group_pagerank_pooled`]. Returns the successive L1
+    /// difference.
     pub fn step_pooled(&self, r: &mut Vec<f64>, x: &[f64], pool: &Pool) -> f64 {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(x.len(), self.n_local());
@@ -658,8 +605,8 @@ impl GroupContext {
         FixedPointSolver::default().with_pool(pool.clone()).step(&self.a, &f, r, 1)
     }
 
-    /// [`GroupContext::step`] with a prepared `f = βE + X` and reusable
-    /// double/workspace buffers (the allocation-free DPR2 think step).
+    /// [`GroupContext::step_pooled`] with a prepared `f = βE + X` and
+    /// reusable double/workspace buffers (the allocation-free DPR2 think).
     pub fn step_prepared(
         &self,
         r: &mut Vec<f64>,
@@ -740,7 +687,7 @@ impl GroupContext {
 ///
 /// [`AfferentState::new_full_rebuild`] keeps the pre-cache behavior
 /// (store localized entries, rebuild every row on any change) as the test
-/// oracle and benchmark baseline.
+/// oracle.
 #[derive(Debug, Clone)]
 pub struct AfferentState {
     x: Vec<f64>,
@@ -1059,8 +1006,7 @@ impl AfferentState {
 
     /// The pre-cache baseline: every refresh rebuilds the whole `X` vector
     /// from the stored localized entries. Kept as the oracle the slotted
-    /// mode is tested against and so benchmarks can compare the two
-    /// honestly; results are bit-identical either way.
+    /// mode is tested against; results are bit-identical either way.
     #[must_use]
     pub fn new_full_rebuild(n_local: usize) -> Self {
         Self { store: Store::Full(FullRebuild::default()), ..Self::new(n_local) }
@@ -1162,7 +1108,7 @@ impl AfferentState {
 
     /// [`AfferentState::refresh`], appending the indices of every row whose
     /// `x` entry was recomputed to `touched` (all rows in full-rebuild
-    /// mode). Callers maintaining derived per-row state — netrun's
+    /// mode). Callers maintaining derived per-row state — the ranker's
     /// persistent `f = βE + X` buffer — use the worklist to update exactly
     /// the rows that may have changed.
     pub fn refresh_tracked(&mut self, touched: Option<&mut Vec<u32>>) {
@@ -1418,7 +1364,8 @@ mod tests {
         let x = vec![0.01; implicit[0].n_local()];
         let solve = |ctxs: &[GroupContext]| {
             let mut r = vec![0.0; ctxs[0].n_local()];
-            let report = ctxs[0].group_pagerank(&mut r, &x, 1e-12, 1000);
+            let report =
+                ctxs[0].group_pagerank_pooled(&mut r, &x, 1e-12, 1000, &Pool::sequential());
             assert!(report.converged);
             r
         };
@@ -1483,7 +1430,7 @@ mod tests {
         // straight off the matrix.
         let x = vec![0.0; ctx.n_local()];
         let mut r = vec![0.0; ctx.n_local()];
-        let report = ctx.group_pagerank(&mut r, &x, 1e-12, 1000);
+        let report = ctx.group_pagerank_pooled(&mut r, &x, 1e-12, 1000, &Pool::sequential());
         let mut r2 = vec![0.0; ctx.n_local()];
         let direct =
             FixedPointSolver { tolerance: 1e-12, max_iters: 1000, pool: Pool::sequential() }.solve(
@@ -1530,7 +1477,8 @@ mod tests {
         let mut x: Vec<Vec<f64>> = r.clone();
         for _ in 0..200 {
             for (i, c) in ctxs.iter().enumerate() {
-                let report = c.group_pagerank(&mut r[i], &x[i], 1e-12, 1000);
+                let report =
+                    c.group_pagerank_pooled(&mut r[i], &x[i], 1e-12, 1000, &Pool::sequential());
                 assert!(report.converged);
             }
             // Exchange Y.
@@ -1572,7 +1520,7 @@ mod tests {
         // And GroupPageRank alone reproduces CPR.
         let mut r = vec![0.0; 5];
         let x = vec![0.0; 5];
-        ctxs[0].group_pagerank(&mut r, &x, 1e-12, 1000);
+        ctxs[0].group_pagerank_pooled(&mut r, &x, 1e-12, 1000, &Pool::sequential());
         // The reference is itself only converged to ~1e-8 (its epsilon), so
         // compare with matching slack.
         let star = crate::centralized::open_pagerank(&g, &RankConfig::default());
@@ -1599,7 +1547,6 @@ mod tests {
                     layout,
                 );
                 assert_eq!(&rebuilt, ctx);
-                assert_eq!(rebuilt.matrix().layout(), layout);
             }
         }
     }
@@ -1674,7 +1621,7 @@ mod tests {
         let ctxs = GroupContext::build_all(&g, &partition, &RankConfig::default());
         assert_eq!(ctxs[2].n_local(), 0);
         let mut r = vec![];
-        let report = ctxs[2].group_pagerank(&mut r, &[], 1e-9, 10);
+        let report = ctxs[2].group_pagerank_pooled(&mut r, &[], 1e-9, 10, &Pool::sequential());
         assert!(report.converged);
         assert!(ctxs[2].compute_y(&r).is_empty());
     }

@@ -13,9 +13,12 @@
 //! * [`group`] — Algorithm 2, `GroupPageRank`: one page group solving
 //!   `R = A·R + βE + X` with afferent rank `X` received from other groups,
 //!   and producing efferent rank `Y` for them;
-//! * [`dpr`] — Algorithms 3 & 4, **DPR1** and **DPR2**, as asynchronous
-//!   actors in the discrete-event simulator, with optional instrumentation
-//!   asserting Theorems 4.1/4.2 (monotone, bounded rank sequences);
+//! * [`ranker`] — the loop body of Algorithms 3 & 4 (refresh `X`, solve,
+//!   publish `Y`) as one sans-IO state machine, hosted by every
+//!   simulated driver;
+//! * [`dpr`] — **DPR1** and **DPR2** as asynchronous actors in the
+//!   discrete-event simulator, with optional instrumentation asserting
+//!   Theorems 4.1/4.2 (monotone, bounded rank sequences);
 //! * [`run`] — whole-system experiment orchestration producing the time
 //!   series behind Figs 6–8;
 //! * [`hits`] — Kleinberg's HITS, the other seminal link-analysis baseline
@@ -46,6 +49,7 @@ pub mod metrics;
 pub mod netrun;
 pub mod personalized;
 pub mod query;
+pub mod ranker;
 pub mod ranks_io;
 pub mod run;
 pub mod store;
@@ -53,15 +57,15 @@ pub mod threaded;
 
 pub use centralized::{open_pagerank, open_pagerank_with_pool, pagerank, PageRankOutcome};
 pub use config::RankConfig;
-pub use dpr::{DprVariant, RankerNode, YMessage};
+pub use dpr::{RankerNode, YMessage};
 pub use dpr_overlay::RouteCacheStats;
 pub use group::{AfferentState, GroupContext, GroupMatrix, MatrixLayout};
 pub use netrun::{
-    group_owners, try_run_over_network, AdaptiveEpsilon, ChurnUnsupported, GroupSnapshot,
-    InnerSolver, NetCounters, NetRunConfig, NetRunError, NetRunResult, OverlayKind, PhaseSecs,
-    Reliability, Transmission,
+    group_owners, try_run_over_network, ChurnUnsupported, NetCounters, NetRunConfig, NetRunError,
+    NetRunResult, OverlayKind, PhaseSecs, Reliability, Transmission,
 };
 pub use query::{distributed_top_k, query_cost, site_totals, Hit, QueryCost};
+pub use ranker::{DprVariant, GroupSnapshot, InnerSolver, Ranker, YPart};
 pub use run::{run_distributed, DistributedRun, DistributedRunConfig, RunResult};
 pub use store::{GroupPublish, PointLookup, RankStore, StoreStats, StoreView};
 pub use threaded::{run_threaded, ThreadedRunConfig, ThreadedRunResult};

@@ -35,13 +35,14 @@ use dpr_overlay::{
 };
 use dpr_partition::{GroupId, Partition};
 use dpr_sim::waits::WaitModel;
-use dpr_sim::{Actor, Ctx, FaultPlan, SchedStats, SchedulerKind, SimStats, Simulation, TimeSeries};
+use dpr_sim::{Actor, Ctx, FaultPlan, SchedStats, SimStats, Simulation, TimeSeries};
 use dpr_transport::snapshot::paper_snapshot_bytes;
 
 use crate::centralized::open_pagerank;
 use crate::config::RankConfig;
-use crate::dpr::DprVariant;
-use crate::group::{AfferentState, GroupContext, MatrixLayout};
+use crate::group::{GroupContext, MatrixLayout};
+use crate::ranker::Ranker;
+pub use crate::ranker::{AfferentSnapshot, DprVariant, GroupSnapshot, InnerSolver, YPart};
 
 /// Which structured overlay carries the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +132,17 @@ pub enum AnyOverlay {
 }
 
 impl AnyOverlay {
+    /// The overlay `cfg` deploys on: its kind, its node count, and node ids
+    /// drawn from its seed.
+    fn build(cfg: &NetRunConfig) -> Self {
+        let seed = cfg.seed ^ 0x0E0E;
+        match cfg.overlay {
+            OverlayKind::Pastry => AnyOverlay::Pastry(PastryNetwork::with_nodes(cfg.n_nodes, seed)),
+            OverlayKind::Chord => AnyOverlay::Chord(ChordNetwork::with_nodes(cfg.n_nodes, seed)),
+            OverlayKind::Can { d } => AnyOverlay::Can(CanNetwork::with_nodes(cfg.n_nodes, d, seed)),
+        }
+    }
+
     fn as_overlay(&self) -> &dyn Overlay {
         match self {
             AnyOverlay::Pastry(p) => p,
@@ -221,109 +233,19 @@ impl Default for Reliability {
     }
 }
 
-/// Which solver runs the per-group inner solve of a think step.
-///
-/// Within one group the ranker owns every page, so within-sweep
-/// (Gauss–Seidel) ordering is locally legal; cross-group coupling stays
-/// Jacobi either way — the "partially asynchronous iteration" regime.
-/// Every mode is deterministic and bit-identical across engine worker
-/// counts and replays *against its own reference*; the modes differ from
-/// each other only in low-order bits (all agree with the Jacobi fixed
-/// point to well under 1e-12).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum InnerSolver {
-    /// Plain Jacobi fixed-point iteration — the pre-PR baseline, proven
-    /// bit-for-bit identical to it (ranks, counters, event stream).
-    #[default]
-    Jacobi,
-    /// Forward Gauss–Seidel sweeps: consumes within-sweep updates, which
-    /// typically reaches each window's fixed point in ~2× fewer sweeps on
-    /// link graphs.
-    GaussSeidel,
-    /// Successive over-relaxation with factor `ω ∈ (0, 2)`; `ω = 1.0`
-    /// degenerates to Gauss–Seidel. Validated into a structured
-    /// [`NetRunError::Config`] before the run starts.
-    Sor {
-        /// The relaxation factor.
-        omega: f64,
-    },
-}
-
-impl InnerSolver {
-    /// The relaxation factor the Gauss–Seidel kernel should use (1.0 for
-    /// every non-SOR mode).
-    #[must_use]
-    pub fn omega(self) -> f64 {
-        match self {
-            InnerSolver::Jacobi | InnerSolver::GaussSeidel => 1.0,
-            InnerSolver::Sor { omega } => omega,
-        }
-    }
-}
-
 impl std::str::FromStr for InnerSolver {
     type Err = NetRunError;
 
-    /// Parses the CLI spelling: `jacobi`, `gauss-seidel` (alias `gs`), or
-    /// `sor:ω`. Malformed strings become structured config errors, never
-    /// panics.
+    /// Parses the CLI spelling: `jacobi` or `gauss-seidel` (alias `gs`).
+    /// Anything else is a structured config error, never a panic.
     fn from_str(s: &str) -> Result<Self, NetRunError> {
         match s {
             "jacobi" => Ok(InnerSolver::Jacobi),
             "gauss-seidel" | "gs" => Ok(InnerSolver::GaussSeidel),
-            _ => {
-                if let Some(omega) = s.strip_prefix("sor:") {
-                    let omega: f64 = omega.parse().map_err(|_| NetRunError::Config {
-                        what: "inner_solver",
-                        detail: format!("sor wants a numeric relaxation factor, got {s:?}"),
-                    })?;
-                    Ok(InnerSolver::Sor { omega })
-                } else {
-                    Err(NetRunError::Config {
-                        what: "inner_solver",
-                        detail: format!("unknown solver {s:?} (try jacobi, gauss-seidel, sor:1.1)"),
-                    })
-                }
-            }
-        }
-    }
-}
-
-/// Adaptive (inexact inner–outer) tolerance schedule: early think windows
-/// solve only to a coarse tolerance `ε_k` that tightens geometrically
-/// toward [`NetRunConfig::inner_epsilon`] as the group's own convergence
-/// progresses. `ε_k = clamp(margin × held_residual, inner_epsilon,
-/// initial)` where `held_residual` is the final successive difference of
-/// the group's last solve — a pure deterministic function of per-group
-/// state (no RNG, no wall clock), so worker-count and replay bit-identity
-/// hold within the mode. Final convergence (the stall short-circuit) is
-/// still only declared at a residual of exactly `0.0`, which implies full
-/// `inner_epsilon` precision was reached.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveEpsilon {
-    /// Coarsest tolerance `ε_0`, used while a group has no held residual
-    /// yet (first window, post-crash cold restarts).
-    pub initial: f64,
-    /// Ratio of the window tolerance to the held outer residual, in
-    /// `(0, 1)`: the inner solve always lands this factor below the
-    /// residual level the group is currently at.
-    pub margin: f64,
-}
-
-impl Default for AdaptiveEpsilon {
-    fn default() -> Self {
-        Self { initial: 1e-4, margin: 1e-2 }
-    }
-}
-
-impl AdaptiveEpsilon {
-    /// The tolerance for the next solve of a group whose last solve ended
-    /// with successive difference `held` (`∞` when it never solved).
-    fn window_epsilon(self, held: f64, full: f64) -> f64 {
-        if held.is_finite() {
-            (self.margin * held).clamp(full, self.initial.max(full))
-        } else {
-            self.initial.max(full)
+            _ => Err(NetRunError::Config {
+                what: "inner_solver",
+                detail: format!("unknown solver {s:?} (try jacobi or gauss-seidel)"),
+            }),
         }
     }
 }
@@ -405,30 +327,6 @@ pub struct NetRunConfig {
     /// precedence over `send_success_prob` (the plan's own loss, latency,
     /// jitter, partitions, stragglers and crash windows govern delivery).
     pub faults: Option<FaultPlan>,
-    /// Per-destination update coalescing (§4.4): within one think window a
-    /// node merges `Y` parts sharing `(src_group, dest_group)` — keeping
-    /// the newest, exactly what sequential delivery into
-    /// [`AfferentState::set`] would have kept — and, under direct
-    /// transmission, batches all parts for one owner into a single
-    /// package. Changes message/byte counters (that is the point), never
-    /// the final ranks.
-    pub coalesce: bool,
-    /// Memoize overlay `next_hop`/`route` lookups in a generation-checked
-    /// [`RouteCache`]. Invisible to results by construction — `false`
-    /// recomputes every lookup (and still counts them, so benchmarks can
-    /// compare the two modes honestly).
-    pub route_cache: bool,
-    /// Event-scheduler implementation for the underlying engine. Both
-    /// choices dequeue in the identical `(time, seq)` total order, so runs
-    /// are bit-identical across them; the slab default recycles event slots
-    /// instead of allocating per event.
-    pub scheduler: SchedulerKind,
-    /// Dirty-row external-contribution caching (see
-    /// [`AfferentState`](crate::group::AfferentState)): think steps
-    /// recompute only the `X` rows remote updates touched and keep a
-    /// persistent `f = βE + X` solve input. `false` rebuilds everything
-    /// every step (the pre-cache baseline). Bit-identical either way.
-    pub ext_cache: bool,
     /// Replication factor `k` for crash-survivable ranking. When `> 0`,
     /// every group owner periodically ships a compact checkpoint of each
     /// hosted group's dynamic state (`r`, afferent `X`, iteration epoch) to
@@ -456,32 +354,15 @@ pub struct NetRunConfig {
     /// same-window node solves concurrently on a shared pool and commits
     /// their outputs in canonical `(time, seq)` order — bit-identical to
     /// the sequential engine at any worker count (the
-    /// [`dpr_sim`] batched-engine contract). Parallelism only materializes
-    /// with `coalesce: true`; the legacy non-coalesce wake path dispatches
-    /// relay traffic before its solves, so those stay inline.
+    /// [`dpr_sim`] batched-engine contract).
     pub engine_workers: usize,
-    /// Use the legacy explicit-value CSR layout for the group matrices
-    /// instead of the default bandwidth-lean implicit layout. Both layouts
-    /// hold identical entries and their sweeps are bit-identical, so this
-    /// is a pure performance A/B switch.
-    pub explicit_matrix: bool,
-    /// Which solver runs the per-group inner solve (Jacobi, Gauss–Seidel,
-    /// or SOR). The default [`InnerSolver::Jacobi`] is bit-for-bit the
-    /// pre-option baseline; the within-sweep modes reach each window's
-    /// fixed point in measurably fewer sweeps (see `BENCH_inner.json`) and
-    /// land on the same fixed point up to low-order bits.
+    /// Which solver runs the per-group inner solve. Gauss–Seidel reaches
+    /// each window's fixed point in measurably fewer sweeps (EXPERIMENTS.md)
+    /// and lands on the same fixed point up to low-order bits.
     pub inner_solver: InnerSolver,
-    /// Full inner-solve tolerance: the `ε` each think window's
-    /// `R = A·R + βE + X` solve targets (and the floor any adaptive
-    /// schedule tightens to). The default `1e-10` is the historical
-    /// hard-wired value, so default configs replay the pre-option runs
-    /// bit for bit.
+    /// Inner-solve tolerance: the `ε` each DPR1 think window's
+    /// `R = A·R + βE + X` solve targets.
     pub inner_epsilon: f64,
-    /// Optional adaptive tolerance schedule (see [`AdaptiveEpsilon`]).
-    /// `None` (the default) solves every window to `inner_epsilon`.
-    /// Requires `ext_cache` — the schedule is driven by the held residual
-    /// the dirty-row cache maintains.
-    pub adaptive_epsilon: Option<AdaptiveEpsilon>,
 }
 
 impl Default for NetRunConfig {
@@ -510,41 +391,14 @@ impl Default for NetRunConfig {
             deltas: Vec::new(),
             reliability: None,
             faults: None,
-            coalesce: true,
-            route_cache: true,
-            scheduler: SchedulerKind::Slab,
-            ext_cache: true,
             replication: 0,
             checkpoint_every: 4.0,
             suspect_after: 2,
             engine_workers: 1,
-            explicit_matrix: false,
             inner_solver: InnerSolver::Jacobi,
             inner_epsilon: 1e-10,
-            adaptive_epsilon: None,
         }
     }
-}
-
-/// One `Y` in flight: the publishing group, the destination group, and the
-/// aggregated rank transfers, `scores[k]` into page `pattern[k]`. Both
-/// halves are shared, not owned, so every coalesced, relayed or
-/// retransmitted copy bumps two pointers. On the wire a part is still
-/// priced as `scores.len()` §4.5 updates: the split is how the simulator
-/// holds a message, not a protocol change.
-#[derive(Debug, Clone)]
-pub struct YPart {
-    /// Publishing group.
-    pub src_group: GroupId,
-    /// Destination group.
-    pub dest_group: GroupId,
-    /// Destination pages (global ids, ascending): the sender's memoized
-    /// efferent pattern, the same allocation in every publication until a
-    /// delta rebuilds the sender, so a receiver recognizes it by pointer.
-    pub pattern: Arc<[PageId]>,
-    /// This publication's scores. A converged group re-publishes the same
-    /// `Arc` every wake.
-    pub scores: Arc<Vec<f64>>,
 }
 
 /// A package of parts sharing one overlay hop.
@@ -557,42 +411,6 @@ pub struct YPart {
 /// end without copying them once.)
 #[derive(Debug, Clone)]
 pub struct Package(pub Arc<Vec<YPart>>);
-
-/// Per-source afferent contributions in localized form: `(source group,
-/// (local page index, contribution))` pairs in ascending source order —
-/// the shape [`AfferentState::snapshot_received`] produces.
-pub type AfferentSnapshot = Vec<(GroupId, Vec<(u32, f64)>)>;
-
-/// One group's dynamic solver state as carried by a checkpoint message —
-/// the in-simulator twin of the wire frame in
-/// [`dpr_transport::snapshot`]. Only dynamic state travels (`r`, afferent
-/// contributions in localized per-source form, iteration epoch): the
-/// group's pages and link structure are deterministic functions of the
-/// graph and partition, so the taking-over replica rebuilds its
-/// [`GroupContext`] locally from the shared context directory. Payloads
-/// are `Arc`-shared across the `k` replica copies — shipping to more
-/// replicas bumps pointers, not allocations, exactly like [`YPart`]s.
-#[derive(Debug, Clone)]
-pub struct GroupSnapshot {
-    /// The checkpointed group.
-    pub group: GroupId,
-    /// The owner's outer-iteration count when the snapshot was taken;
-    /// replicas keep the highest-epoch snapshot they have seen.
-    pub epoch: u64,
-    /// The group's local rank vector (exact bits).
-    pub r: Arc<Vec<f64>>,
-    /// Per-source afferent contributions — what
-    /// [`AfferentState::snapshot_received`] produced on the owner.
-    pub afferent: Arc<AfferentSnapshot>,
-}
-
-impl GroupSnapshot {
-    /// Scored entries the snapshot carries (`r` plus afferent) — the
-    /// record count the §4.5-style pricing charges.
-    fn n_entries(&self) -> u64 {
-        self.r.len() as u64 + self.afferent.iter().map(|(_, v)| v.len() as u64).sum::<u64>()
-    }
-}
 
 /// The simulator message: a data package (sequence-numbered when the
 /// reliability protocol is active), a hop-by-hop acknowledgment, or a
@@ -647,9 +465,9 @@ pub struct NetCounters {
     /// reliable-mode sender holding the package for retransmission). Zero
     /// under fire-and-forget: payloads move end to end without a copy.
     pub payload_clones: u64,
-    /// Afferent `X` rows recomputed during refreshes — a full rebuild
-    /// counts every row, the dirty-row cache only the stale ones. Charged
-    /// to the group's host at collection time.
+    /// Afferent `X` rows re-summed during refreshes: the rows an arriving
+    /// part actually moved. Charged to the group's host at collection
+    /// time.
     pub rows_recomputed: u64,
     /// `Y` parts abandoned with their package when the retry budget ran
     /// out — the per-part face of [`NetCounters::retry_exhausted`]
@@ -673,7 +491,7 @@ pub struct NetCounters {
     /// form plus a per-message header; also included in `bytes`) — the
     /// §4.5-style price of keeping ranks live against an evolving web.
     pub delta_bytes: u64,
-    /// Inner-solver sweeps (Jacobi iterations or Gauss–Seidel/SOR sweeps)
+    /// Inner-solver sweeps (Jacobi iterations or Gauss–Seidel sweeps)
     /// run by this node's hosted groups across all think windows — the
     /// FLOP-side twin of [`NetCounters::rows_recomputed`]. Charged to the
     /// group's host at collection time.
@@ -683,12 +501,9 @@ pub struct NetCounters {
     /// mid-run). An exact count; over [`PhaseSecs::solve`] it is the rate
     /// the inner solves ran at, to set beside the kernel's own.
     pub rows_swept: u64,
-    /// Sweeps the think step avoided relative to re-solving every window
-    /// to the full inner tolerance: each stall-short-circuited window
-    /// saves its one verification sweep, and an adaptive-ε window that
-    /// stopped at a coarse tolerance saves the Theorem 3.3 geometric-decay
-    /// estimate of the sweeps remaining to full tolerance. Deterministic —
-    /// a pure function of per-group solver state.
+    /// Think windows the stall short-circuit skipped: each saves exactly
+    /// the one sweep a ranker without it would have run to find its ranks
+    /// unmoved. An exact count.
     pub sweeps_saved: u64,
 }
 
@@ -746,121 +561,15 @@ impl std::ops::AddAssign for PhaseSecs {
     }
 }
 
-/// Memoized per-destination `Y` publication: `(dest group, pattern,
-/// scores)`.
-type YCache = Vec<(GroupId, Arc<[PageId]>, Arc<Vec<f64>>)>;
-
-/// One group's ranking state hosted on a node. The `f_buf`/`scratch`/
-/// `touched` buffers persist across think steps so the steady-state wake
-/// path allocates nothing (the §4.5 "million-page" scaling requirement).
-struct GroupState {
-    /// Static group structure, shared with the run-wide context directory
-    /// (every node can rebuild any group's state from it on takeover).
-    ctx: Arc<GroupContext>,
-    r: Vec<f64>,
-    afferent: AfferentState,
-    /// Persistent solve input `f = βE + X`; rows are patched from the
-    /// refresh worklist instead of being rebuilt (cached mode only).
-    f_buf: Vec<f64>,
-    /// Reusable solve double buffer.
-    scratch: Vec<f64>,
-    /// Reusable sweep workspace: the implicit-value matrix keeps the
-    /// pre-scaled iterate of the current and the next sweep in it (stays
-    /// empty for the explicit layout). Nothing in it outlives a solve.
-    ws: Vec<f64>,
-    /// Worklist of `X` rows the last refresh recomputed.
-    touched: Vec<u32>,
-    /// Final successive difference of the last solve that actually ran.
-    /// Exactly `0.0` means `r` is the *exact* f64 fixed point of the
-    /// current iteration map: rerunning the solve with an unchanged `f`
-    /// would reproduce `r` bit-for-bit, so the think step may skip it
-    /// (cached mode only).
-    last_delta: f64,
-    /// Memoized `y_parts(&r)` — a deterministic function of `r`, valid
-    /// until a solve changes `r` (cached mode only). Both halves are behind
-    /// `Arc`s so publication is a pointer bump, not a payload copy.
-    y_cache: Option<YCache>,
-    outer_iterations: u64,
-    /// Inner-solver sweeps this group ran (see
-    /// [`NetCounters::inner_sweeps`]; collected per node at run end).
-    inner_sweeps: u64,
-    /// Rows those sweeps updated (see [`NetCounters::rows_swept`]).
-    rows_swept: u64,
-    /// Sweeps avoided by the stall short-circuit and adaptive-ε early
-    /// stops (see [`NetCounters::sweeps_saved`]).
-    sweeps_saved: u64,
-}
-
-impl GroupState {
-    /// Fresh (rank-zero) state for `ctx`, in cached or full-rebuild mode.
-    fn new(ctx: Arc<GroupContext>, ext_cache: bool) -> Self {
-        let n = ctx.n_local();
-        let afferent =
-            if ext_cache { AfferentState::new(n) } else { AfferentState::new_full_rebuild(n) };
-        // `X` starts at zero, so `f = βE` exactly (βE ≥ 0, and `b + 0.0`
-        // is bitwise `b` for non-negative `b`).
-        let f_buf = ctx.beta_e().to_vec();
-        Self {
-            ctx,
-            r: vec![0.0; n],
-            afferent,
-            f_buf,
-            scratch: vec![0.0; n],
-            ws: Vec::new(),
-            touched: Vec::new(),
-            last_delta: f64::INFINITY,
-            y_cache: None,
-            outer_iterations: 0,
-            inner_sweeps: 0,
-            rows_swept: 0,
-            sweeps_saved: 0,
-        }
-    }
-}
-
-/// Sweeps an adaptive-ε early stop avoided: when a window's solve was
-/// allowed to stop at a coarse tolerance (final residual still above
-/// `inner_epsilon`), the Theorem 3.3 geometric-decay model says reaching
-/// full tolerance would have cost another
-/// `⌈ln(inner_epsilon / residual) / ln(‖A‖)⌉` sweeps. A pure f64 function
-/// of per-group state — deterministic across worker counts and replays.
-/// Returns 0 when no adaptive schedule is active or the solve already
-/// reached full tolerance.
-fn adaptive_sweeps_saved(cfg: &NetRunConfig, ctx: &GroupContext, final_delta: f64) -> u64 {
-    if cfg.adaptive_epsilon.is_none() || !final_delta.is_finite() {
-        return 0;
-    }
-    if final_delta <= cfg.inner_epsilon {
-        return 0;
-    }
-    let norm = ctx.contraction_norm();
-    if !(norm > 0.0 && norm < 1.0) {
-        return 0;
-    }
-    let remaining = ((cfg.inner_epsilon / final_delta).ln() / norm.ln()).ceil();
-    // Cap at the solver's own iteration budget — the estimate can blow up
-    // when the norm is close to 1.
-    remaining.clamp(0.0, 10_000.0) as u64
-}
-
 /// An overlay node hosting zero or more page groups and relaying traffic.
 pub struct NetNode {
     me: NodeIndex,
-    groups: Vec<GroupState>,
-    overlay: Arc<RwLock<AnyOverlay>>,
-    /// `group → owner node` (responsible node of the group's key).
-    owner_of: Arc<RwLock<Vec<NodeIndex>>>,
-    /// `group → DHT key`.
-    key_of: Arc<Vec<u128>>,
-    /// Shared memo of routing decisions (keys include the source node, so
-    /// one shared cache is equivalent to per-node caches). Bypassed — but
-    /// still counting lookups — when `cfg.route_cache` is off.
-    cache: Arc<RwLock<RouteCache>>,
+    groups: Vec<Ranker>,
+    shared: Shared,
     relay: Vec<YPart>,
     /// `Y` parts produced by the last `think` (the engine's parallel
     /// compute stage), awaiting dispatch by the matching `on_wake` commit.
     pending_y: Vec<YPart>,
-    cfg: Arc<NetRunConfig>,
     mean_wait: f64,
     /// Virtual time until which this node's uplink is busy serializing
     /// previously sent bytes (bottleneck model).
@@ -878,12 +587,6 @@ pub struct NetNode {
     pending: BTreeMap<u64, PendingSend>,
     /// `(sender, seq)` pairs already processed, for duplicate suppression.
     seen: HashSet<(usize, u64)>,
-    /// Run-wide group-context directory indexed by group id: static group
-    /// structure is never shipped, any node rebuilds it from here when it
-    /// takes over an orphaned group. Behind a lock because crawl deltas
-    /// swap dirtied groups' contexts mid-run (the driver writes, nodes
-    /// read).
-    contexts: Arc<RwLock<Vec<Arc<GroupContext>>>>,
     /// Newest checkpoint held for each group this node replicates, plus
     /// when the owner was last heard from (`BTreeMap`: takeover scan order
     /// is deterministic).
@@ -921,41 +624,109 @@ struct PendingSend {
     rto: f64,
 }
 
+/// The run-wide state every node holds a handle to.
+#[derive(Clone)]
+struct Shared {
+    overlay: Arc<RwLock<AnyOverlay>>,
+    /// `group → owner node` (responsible node of the group's key).
+    owner_of: Arc<RwLock<Vec<NodeIndex>>>,
+    /// `group → DHT key`.
+    key_of: Arc<Vec<u128>>,
+    /// Memo of routing decisions (keys include the source node, so one
+    /// shared cache is equivalent to per-node caches).
+    cache: Arc<RwLock<RouteCache>>,
+    cfg: Arc<NetRunConfig>,
+    /// Group-context directory indexed by group id: static group structure
+    /// is never shipped, any node rebuilds it from here when it takes over
+    /// an orphaned group. Behind a lock because crawl deltas swap dirtied
+    /// groups' contexts mid-run (the driver writes, nodes read).
+    contexts: Arc<RwLock<Vec<Arc<GroupContext>>>>,
+}
+
+impl Shared {
+    /// Recomputes `group → owner` after the overlay's membership changed.
+    fn reassign_owners(&self) {
+        let ov = self.overlay.read();
+        for (slot, &key) in self.owner_of.write().iter_mut().zip(self.key_of.iter()) {
+            *slot = ov.as_overlay().responsible(key);
+        }
+    }
+}
+
 impl NetNode {
-    fn payload_bytes(&self, parts: &[YPart]) -> u64 {
-        let updates: u64 = parts.iter().map(|p| p.scores.len() as u64).sum();
-        updates * self.cfg.update_bytes + self.cfg.header_bytes
+    /// Node `me` hosting `groups`, with nothing sent, received or
+    /// checkpointed yet.
+    fn new(me: NodeIndex, groups: Vec<Ranker>, mean_wait: f64, shared: &Shared) -> Self {
+        Self {
+            me,
+            groups,
+            shared: shared.clone(),
+            relay: Vec::new(),
+            pending_y: Vec::new(),
+            mean_wait,
+            uplink_busy_until: 0.0,
+            active: true,
+            counters: NetCounters::default(),
+            phase: PhaseSecs::default(),
+            next_seq: 0,
+            pending: BTreeMap::new(),
+            seen: HashSet::new(),
+            replica_store: BTreeMap::new(),
+            orphan_since: BTreeMap::new(),
+            // `-inf`: the first wake establishes a baseline at the replicas.
+            last_checkpoint: f64::NEG_INFINITY,
+        }
     }
 
-    /// Delivers a part to a locally hosted group, raw: the afferent state
-    /// recognizes the pattern and writes the scores through its slots.
+    fn payload_bytes(&self, parts: &[YPart]) -> u64 {
+        let updates: u64 = parts.iter().map(|p| p.scores.len() as u64).sum();
+        updates * self.shared.cfg.update_bytes + self.shared.cfg.header_bytes
+    }
+
+    /// Delivers a part to a locally hosted group, raw.
     fn deliver_local(&mut self, part: &YPart) {
-        if let Some(gs) = self.groups.iter_mut().find(|g| g.ctx.group_id() == part.dest_group) {
-            gs.afferent.deliver(gs.ctx.pages(), part.src_group, &part.pattern, &part.scores);
+        if let Some(ranker) = self.hosted_mut(part.dest_group) {
+            ranker.deliver(part.src_group, &part.pattern, &part.scores);
         }
         // A part for a group we do not host is stale traffic after a
         // membership change; §4.2 lets nodes drop it silently.
     }
 
+    fn hosts(&self, gid: GroupId) -> bool {
+        self.groups.iter().any(|g| g.ctx().group_id() == gid)
+    }
+
+    fn hosted_mut(&mut self, gid: GroupId) -> Option<&mut Ranker> {
+        self.groups.iter_mut().find(|g| g.ctx().group_id() == gid)
+    }
+
     /// Cached next hop toward `dest_group`'s key.
     fn next_hop_for(&self, dest_group: GroupId) -> Option<NodeIndex> {
-        let ov = self.overlay.read();
-        self.cache.write().next_hop(ov.as_overlay(), self.me, self.key_of[dest_group as usize])
+        let ov = self.shared.overlay.read();
+        self.shared.cache.write().next_hop(
+            ov.as_overlay(),
+            self.me,
+            self.shared.key_of[dest_group as usize],
+        )
     }
 
     /// Cached route length toward `dest_group`'s key — the `h` a direct
     /// transmission's lookup pays in messages and latency (§4.5).
     fn lookup_hops(&self, dest_group: GroupId) -> u64 {
-        let ov = self.overlay.read();
-        self.cache.write().route_hops(ov.as_overlay(), self.me, self.key_of[dest_group as usize])
-            as u64
+        let ov = self.shared.overlay.read();
+        self.shared.cache.write().route_hops(
+            ov.as_overlay(),
+            self.me,
+            self.shared.key_of[dest_group as usize],
+        ) as u64
     }
 
-    /// Merges parts sharing `(src_group, dest_group)`, keeping the newest
-    /// payload at the earliest occurrence's position. Sequential delivery
-    /// would feed both through [`AfferentState::set`], which replaces per
-    /// source — so dropping the superseded payload is rank-neutral and the
-    /// stale bytes simply never reach the wire.
+    /// Per-destination update coalescing (§4.4): merges parts sharing
+    /// `(src_group, dest_group)`, keeping the newest payload at the
+    /// earliest occurrence's position. Sequential delivery would hand both
+    /// to [`Ranker::deliver`], which replaces per source — so dropping the
+    /// superseded payload is rank-neutral and the stale bytes simply never
+    /// reach the wire.
     fn coalesce_parts(&mut self, parts: &mut Vec<YPart>) {
         if parts.len() < 2 {
             return;
@@ -982,7 +753,7 @@ impl NetNode {
     /// (§4.5's per-node bottleneck `B`; formula 4.7's constraint appears
     /// here as queueing delay instead of an inequality).
     fn uplink_delay(&mut self, now: f64, bytes: u64) -> f64 {
-        let Some(b) = self.cfg.bottleneck_bytes_per_time else { return 0.0 };
+        let Some(b) = self.shared.cfg.bottleneck_bytes_per_time else { return 0.0 };
         let start = self.uplink_busy_until.max(now);
         let done = start + bytes as f64 / b;
         self.uplink_busy_until = done;
@@ -1004,9 +775,9 @@ impl NetNode {
         let bytes = self.payload_bytes(&parts);
         self.counters.bytes += bytes;
         let queueing = self.uplink_delay(ctx.now(), bytes);
-        let delay = self.cfg.hop_latency + queueing + extra_delay;
+        let delay = self.shared.cfg.hop_latency + queueing + extra_delay;
         let parts = Arc::new(parts);
-        let seq = self.cfg.reliability.map(|rel| {
+        let seq = self.shared.cfg.reliability.map(|rel| {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.pending.insert(
@@ -1044,7 +815,7 @@ impl NetNode {
             let bytes = self.payload_bytes(&p.parts);
             self.counters.bytes += bytes;
             let queueing = self.uplink_delay(now, bytes);
-            let delay = self.cfg.hop_latency + queueing;
+            let delay = self.shared.cfg.hop_latency + queueing;
             // The retransmitted package shares the original's allocation:
             // byte-for-byte the same payload, no copy.
             ctx.send_after(
@@ -1074,43 +845,21 @@ impl NetNode {
     }
 
     /// Routes parts one overlay hop (indirect) or directly to the owner
-    /// (direct), grouping by next hop so each neighbor gets one package.
-    /// With coalescing on, superseded same-`(src, dest)` parts are merged
-    /// away first and direct mode additionally batches everything bound
-    /// for one owner into a single package (one data message, one header;
-    /// every part's destination still pays its §4.5 lookup). Returns, in
-    /// order, the parts whose destination group lives on this node.
+    /// (direct), one package per next hop. Superseded same-`(src, dest)`
+    /// parts are merged away first, and direct mode batches everything
+    /// bound for one owner into a single package (one data message, one
+    /// header; every part's destination still pays its §4.5 lookup).
+    /// Returns, in order, the parts whose destination group lives on this
+    /// node.
     fn route_parts(&mut self, ctx: &mut Ctx<'_, NetMsg>, mut parts: Vec<YPart>) -> Vec<YPart> {
-        if self.cfg.coalesce {
-            self.coalesce_parts(&mut parts);
-        }
+        self.coalesce_parts(&mut parts);
         let mut local = Vec::new();
-        match self.cfg.transmission {
-            Transmission::Direct if self.cfg.coalesce => {
+        match self.shared.cfg.transmission {
+            Transmission::Direct => {
                 // BTreeMap: package send order must be deterministic.
                 let mut by_owner: BTreeMap<NodeIndex, (u64, Vec<YPart>)> = BTreeMap::new();
                 for part in parts {
-                    let owner = self.owner_of.read()[part.dest_group as usize];
-                    if owner == self.me {
-                        local.push(part);
-                        continue;
-                    }
-                    let hops = self.lookup_hops(part.dest_group);
-                    self.counters.lookup_messages += hops;
-                    self.counters.bytes += hops * self.cfg.lookup_bytes;
-                    let slot = by_owner.entry(owner).or_insert((0, Vec::new()));
-                    // The batch leaves once its slowest lookup resolves.
-                    slot.0 = slot.0.max(hops);
-                    slot.1.push(part);
-                }
-                for (owner, (hops, batch)) in by_owner {
-                    let lookup_delay = hops as f64 * self.cfg.hop_latency;
-                    self.transmit(ctx, owner, lookup_delay, batch);
-                }
-            }
-            Transmission::Direct => {
-                for part in parts {
-                    let owner = self.owner_of.read()[part.dest_group as usize];
+                    let owner = self.shared.owner_of.read()[part.dest_group as usize];
                     if owner == self.me {
                         local.push(part);
                         continue;
@@ -1119,9 +868,15 @@ impl NetNode {
                     // before the data message can leave.
                     let hops = self.lookup_hops(part.dest_group);
                     self.counters.lookup_messages += hops;
-                    self.counters.bytes += hops * self.cfg.lookup_bytes;
-                    let lookup_delay = hops as f64 * self.cfg.hop_latency;
-                    self.transmit(ctx, owner, lookup_delay, vec![part]);
+                    self.counters.bytes += hops * self.shared.cfg.lookup_bytes;
+                    let slot = by_owner.entry(owner).or_insert((0, Vec::new()));
+                    // The batch leaves once its slowest lookup resolves.
+                    slot.0 = slot.0.max(hops);
+                    slot.1.push(part);
+                }
+                for (owner, (hops, batch)) in by_owner {
+                    let lookup_delay = hops as f64 * self.shared.cfg.hop_latency;
+                    self.transmit(ctx, owner, lookup_delay, batch);
                 }
             }
             Transmission::Indirect => {
@@ -1141,170 +896,21 @@ impl NetNode {
         local
     }
 
-    /// The DPR loop body for every hosted group: refresh afferent state,
-    /// solve, and buffer the resulting `Y` parts in `pending_y` for the
-    /// next dispatch. This is the wake's pure-compute slice — it touches
-    /// only this node's own state, draws no RNG, and sends nothing, which
-    /// is what lets the batched engine run it concurrently with other
-    /// nodes' solves ([`Actor::think`]) without observable divergence.
+    /// One think of every hosted group, their `Y` parts buffered in
+    /// `pending_y` for the next dispatch. This is the wake's pure-compute
+    /// slice — it touches only this node's own state, draws no RNG, and
+    /// sends nothing, which is what lets the batched engine run it
+    /// concurrently with other nodes' thinks ([`Actor::think`]) without
+    /// observable divergence.
     fn run_group_thinks(&mut self) {
-        for gi in 0..self.groups.len() {
-            let gs = &mut self.groups[gi];
-            if gs.ctx.n_local() == 0 {
-                continue;
-            }
-            let refresh_start = Instant::now();
-            if self.cfg.ext_cache {
-                // Dirty-row path: refresh only the stale X rows, patch the
-                // persistent f = βE + X on exactly those rows, and solve
-                // with the reusable double buffer — no allocation, same
-                // bits as the full rebuild below.
-                gs.touched.clear();
-                gs.afferent.refresh_tracked(Some(&mut gs.touched));
-                let (beta_e, x) = (gs.ctx.beta_e(), gs.afferent.x());
-                for &li in &gs.touched {
-                    gs.f_buf[li as usize] = beta_e[li as usize] + x[li as usize];
-                }
-            } else {
-                gs.afferent.refresh();
-            }
-            let solve_start = Instant::now();
-            self.phase.refresh += (solve_start - refresh_start).as_secs_f64();
-            let sweeps_before = gs.inner_sweeps;
-            if self.cfg.ext_cache {
-                // Stall short-circuit: no row of f changed and the last
-                // solve ended with a successive difference of exactly 0.0,
-                // so `r` is the exact f64 fixed point of `r ← A·r + f` —
-                // rerunning the solve would reproduce `r` bit-for-bit
-                // (ranks are non-negative, so even ±0.0 cannot differ; the
-                // Gauss–Seidel sweep updates in place with the same
-                // property). The group still publishes below; only the
-                // arithmetic is skipped.
-                if !(gs.touched.is_empty() && gs.last_delta == 0.0) {
-                    // Adaptive inexact inner–outer scheduling: the window
-                    // tolerance is a pure function of the group's held
-                    // residual — deterministic across workers and replays.
-                    let epsilon = match self.cfg.adaptive_epsilon {
-                        Some(s) => s.window_epsilon(gs.last_delta, self.cfg.inner_epsilon),
-                        None => self.cfg.inner_epsilon,
-                    };
-                    let (delta, r_unchanged) = match (self.cfg.variant, self.cfg.inner_solver) {
-                        (DprVariant::Dpr1, InnerSolver::Jacobi) => {
-                            let report = gs.ctx.group_pagerank_prepared(
-                                &mut gs.r,
-                                &gs.f_buf,
-                                epsilon,
-                                10_000,
-                                &mut gs.scratch,
-                                &mut gs.ws,
-                            );
-                            gs.inner_sweeps += report.iterations as u64;
-                            gs.sweeps_saved +=
-                                adaptive_sweeps_saved(&self.cfg, &gs.ctx, report.final_delta);
-                            // A multi-iteration solve moved `r` even if its
-                            // final step didn't.
-                            (
-                                report.final_delta,
-                                report.iterations <= 1 && report.final_delta == 0.0,
-                            )
-                        }
-                        (DprVariant::Dpr1, mode) => {
-                            let report = gs.ctx.group_pagerank_gs_prepared(
-                                &mut gs.r,
-                                &gs.f_buf,
-                                epsilon,
-                                10_000,
-                                mode.omega(),
-                            );
-                            gs.inner_sweeps += report.iterations as u64;
-                            gs.sweeps_saved +=
-                                adaptive_sweeps_saved(&self.cfg, &gs.ctx, report.final_delta);
-                            (
-                                report.final_delta,
-                                report.iterations <= 1 && report.final_delta == 0.0,
-                            )
-                        }
-                        (DprVariant::Dpr2, InnerSolver::Jacobi) => {
-                            let delta = gs.ctx.step_prepared(
-                                &mut gs.r,
-                                &gs.f_buf,
-                                &mut gs.scratch,
-                                &mut gs.ws,
-                            );
-                            gs.inner_sweeps += 1;
-                            (delta, delta == 0.0)
-                        }
-                        (DprVariant::Dpr2, mode) => {
-                            let delta = gs.ctx.step_gs_prepared(&mut gs.r, &gs.f_buf, mode.omega());
-                            gs.inner_sweeps += 1;
-                            (delta, delta == 0.0)
-                        }
-                    };
-                    gs.last_delta = delta;
-                    if !r_unchanged {
-                        gs.y_cache = None;
-                    }
-                } else {
-                    // The one verification sweep a non-caching solver would
-                    // have paid to rediscover that `r` is already the fixed
-                    // point.
-                    gs.sweeps_saved += 1;
-                }
-            } else {
-                let x = gs.afferent.x();
-                let sweeps = match (self.cfg.variant, self.cfg.inner_solver) {
-                    (DprVariant::Dpr1, InnerSolver::Jacobi) => {
-                        gs.ctx
-                            .group_pagerank(&mut gs.r, x, self.cfg.inner_epsilon, 10_000)
-                            .iterations as u64
-                    }
-                    (DprVariant::Dpr1, mode) => {
-                        gs.ctx
-                            .group_pagerank_gs(
-                                &mut gs.r,
-                                x,
-                                self.cfg.inner_epsilon,
-                                10_000,
-                                mode.omega(),
-                            )
-                            .iterations as u64
-                    }
-                    (DprVariant::Dpr2, InnerSolver::Jacobi) => {
-                        gs.ctx.step(&mut gs.r, x);
-                        1
-                    }
-                    (DprVariant::Dpr2, mode) => {
-                        gs.ctx.step_gs(&mut gs.r, x, mode.omega());
-                        1
-                    }
-                };
-                gs.inner_sweeps += sweeps;
-            }
-            gs.rows_swept += (gs.inner_sweeps - sweeps_before) * gs.ctx.n_local() as u64;
-            gs.outer_iterations += 1;
-            let y_start = Instant::now();
-            self.phase.solve += (y_start - solve_start).as_secs_f64();
-            // Y is a pure function of `r`: while `r` is bitwise unchanged
-            // the memoized parts are bit-identical to a fresh computation
-            // and only need cloning onto the wire. The pattern half never
-            // changes at all, so a solve that moved `r` costs the scores.
-            if !self.cfg.ext_cache {
-                gs.y_cache = None;
-            }
-            let y = gs.y_cache.get_or_insert_with(|| {
-                gs.ctx
-                    .y_parts(&gs.r)
-                    .map(|(dest, pattern, scores)| (dest, Arc::clone(pattern), Arc::new(scores)))
-                    .collect()
-            });
-            let src_group = gs.ctx.group_id();
-            self.pending_y.extend(y.iter().map(|(dest, pattern, scores)| YPart {
-                src_group,
-                dest_group: *dest,
-                pattern: Arc::clone(pattern),
-                scores: Arc::clone(scores),
-            }));
-            self.phase.compute_y += y_start.elapsed().as_secs_f64();
+        let cfg = &self.shared.cfg;
+        for ranker in &mut self.groups {
+            let (y, secs) = ranker.think(cfg.variant, cfg.inner_solver, cfg.inner_epsilon);
+            let buffer_start = Instant::now();
+            self.pending_y.extend_from_slice(y);
+            self.phase.refresh += secs.refresh;
+            self.phase.solve += secs.solve;
+            self.phase.compute_y += secs.compute_y + buffer_start.elapsed().as_secs_f64();
         }
     }
 
@@ -1316,27 +922,26 @@ impl NetNode {
     /// header per message) and pay the sender's uplink — survivability
     /// competes for the same bandwidth as the `Y` exchange.
     fn ship_checkpoints(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        let k = self.cfg.replication;
+        let k = self.shared.cfg.replication;
         // BTreeMap: the per-replica send order must be deterministic.
         let mut per_dst: BTreeMap<NodeIndex, Vec<GroupSnapshot>> = BTreeMap::new();
-        for gs in &self.groups {
-            let gid = gs.ctx.group_id();
-            if self.owner_of.read()[gid as usize] != self.me {
+        for ranker in &self.groups {
+            let gid = ranker.ctx().group_id();
+            if self.shared.owner_of.read()[gid as usize] != self.me {
                 continue; // not ours to checkpoint (transient misplacement)
             }
             let reps = {
-                let ov = self.overlay.read();
-                self.cache.write().replicas(ov.as_overlay(), self.key_of[gid as usize], k)
+                let ov = self.shared.overlay.read();
+                self.shared.cache.write().replicas(
+                    ov.as_overlay(),
+                    self.shared.key_of[gid as usize],
+                    k,
+                )
             };
             if reps.is_empty() {
                 continue;
             }
-            let snap = GroupSnapshot {
-                group: gid,
-                epoch: gs.outer_iterations,
-                r: Arc::new(gs.r.clone()),
-                afferent: Arc::new(gs.afferent.snapshot_received()),
-            };
+            let snap = ranker.snapshot();
             for &rep in reps.iter() {
                 if rep != self.me {
                     per_dst.entry(rep).or_default().push(snap.clone());
@@ -1345,8 +950,8 @@ impl NetNode {
         }
         for (dst, snaps) in per_dst {
             let entries: u64 = snaps.iter().map(GroupSnapshot::n_entries).sum();
-            let bytes =
-                paper_snapshot_bytes(entries, self.cfg.update_bytes) + self.cfg.header_bytes;
+            let bytes = paper_snapshot_bytes(entries, self.shared.cfg.update_bytes)
+                + self.shared.cfg.header_bytes;
             self.counters.checkpoints_sent += 1;
             self.counters.checkpoint_bytes += bytes;
             self.counters.bytes += bytes;
@@ -1355,7 +960,7 @@ impl NetNode {
             // leaf set, Chord successor list) by construction.
             ctx.send_after(
                 dst,
-                self.cfg.hop_latency + queueing,
+                self.shared.cfg.hop_latency + queueing,
                 NetMsg::Checkpoint { snaps: Arc::new(snaps) },
             );
         }
@@ -1370,13 +975,13 @@ impl NetNode {
     /// based: no oracle tells the replica about the crash, so detection
     /// costs real windows (the gap the warm start then recovers).
     fn scan_takeover(&mut self, now: f64) {
-        let timeout = f64::from(self.cfg.suspect_after) * self.cfg.checkpoint_every;
+        let timeout = f64::from(self.shared.cfg.suspect_after) * self.shared.cfg.checkpoint_every;
         let mut adopt: Vec<GroupId> = Vec::new();
         {
-            let owners = self.owner_of.read();
+            let owners = self.shared.owner_of.read();
             for (gid, &owner) in owners.iter().enumerate() {
                 let gid = gid as GroupId;
-                if owner != self.me || self.groups.iter().any(|g| g.ctx.group_id() == gid) {
+                if owner != self.me || self.hosts(gid) {
                     self.orphan_since.remove(&gid);
                     continue;
                 }
@@ -1399,34 +1004,21 @@ impl NetNode {
         }
     }
 
-    /// Re-hosts `gid` on this node: a fresh [`GroupState`] rebuilt from
-    /// the shared context directory, warm-started from the newest held
-    /// checkpoint when there is one. The afferent contributions replay
-    /// through [`AfferentState::set`] exactly as the original deliveries
-    /// did, so the rebuilt `X` is bit-identical to the owner's at snapshot
-    /// time; the next think then solves from the checkpointed `r` instead
-    /// of from zero.
+    /// Re-hosts `gid` on this node: a fresh [`Ranker`] over the shared
+    /// context directory's entry, warm-started from the newest held
+    /// checkpoint when there is one that still fits (see
+    /// [`Ranker::restore`]; the driver purges stale checkpoints at delta
+    /// time, but a frame already in flight can still land afterwards), so
+    /// the next think solves from the checkpointed `r` instead of from
+    /// zero.
     fn install_group(&mut self, gid: GroupId) {
-        let ctx = Arc::clone(&self.contexts.read()[gid as usize]);
-        let mut gs = GroupState::new(ctx, self.cfg.ext_cache);
-        match self.replica_store.get(&gid) {
-            // A checkpoint whose rank vector no longer matches the group's
-            // page count describes the group *before* a crawl delta
-            // repaged it (the driver purges stale entries at delta time,
-            // but a frame already in flight can still land afterwards) —
-            // useless for a warm start, so fall through to cold.
-            Some(e) if e.snap.r.len() == gs.r.len() => {
-                let snap = &e.snap;
-                gs.r.copy_from_slice(&snap.r);
-                for (src, entries) in snap.afferent.iter() {
-                    gs.afferent.set(*src, entries.clone());
-                }
-                gs.outer_iterations = snap.epoch;
-                self.counters.takeovers_warm += 1;
-            }
-            _ => self.counters.takeovers_cold += 1,
+        let mut ranker = Ranker::new(Arc::clone(&self.shared.contexts.read()[gid as usize]));
+        if self.replica_store.get(&gid).is_some_and(|e| ranker.restore(&e.snap)) {
+            self.counters.takeovers_warm += 1;
+        } else {
+            self.counters.takeovers_cold += 1;
         }
-        self.groups.push(gs);
+        self.groups.push(ranker);
     }
 
     fn sample_wait(&self, ctx: &mut Ctx<'_, NetMsg>) -> f64 {
@@ -1449,11 +1041,8 @@ impl Actor for NetNode {
 
     fn think(&mut self, _now: f64) {
         // The engine runs this (possibly concurrently with other nodes'
-        // thinks) exactly once before every on_wake. Legacy non-coalesce
-        // mode dispatches relay traffic — which can deliver locally and
-        // alter solve inputs — *before* its solves, so its compute cannot
-        // be hoisted here without changing bits; it stays inline below.
-        if self.active && self.cfg.coalesce {
+        // thinks) exactly once before every on_wake.
+        if self.active {
             self.run_group_thinks();
         }
     }
@@ -1463,47 +1052,30 @@ impl Actor for NetNode {
             return; // departed: no work, no reschedule
         }
         // 1. Retransmit unacked packages whose deadline passed.
-        if let Some(rel) = self.cfg.reliability {
+        if let Some(rel) = self.shared.cfg.reliability {
             self.retransmit_due(ctx, rel);
         }
 
         // 2. Forward buffered relay traffic (indirect transmission's
-        //    store-recombine-forward cycle). With coalescing on, relayed
-        //    parts and freshly produced Y share this wake's packages —
-        //    §4.4's merge at intermediate nodes.
-        let mut outgoing = if self.cfg.coalesce {
-            std::mem::take(&mut self.relay)
-        } else {
-            if !self.relay.is_empty() {
-                let parts = std::mem::take(&mut self.relay);
-                self.dispatch(ctx, parts);
-            }
-            Vec::new()
-        };
-
-        // 3. Collect the Y parts of this wake's DPR loop body. In coalesce
-        //    mode the solves already ran in think() — the engine's
-        //    (possibly parallel) compute stage — and buffered their output
-        //    in `pending_y`; legacy non-coalesce mode runs them inline now,
-        //    after the relay dispatch above (which can deliver locally and
-        //    alter solve inputs).
-        if !self.cfg.coalesce {
-            self.run_group_thinks();
-        }
+        //    store-recombine-forward cycle) together with the Y parts this
+        //    wake's think() buffered: relayed and freshly produced parts
+        //    share this wake's packages — §4.4's merge at intermediate
+        //    nodes.
+        let mut outgoing = std::mem::take(&mut self.relay);
         outgoing.append(&mut self.pending_y);
         if !outgoing.is_empty() {
             self.dispatch(ctx, outgoing);
         }
 
-        // 4. Replication protocol (gated: with `replication == 0` this
+        // 3. Replication protocol (gated: with `replication == 0` this
         //    wake is byte-for-byte the pre-replication baseline). Adopt
         //    orphaned groups whose owner went silent, then ship fresh
         //    checkpoints on the checkpoint clock — adoption first, so a
         //    just-taken-over group announces itself to *its* replicas in
         //    the same wake.
-        if self.cfg.replication > 0 {
+        if self.shared.cfg.replication > 0 {
             self.scan_takeover(ctx.now());
-            if ctx.now() - self.last_checkpoint >= self.cfg.checkpoint_every {
+            if ctx.now() - self.last_checkpoint >= self.shared.cfg.checkpoint_every {
                 self.ship_checkpoints(ctx);
                 self.last_checkpoint = ctx.now();
             }
@@ -1546,7 +1118,7 @@ impl Actor for NetNode {
                     // ack may have been lost. Ack frames are header-sized
                     // control traffic; they skip the §4.5 data uplink.
                     self.counters.acks += 1;
-                    self.counters.bytes += self.cfg.header_bytes;
+                    self.counters.bytes += self.shared.cfg.header_bytes;
                     ctx.send(from, NetMsg::Ack { seq });
                     if !self.seen.insert((from, seq)) {
                         self.counters.duplicates_suppressed += 1;
@@ -1565,7 +1137,7 @@ impl Actor for NetNode {
         });
         let start = Instant::now();
         for part in parts {
-            if self.owner_of.read()[part.dest_group as usize] == self.me {
+            if self.shared.owner_of.read()[part.dest_group as usize] == self.me {
                 self.deliver_local(&part);
             } else {
                 // Buffer for the next wake; recombination with other parts
@@ -1615,8 +1187,7 @@ pub struct NetRunResult {
     pub sched_stats: SchedStats,
     /// Measured mean route length between group publishers and owners.
     pub mean_route_hops: f64,
-    /// Route-cache hit/miss/invalidation counters for the whole run (all
-    /// misses when `route_cache` is off).
+    /// Route-cache hit/miss/invalidation counters for the whole run.
     pub route_cache: RouteCacheStats,
 }
 
@@ -1736,135 +1307,63 @@ pub fn try_run_over_network_with_store(
             });
         }
     }
-    if let InnerSolver::Sor { omega } = cfg.inner_solver {
-        if !(omega > 0.0 && omega < 2.0) {
-            return Err(NetRunError::Config {
-                what: "inner_solver",
-                detail: format!("SOR requires 0 < omega < 2, got {omega}"),
-            });
-        }
-    }
     if !(cfg.inner_epsilon > 0.0 && cfg.inner_epsilon.is_finite()) {
         return Err(NetRunError::Config {
             what: "inner_epsilon",
             detail: format!("must be positive and finite, got {}", cfg.inner_epsilon),
         });
     }
-    if let Some(s) = cfg.adaptive_epsilon {
-        if !(s.initial > 0.0 && s.initial.is_finite()) {
-            return Err(NetRunError::Config {
-                what: "adaptive_epsilon",
-                detail: format!("initial tolerance must be positive and finite, got {}", s.initial),
-            });
-        }
-        if !(s.margin > 0.0 && s.margin < 1.0) {
-            return Err(NetRunError::Config {
-                what: "adaptive_epsilon",
-                detail: format!("margin must be in (0, 1), got {}", s.margin),
-            });
-        }
-        if !cfg.ext_cache {
-            return Err(NetRunError::Config {
-                what: "adaptive_epsilon",
-                detail: "the adaptive schedule is driven by the held residual the \
-                         dirty-row cache maintains; enable ext_cache"
-                    .into(),
-            });
-        }
-    }
-    let overlay: Arc<RwLock<AnyOverlay>> = Arc::new(RwLock::new(match cfg.overlay {
-        OverlayKind::Pastry => {
-            AnyOverlay::Pastry(PastryNetwork::with_nodes(cfg.n_nodes, cfg.seed ^ 0x0E0E))
-        }
-        OverlayKind::Chord => {
-            AnyOverlay::Chord(ChordNetwork::with_nodes(cfg.n_nodes, cfg.seed ^ 0x0E0E))
-        }
-        OverlayKind::Can { d } => {
-            AnyOverlay::Can(CanNetwork::with_nodes(cfg.n_nodes, d, cfg.seed ^ 0x0E0E))
-        }
-    }));
-    let key_of: Arc<Vec<u128>> =
-        Arc::new((0..cfg.k as u64).map(dpr_overlay::id::key_from_u64).collect());
-    let owner_of: Arc<RwLock<Vec<NodeIndex>>> = Arc::new(RwLock::new(
-        key_of.iter().map(|&k| overlay.read().as_overlay().responsible(k)).collect(),
-    ));
-    let cache = Arc::new(RwLock::new(if cfg.route_cache {
-        RouteCache::new()
-    } else {
-        RouteCache::bypassed()
-    }));
+    let overlay = AnyOverlay::build(&cfg);
+    let key_of: Vec<u128> = (0..cfg.k as u64).map(dpr_overlay::id::key_from_u64).collect();
+    let owner_of: Vec<NodeIndex> =
+        key_of.iter().map(|&k| overlay.as_overlay().responsible(k)).collect();
 
     let partition = Partition::build(g, &cfg.strategy, cfg.k, 0);
     let mut reference = open_pagerank(g, &cfg.rank).ranks;
     // Run-wide context directory, indexed by group id and shared with
     // every node: static group structure is rebuilt from here (never
     // shipped) when a replica takes over an orphaned group.
-    let layout = if cfg.explicit_matrix {
-        crate::group::MatrixLayout::Explicit
-    } else {
-        crate::group::MatrixLayout::Implicit
-    };
-    let contexts: Arc<RwLock<Vec<Arc<GroupContext>>>> = {
-        let mut dir: Vec<Option<Arc<GroupContext>>> = (0..cfg.k).map(|_| None).collect();
-        for c in GroupContext::build_all_with_layout(g, &partition, &cfg.rank, layout) {
-            let gid = c.group_id() as usize;
-            dir[gid] = Some(Arc::new(c));
-        }
-        Arc::new(RwLock::new(dir.into_iter().map(|c| c.expect("one context per group")).collect()))
-    };
+    let contexts: Vec<Arc<GroupContext>> =
+        GroupContext::build_all(g, &partition, &cfg.rank).into_iter().map(Arc::new).collect();
+    debug_assert!(contexts.iter().enumerate().all(|(gid, c)| c.group_id() as usize == gid));
     // Draw means for joiners too; uniform_means samples sequentially, so
     // the first n_nodes means are unchanged by the extension.
     let waits =
         WaitModel::uniform_means(cfg.n_nodes + cfg.joins.len(), cfg.t1, cfg.t2, cfg.seed ^ 0xCAFE);
 
     // Place groups on their owner nodes.
-    let mut hosted: Vec<Vec<GroupState>> = (0..cfg.n_nodes).map(|_| Vec::new()).collect();
+    let mut hosted: Vec<Vec<Ranker>> = (0..cfg.n_nodes).map(|_| Vec::new()).collect();
     let mut hop_total = 0usize;
     let mut hop_count = 0usize;
-    for c in contexts.read().iter() {
-        let gid = c.group_id() as usize;
-        let owner = owner_of.read()[gid];
+    for c in &contexts {
+        let owner = owner_of[c.group_id() as usize];
         // Record the publisher→owner route lengths for reporting.
         for dest in c.efferent_groups() {
-            hop_total += overlay.read().as_overlay().route(owner, key_of[dest as usize]).len();
+            hop_total += overlay.as_overlay().route(owner, key_of[dest as usize]).len();
             hop_count += 1;
         }
-        hosted[owner].push(GroupState::new(Arc::clone(c), cfg.ext_cache));
+        hosted[owner].push(Ranker::new(Arc::clone(c)));
     }
 
+    let shared = Shared {
+        overlay: Arc::new(RwLock::new(overlay)),
+        owner_of: Arc::new(RwLock::new(owner_of)),
+        key_of: Arc::new(key_of),
+        cache: Arc::new(RwLock::new(RouteCache::new())),
+        cfg: Arc::clone(&cfg),
+        contexts: Arc::new(RwLock::new(contexts)),
+    };
     let nodes: Vec<NetNode> = hosted
         .into_iter()
         .enumerate()
-        .map(|(i, groups)| NetNode {
-            me: i,
-            groups,
-            overlay: Arc::clone(&overlay),
-            owner_of: Arc::clone(&owner_of),
-            key_of: Arc::clone(&key_of),
-            cache: Arc::clone(&cache),
-            relay: Vec::new(),
-            pending_y: Vec::new(),
-            cfg: Arc::clone(&cfg),
-            mean_wait: waits.mean(i),
-            uplink_busy_until: 0.0,
-            active: true,
-            counters: NetCounters::default(),
-            phase: PhaseSecs::default(),
-            next_seq: 0,
-            pending: BTreeMap::new(),
-            seen: HashSet::new(),
-            contexts: Arc::clone(&contexts),
-            replica_store: BTreeMap::new(),
-            orphan_since: BTreeMap::new(),
-            last_checkpoint: f64::NEG_INFINITY,
-        })
+        .map(|(i, groups)| NetNode::new(i, groups, waits.mean(i), &shared))
         .collect();
 
     // The fault plan takes precedence over the legacy scalar knob.
     let plan = cfg.faults.clone().unwrap_or_else(|| {
         FaultPlan::new().with_latency(0.01).with_default_success(cfg.send_success_prob)
     });
-    let mut sim = Simulation::with_plan_scheduler(nodes, cfg.seed, plan, cfg.scheduler);
+    let mut sim = Simulation::with_plan(nodes, cfg.seed, plan);
 
     // Merge departures, joins, and crawl deltas into one time-ordered
     // churn schedule (the sort is stable, so coinciding times keep the
@@ -1902,8 +1401,7 @@ pub fn try_run_over_network_with_store(
     let mut dead: Vec<PageId> = Vec::new();
     // Groups re-solving after a delta: their store publishes are held
     // back — the store keeps serving the pre-delta epoch — until the
-    // group's solver re-stalls on the new fixed point (tracked in cached
-    // mode only; without the ext cache there is no stall detection).
+    // group's ranker re-stalls on the new fixed point.
     let mut resolving: HashSet<GroupId> = HashSet::new();
     let mut t = 0.0;
     while t < cfg.t_end {
@@ -1919,30 +1417,17 @@ pub fn try_run_over_network_with_store(
                 None => sim.run_until(ct),
             }
             match ev {
-                ChurnEvent::Depart(node) => {
-                    apply_departure(&mut sim, &overlay, &owner_of, &key_of, node);
-                }
+                ChurnEvent::Depart(node) => apply_departure(&mut sim, &shared, node),
                 ChurnEvent::Join { id_seed } => {
                     let mean_wait = waits.mean(cfg.n_nodes + joined);
                     joined += 1;
-                    apply_join(
-                        &mut sim, &overlay, &owner_of, &key_of, &cache, &cfg, &contexts, mean_wait,
-                        id_seed,
-                    );
+                    apply_join(&mut sim, &shared, mean_wait, id_seed);
                 }
                 ChurnEvent::Delta(i) => {
                     let (gl, asg) =
                         live.get_or_insert_with(|| (g.clone(), partition.assignment().to_vec()));
-                    let report = apply_delta(
-                        &mut sim,
-                        &cfg,
-                        &contexts,
-                        layout,
-                        gl,
-                        asg,
-                        &cfg.deltas[i].1,
-                        &mut resolving,
-                    );
+                    let report =
+                        apply_delta(&mut sim, &shared, gl, asg, &cfg.deltas[i].1, &mut resolving);
                     if !report.is_noop() {
                         for &p in &report.deleted {
                             dead.push(p);
@@ -1964,19 +1449,14 @@ pub fn try_run_over_network_with_store(
         }
         let sample_start = Instant::now();
         rel_err.push(next_t, vec_ops::relative_error(&assemble(sim.actors(), n_pages), &reference));
-        // A dirtied group leaves the resolving set once its solver has
+        // A dirtied group leaves the resolving set once its ranker has
         // re-stalled on the exact post-delta fixed point (reads state
         // only — bit-neutral to the run).
         if !resolving.is_empty() {
             let actors = sim.actors();
             resolving.retain(|&gid| {
                 !actors.iter().any(|n| {
-                    n.active
-                        && n.groups.iter().any(|gs| {
-                            gs.ctx.group_id() == gid
-                                && gs.touched.is_empty()
-                                && gs.last_delta == 0.0
-                        })
+                    n.active && n.groups.iter().any(|r| r.ctx().group_id() == gid && r.is_stalled())
                 })
             });
         }
@@ -1989,16 +1469,11 @@ pub fn try_run_over_network_with_store(
             // published epoch until a survivor re-hosts it; a group still
             // re-solving a crawl delta keeps serving its pre-delta epoch
             // until the new fixed point is reached.
-            store.publish(sim.actors().iter().filter(|n| n.active).flat_map(|node| {
-                node.groups.iter().filter(|gs| !resolving.contains(&gs.ctx.group_id())).map(|gs| {
-                    crate::store::GroupPublish {
-                        group: gs.ctx.group_id(),
-                        epoch: gs.outer_iterations,
-                        pages: gs.ctx.pages(),
-                        ranks: &gs.r,
-                    }
-                })
-            }));
+            store.publish(
+                hosted_groups(sim.actors())
+                    .filter(|r| !resolving.contains(&r.ctx().group_id()))
+                    .map(publication),
+            );
         }
         phase_secs.publish += publish_start.elapsed().as_secs_f64();
         t = next_t;
@@ -2009,14 +1484,7 @@ pub fn try_run_over_network_with_store(
         // publishes its best current state, so the served view equals
         // `final_ranks` exactly (already-published groups skip via the
         // store's bit-identical-republish path).
-        store.publish(sim.actors().iter().filter(|n| n.active).flat_map(|node| {
-            node.groups.iter().map(|gs| crate::store::GroupPublish {
-                group: gs.ctx.group_id(),
-                epoch: gs.outer_iterations,
-                pages: gs.ctx.pages(),
-                ranks: &gs.r,
-            })
-        }));
+        store.publish(hosted_groups(sim.actors()).map(publication));
     }
     phase_secs.publish += publish_start.elapsed().as_secs_f64();
 
@@ -2030,10 +1498,10 @@ pub fn try_run_over_network_with_store(
         .iter()
         .map(|n| {
             let mut c = n.counters;
-            c.rows_recomputed = n.groups.iter().map(|g| g.afferent.rows_recomputed()).sum();
-            c.inner_sweeps = n.groups.iter().map(|g| g.inner_sweeps).sum();
-            c.rows_swept = n.groups.iter().map(|g| g.rows_swept).sum();
-            c.sweeps_saved = n.groups.iter().map(|g| g.sweeps_saved).sum();
+            c.rows_recomputed = n.groups.iter().map(Ranker::rows_recomputed).sum();
+            c.inner_sweeps = n.groups.iter().map(Ranker::inner_sweeps).sum();
+            c.rows_swept = n.groups.iter().map(Ranker::rows_swept).sum();
+            c.sweeps_saved = n.groups.iter().map(Ranker::sweeps_saved).sum();
             c
         })
         .collect();
@@ -2060,7 +1528,7 @@ pub fn try_run_over_network_with_store(
         acc.sweeps_saved += c.sweeps_saved;
         acc
     });
-    let route_cache = cache.read().stats();
+    let route_cache = shared.cache.read().stats();
     Ok(NetRunResult {
         final_rel_err: vec_ops::relative_error(&final_ranks, &reference),
         rel_err,
@@ -2093,41 +1561,26 @@ pub fn try_run_over_network_with_store(
 ///   ([`NetNode::scan_takeover`]) and re-host the groups warm from their
 ///   newest snapshots — detection costs real windows, recovery starts
 ///   near the fixed point instead of at zero.
-fn apply_departure(
-    sim: &mut Simulation<NetNode>,
-    overlay: &Arc<RwLock<AnyOverlay>>,
-    owner_of: &Arc<RwLock<Vec<NodeIndex>>>,
-    key_of: &Arc<Vec<u128>>,
-    node: NodeIndex,
-) {
-    overlay.write().depart(node).expect("churn support validated before the run");
-    {
-        let ov = overlay.read();
-        let mut owners = owner_of.write();
-        for (gid, slot) in owners.iter_mut().enumerate() {
-            *slot = ov.as_overlay().responsible(key_of[gid]);
-        }
-    }
+fn apply_departure(sim: &mut Simulation<NetNode>, shared: &Shared, node: NodeIndex) {
+    shared.overlay.write().depart(node).expect("churn support validated before the run");
+    shared.reassign_owners();
     let actors = sim.actors_mut();
     actors[node].active = false;
-    let replication = actors[node].cfg.replication;
-    let ext_cache = actors[node].cfg.ext_cache;
     let orphaned = std::mem::take(&mut actors[node].groups);
     actors[node].relay.clear();
     actors[node].pending_y.clear();
     actors[node].pending.clear();
     actors[node].replica_store.clear();
     actors[node].orphan_since.clear();
-    if replication > 0 {
+    if shared.cfg.replication > 0 {
         // Crash-survivable mode: the state is simply gone; takeover is
         // the replicas' job, driven by their own failure detectors.
         return;
     }
-    let owners = owner_of.read();
-    for gs in orphaned {
-        let gid = gs.ctx.group_id() as usize;
-        let new_owner = owners[gid];
-        actors[new_owner].groups.push(GroupState::new(gs.ctx, ext_cache));
+    let owners = shared.owner_of.read();
+    for lost in orphaned {
+        let new_owner = owners[lost.ctx().group_id() as usize];
+        actors[new_owner].groups.push(Ranker::new(Arc::clone(lost.ctx())));
     }
 }
 
@@ -2136,70 +1589,30 @@ fn apply_departure(
 /// hands over the groups it is now responsible for *with their ranking
 /// state intact* — a graceful handoff, unlike the state loss of
 /// [`apply_departure`].
-#[allow(clippy::too_many_arguments)]
-fn apply_join(
-    sim: &mut Simulation<NetNode>,
-    overlay: &Arc<RwLock<AnyOverlay>>,
-    owner_of: &Arc<RwLock<Vec<NodeIndex>>>,
-    key_of: &Arc<Vec<u128>>,
-    cache: &Arc<RwLock<RouteCache>>,
-    cfg: &Arc<NetRunConfig>,
-    contexts: &Arc<RwLock<Vec<Arc<GroupContext>>>>,
-    mean_wait: f64,
-    id_seed: u64,
-) {
-    let new = overlay.write().join(id_seed).expect("churn support validated before the run");
-    {
-        let ov = overlay.read();
-        let mut owners = owner_of.write();
-        for (gid, slot) in owners.iter_mut().enumerate() {
-            *slot = ov.as_overlay().responsible(key_of[gid]);
-        }
-    }
-    let idx = sim.add_actor(NetNode {
-        me: new,
-        groups: Vec::new(),
-        overlay: Arc::clone(overlay),
-        owner_of: Arc::clone(owner_of),
-        key_of: Arc::clone(key_of),
-        cache: Arc::clone(cache),
-        relay: Vec::new(),
-        pending_y: Vec::new(),
-        cfg: Arc::clone(cfg),
-        mean_wait,
-        uplink_busy_until: 0.0,
-        active: true,
-        counters: NetCounters::default(),
-        phase: PhaseSecs::default(),
-        next_seq: 0,
-        pending: BTreeMap::new(),
-        seen: HashSet::new(),
-        contexts: Arc::clone(contexts),
-        replica_store: BTreeMap::new(),
-        orphan_since: BTreeMap::new(),
-        last_checkpoint: f64::NEG_INFINITY,
-    });
+fn apply_join(sim: &mut Simulation<NetNode>, shared: &Shared, mean_wait: f64, id_seed: u64) {
+    let new = shared.overlay.write().join(id_seed).expect("churn support validated before the run");
+    shared.reassign_owners();
+    let idx = sim.add_actor(NetNode::new(new, Vec::new(), mean_wait, shared));
     debug_assert_eq!(idx, new, "overlay handle and actor index must agree");
 
     // Graceful handoff: any group no longer hosted by its owner moves,
     // state and all.
-    let owners = owner_of.read();
+    let owners = shared.owner_of.read();
     let actors = sim.actors_mut();
     let mut migrating = Vec::new();
     for (host, actor) in actors.iter_mut().enumerate() {
         let mut i = 0;
         while i < actor.groups.len() {
-            let gid = actor.groups[i].ctx.group_id() as usize;
-            if owners[gid] != host {
+            if owners[actor.groups[i].ctx().group_id() as usize] != host {
                 migrating.push(actor.groups.remove(i));
             } else {
                 i += 1;
             }
         }
     }
-    for gs in migrating {
-        let gid = gs.ctx.group_id() as usize;
-        actors[owners[gid]].groups.push(gs);
+    for ranker in migrating {
+        let gid = ranker.ctx().group_id() as usize;
+        actors[owners[gid]].groups.push(ranker);
     }
 }
 
@@ -2214,12 +1627,8 @@ fn apply_join(
 /// * any other dirty group (links rewired, pages inserted or tombstoned)
 ///   gets a one-group [`GroupContext::rebuild`] against the new graph —
 ///   cost proportional to the group, not the web;
-/// * each dirty group's host *warm-starts*: surviving pages keep their
-///   converged ranks, the afferent history replays from the patterns and
-///   slots of the old state (re-localized against the new context, so
-///   shifted local indices and dropped pages are handled by
-///   construction), and the outer epoch keeps counting — the solver
-///   resumes from the previous fixed point instead of from zero;
+/// * each dirty group's host *warm-starts* ([`Ranker::rebase`]): the
+///   ranker resumes from the previous fixed point instead of from zero;
 /// * a rebuilt group that no longer links into some destination group
 ///   sends it one empty part with its host's next wake, retracting the
 ///   contribution that destination would otherwise keep for ever;
@@ -2241,17 +1650,15 @@ fn apply_join(
 /// cross-worker bit-identity contracts hold with deltas exactly as
 /// without. Returns the delta report; the caller refreshes the
 /// centralized reference and the page count from it.
-#[allow(clippy::too_many_arguments)]
 fn apply_delta(
     sim: &mut Simulation<NetNode>,
-    cfg: &Arc<NetRunConfig>,
-    contexts: &Arc<RwLock<Vec<Arc<GroupContext>>>>,
-    layout: MatrixLayout,
+    shared: &Shared,
     g_live: &mut WebGraph,
     assignment: &mut Vec<GroupId>,
     delta: &GraphDelta,
     resolving: &mut HashSet<GroupId>,
 ) -> dpr_graph::DeltaReport {
+    let Shared { cfg, contexts, .. } = shared;
     let (g2, report) = delta.apply_report(g_live);
     *g_live = g2;
     // Every new id slot gets an assignment — including pages inserted and
@@ -2291,6 +1698,7 @@ fn apply_delta(
                 pages.extend(
                     report.inserted.iter().copied().filter(|&p| assignment[p as usize] == gid),
                 );
+                let layout = MatrixLayout::default();
                 Arc::new(GroupContext::rebuild(g_live, assignment, &cfg.rank, gid, pages, layout))
             } else {
                 let mut c = (**old_ctx).clone();
@@ -2307,48 +1715,23 @@ fn apply_delta(
     let wire = dpr_graph::io::delta_wire_bytes(delta) + cfg.header_bytes;
     let mut charged: BTreeSet<usize> = BTreeSet::new();
     for &gid in dirty.keys() {
-        if cfg.ext_cache {
-            resolving.insert(gid);
-        }
+        resolving.insert(gid);
         // Stale pre-delta checkpoints are useless for a warm takeover;
         // purge them everywhere (a frame already in flight is caught by
-        // the length guard in `install_group`).
+        // the length guard in `Ranker::restore`).
         for a in actors.iter_mut() {
             a.replica_store.remove(&gid);
         }
-        let new_ctx = Arc::clone(&dir[gid as usize]);
-        let Some((host, slot)) = actors.iter().enumerate().find_map(|(h, a)| {
-            a.groups.iter().position(|gs| gs.ctx.group_id() == gid).map(|i| (h, i))
-        }) else {
+        let Some(node) = actors.iter_mut().find(|a| a.hosts(gid)) else {
             // Orphaned by a crash: the eventual takeover rebuilds from
             // the already-updated context directory.
             continue;
         };
-        charged.insert(host);
-        let node = &mut actors[host];
-        let mut gs = GroupState::new(new_ctx, cfg.ext_cache);
-        let dropped: Vec<GroupId> = {
-            let old = &node.groups[slot];
-            // Surviving pages keep their converged ranks; inserted pages
-            // start at zero.
-            for (li, &p) in gs.ctx.pages().iter().enumerate() {
-                if let Some(j) = old.ctx.local_index(p) {
-                    gs.r[li] = old.r[j];
-                }
-            }
-            // Replay the afferent history from the patterns and slots the
-            // old state holds — exactly what re-delivering those messages
-            // would do under the new context. (Without the ext cache no
-            // raw payloads are retained; peers repopulate `X` as they
-            // republish every wake.)
-            old.afferent.replay_onto(gs.ctx.pages(), &mut gs.afferent);
-            gs.outer_iterations = old.outer_iterations;
-            let kept: BTreeSet<GroupId> = gs.ctx.efferent_groups().collect();
-            old.ctx.efferent_groups().filter(|dest| !kept.contains(dest)).collect()
-        };
-        node.groups[slot] = gs;
+        charged.insert(node.me);
+        let ranker = node.hosted_mut(gid).expect("the host was found by this group");
+        let dropped = ranker.rebase(Arc::clone(&dir[gid as usize]));
         // A destination the rebuilt group no longer links to would keep
-        // this group's last contribution for ever — `y_parts` stops naming
+        // this group's last contribution for ever — its `Y` stops naming
         // it, so nothing replaces it. Retract it: one empty part per
         // dropped destination, sent with the host's next wake through the
         // normal dispatch path (coalesced, priced as a header when it
@@ -2377,28 +1760,31 @@ fn apply_delta(
 /// `group_owners(&cfg)[0]` is the owner of group 0).
 #[must_use]
 pub fn group_owners(cfg: &NetRunConfig) -> Vec<NodeIndex> {
-    let overlay = match cfg.overlay {
-        OverlayKind::Pastry => {
-            AnyOverlay::Pastry(PastryNetwork::with_nodes(cfg.n_nodes, cfg.seed ^ 0x0E0E))
-        }
-        OverlayKind::Chord => {
-            AnyOverlay::Chord(ChordNetwork::with_nodes(cfg.n_nodes, cfg.seed ^ 0x0E0E))
-        }
-        OverlayKind::Can { d } => {
-            AnyOverlay::Can(CanNetwork::with_nodes(cfg.n_nodes, d, cfg.seed ^ 0x0E0E))
-        }
-    };
+    let overlay = AnyOverlay::build(cfg);
     let ov = overlay.as_overlay();
     (0..cfg.k as u64).map(|g| ov.responsible(dpr_overlay::id::key_from_u64(g))).collect()
 }
 
+/// Every group hosted on a live node.
+fn hosted_groups(nodes: &[NetNode]) -> impl Iterator<Item = &Ranker> {
+    nodes.iter().filter(|n| n.active).flat_map(|n| &n.groups)
+}
+
+/// What the store is told about one hosted group.
+fn publication(ranker: &Ranker) -> crate::store::GroupPublish<'_> {
+    crate::store::GroupPublish {
+        group: ranker.ctx().group_id(),
+        epoch: ranker.epoch(),
+        pages: ranker.ctx().pages(),
+        ranks: ranker.ranks(),
+    }
+}
+
 fn assemble(nodes: &[NetNode], n_pages: usize) -> Vec<f64> {
     let mut global = vec![0.0; n_pages];
-    for node in nodes {
-        for gs in &node.groups {
-            for (li, &p) in gs.ctx.pages().iter().enumerate() {
-                global[p as usize] = gs.r[li];
-            }
+    for ranker in nodes.iter().flat_map(|n| &n.groups) {
+        for (&p, &rank) in ranker.ctx().pages().iter().zip(ranker.ranks()) {
+            global[p as usize] = rank;
         }
     }
     global
@@ -2419,6 +1805,17 @@ mod tests {
         try_run_over_network(g, cfg).expect("test configs use supported churn schedules")
     }
 
+    /// Everything a run produces that the replay contract covers: rank
+    /// bits, summed and per-node counters, engine stats, the error series.
+    fn assert_same_run(a: &NetRunResult, b: &NetRunResult, what: &str) {
+        let bits = |r: &NetRunResult| r.final_ranks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "rank bits diverged: {what}");
+        assert_eq!(a.counters, b.counters, "counters diverged: {what}");
+        assert_eq!(a.per_node, b.per_node, "per-node counters diverged: {what}");
+        assert_eq!(a.sim_stats, b.sim_stats, "engine stats diverged: {what}");
+        assert_eq!(a.rel_err.points(), b.rel_err.points(), "error series diverged: {what}");
+    }
+
     fn quick(transmission: Transmission) -> NetRunConfig {
         NetRunConfig {
             k: 24,
@@ -2428,22 +1825,6 @@ mod tests {
             t_end: 300.0,
             ..NetRunConfig::default()
         }
-    }
-
-    #[test]
-    fn direct_mode_converges_over_overlay() {
-        let g = toy::two_cliques(6);
-        let res = run_over_network(&g, quick(Transmission::Direct));
-        assert!(res.final_rel_err < 1e-4, "rel err {}", res.final_rel_err);
-        assert!(res.counters.lookup_messages > 0, "direct mode must pay lookups");
-    }
-
-    #[test]
-    fn indirect_mode_converges_over_overlay() {
-        let g = toy::two_cliques(6);
-        let res = run_over_network(&g, quick(Transmission::Indirect));
-        assert!(res.final_rel_err < 1e-4, "rel err {}", res.final_rel_err);
-        assert_eq!(res.counters.lookup_messages, 0, "indirect mode never looks up");
     }
 
     #[test]
@@ -2463,45 +1844,6 @@ mod tests {
         let d_total = d.counters.data_messages + d.counters.lookup_messages;
         let i_total = i.counters.data_messages;
         assert!(i_total < d_total, "indirect {i_total} should beat direct {d_total} messages");
-    }
-
-    #[test]
-    fn fewer_nodes_than_groups_collocates() {
-        // 32 groups on 4 overlay nodes: several groups per node, including
-        // group-local deliveries.
-        let g = toy::complete(24);
-        let res = run_over_network(
-            &g,
-            NetRunConfig {
-                k: 32,
-                n_nodes: 4,
-                strategy: Strategy::HashByUrl,
-                t_end: 300.0,
-                ..NetRunConfig::default()
-            },
-        );
-        assert!(res.final_rel_err < 1e-4, "rel err {}", res.final_rel_err);
-    }
-
-    #[test]
-    fn lossy_network_still_converges() {
-        let g = toy::two_cliques(5);
-        let res = run_over_network(
-            &g,
-            NetRunConfig { send_success_prob: 0.8, t_end: 900.0, ..quick(Transmission::Indirect) },
-        );
-        assert!(res.final_rel_err < 1e-3, "rel err {}", res.final_rel_err);
-        assert!(res.sim_stats.sends_dropped > 0);
-    }
-
-    #[test]
-    fn deterministic_per_seed() {
-        let g = toy::two_cliques(4);
-        let run = || run_over_network(&g, quick(Transmission::Indirect));
-        let a = run();
-        let b = run();
-        assert_eq!(a.final_ranks, b.final_ranks);
-        assert_eq!(a.counters, b.counters);
     }
 
     #[test]
@@ -2689,38 +2031,9 @@ mod tests {
             what(NetRunConfig { replication: 1, overlay: OverlayKind::Can { d: 2 }, ..base() }),
             "replication"
         );
-        for omega in [0.0, -0.5, 2.0, 2.5, f64::NAN] {
-            assert_eq!(
-                what(NetRunConfig { inner_solver: InnerSolver::Sor { omega }, ..base() }),
-                "inner_solver",
-                "omega {omega} must be rejected"
-            );
-        }
         for eps in [0.0, -1e-10, f64::INFINITY, f64::NAN] {
             assert_eq!(what(NetRunConfig { inner_epsilon: eps, ..base() }), "inner_epsilon");
         }
-        for bad in [
-            AdaptiveEpsilon { initial: 0.0, ..AdaptiveEpsilon::default() },
-            AdaptiveEpsilon { initial: f64::NAN, ..AdaptiveEpsilon::default() },
-            AdaptiveEpsilon { margin: 0.0, ..AdaptiveEpsilon::default() },
-            AdaptiveEpsilon { margin: 1.0, ..AdaptiveEpsilon::default() },
-        ] {
-            assert_eq!(
-                what(NetRunConfig { adaptive_epsilon: Some(bad), ..base() }),
-                "adaptive_epsilon",
-                "{bad:?} must be rejected"
-            );
-        }
-        // The schedule needs the held residual only the dirty-row cache
-        // maintains.
-        assert_eq!(
-            what(NetRunConfig {
-                adaptive_epsilon: Some(AdaptiveEpsilon::default()),
-                ext_cache: false,
-                ..base()
-            }),
-            "adaptive_epsilon"
-        );
         let err = try_run_over_network(&g, NetRunConfig { k: 0, ..base() }).unwrap_err();
         assert!(err.to_string().contains("invalid net-run config"));
     }
@@ -2730,16 +2043,12 @@ mod tests {
         assert_eq!("jacobi".parse::<InnerSolver>().unwrap(), InnerSolver::Jacobi);
         assert_eq!("gauss-seidel".parse::<InnerSolver>().unwrap(), InnerSolver::GaussSeidel);
         assert_eq!("gs".parse::<InnerSolver>().unwrap(), InnerSolver::GaussSeidel);
-        assert_eq!("sor:1.25".parse::<InnerSolver>().unwrap(), InnerSolver::Sor { omega: 1.25 });
-        for bad in ["frobnicate", "sor:", "sor:abc", "SOR:1.1", ""] {
+        for bad in ["frobnicate", "sor:1.1", "Jacobi", ""] {
             match bad.parse::<InnerSolver>().unwrap_err() {
                 NetRunError::Config { what, .. } => assert_eq!(what, "inner_solver"),
                 other => panic!("expected a config error for {bad:?}, got {other:?}"),
             }
         }
-        // A parsed-but-out-of-range omega is caught at run validation, so
-        // the CLI path can never reach the solver's panic.
-        assert_eq!("sor:7".parse::<InnerSolver>().unwrap(), InnerSolver::Sor { omega: 7.0 });
     }
 
     #[test]
@@ -2769,23 +2078,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NetRunError::Config { what: "replication", .. }));
-    }
-
-    #[test]
-    fn chord_departures_reconverge() {
-        // The former panic path: Chord now repairs successors and fingers
-        // on departure and the ranking survives the migration.
-        let g = toy::two_cliques(5);
-        let res = run_over_network(
-            &g,
-            NetRunConfig {
-                overlay: OverlayKind::Chord,
-                departures: vec![(60.0, 2), (90.0, 5)],
-                t_end: 400.0,
-                ..quick(Transmission::Indirect)
-            },
-        );
-        assert!(res.final_rel_err < 1e-3, "rel err {}", res.final_rel_err);
     }
 
     #[test]
@@ -2928,85 +2220,24 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_reduces_traffic_with_identical_final_ranks() {
-        // The golden on/off comparison: §4.4 coalescing may only change
-        // *cost* counters (down), never the ranks.
-        let g = toy::two_cliques(6);
-        let base = quick(Transmission::Indirect);
-        let on = run_over_network(&g, NetRunConfig { coalesce: true, ..base.clone() });
-        let off = run_over_network(&g, NetRunConfig { coalesce: false, ..base });
-        assert_eq!(
-            on.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            off.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            "coalescing must be rank-neutral"
-        );
-        assert!(on.counters.coalesced_parts > 0, "relayed duplicates must get merged");
-        assert_eq!(off.counters.coalesced_parts, 0);
-        // Merging same-(src, dest) parts shrinks packages; it only removes
-        // whole packages when a relay batch and the node's own output share
-        // a next hop, so messages are ≤ and bytes strictly <.
-        assert!(on.counters.data_messages <= off.counters.data_messages);
-        assert!(
-            on.counters.bytes < off.counters.bytes,
-            "coalescing must cut bytes: {} vs {}",
-            on.counters.bytes,
-            off.counters.bytes
-        );
-    }
-
-    #[test]
-    fn direct_coalescing_batches_per_owner() {
-        // With fewer nodes than groups every node hosts several groups, so
-        // a sender has multiple parts bound for the same owner per wake;
-        // §4.4 batching must collapse them into one data message each —
-        // while still pricing every part's own §4.5 lookup — without
-        // disturbing the final ranks.
-        let g = toy::two_cliques(6);
-        let base = NetRunConfig { n_nodes: 6, ..quick(Transmission::Direct) };
-        let on = run_over_network(&g, NetRunConfig { coalesce: true, ..base.clone() });
-        let off = run_over_network(&g, NetRunConfig { coalesce: false, ..base });
-        assert_eq!(
-            on.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            off.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            "batching must be rank-neutral"
-        );
-        assert!(
-            on.counters.data_messages < off.counters.data_messages,
-            "batching must cut data messages: {} vs {}",
-            on.counters.data_messages,
-            off.counters.data_messages
-        );
-        assert!(on.counters.bytes < off.counters.bytes);
-        assert_eq!(
-            on.counters.lookup_messages, off.counters.lookup_messages,
-            "batched parts still pay their own lookups"
-        );
-    }
-
-    #[test]
-    fn route_cache_is_invisible_to_results() {
-        // Cache on vs off: *everything* observable must be identical —
-        // ranks, §4.5 counters, engine stats. Only the hit/miss bookkeeping
-        // may differ.
-        let g = toy::two_cliques(5);
-        let base = NetRunConfig {
-            departures: vec![(60.0, 2), (90.0, 5)],
-            t_end: 250.0,
-            ..quick(Transmission::Indirect)
-        };
-        let cached = run_over_network(&g, NetRunConfig { route_cache: true, ..base.clone() });
-        let fresh = run_over_network(&g, NetRunConfig { route_cache: false, ..base });
-        assert_eq!(cached.final_ranks, fresh.final_ranks);
-        assert_eq!(cached.counters, fresh.counters);
-        assert_eq!(cached.sim_stats, fresh.sim_stats);
-        assert!(cached.route_cache.hits > 0);
-        assert_eq!(cached.route_cache.invalidations, 2, "one flush per departure");
-        assert_eq!(fresh.route_cache.hits, 0, "a bypassed cache never hits");
-        assert_eq!(
-            cached.route_cache.hits + cached.route_cache.misses,
-            fresh.route_cache.misses,
-            "both modes must count the same lookups"
-        );
+    fn direct_mode_batches_per_owner_and_every_part_pays_its_lookup() {
+        // Two nodes, six groups, every page linking to every other: at
+        // each wake a node hosting m groups publishes m·(k − m) parts to
+        // the other node, one hop away. §4.4 batching ships them as ONE
+        // data message, while §4.5 still charges each part its own lookup.
+        let g = toy::complete(24);
+        let k = 6;
+        let cfg = NetRunConfig { k, n_nodes: 2, t_end: 120.0, ..quick(Transmission::Direct) };
+        let owners = group_owners(&cfg);
+        let res = run_over_network(&g, cfg);
+        let mut batched = 0;
+        for (node, c) in res.per_node.iter().enumerate() {
+            let m = owners.iter().filter(|&&o| o == node).count() as u64;
+            assert_eq!(c.lookup_messages, c.data_messages * m * (k as u64 - m), "node {node}");
+            batched += u64::from(c.lookup_messages > c.data_messages);
+        }
+        assert!(batched > 0, "some node must host several groups: owners {owners:?}");
+        assert!(res.final_rel_err < 1e-4, "rel err {}", res.final_rel_err);
     }
 
     #[test]
@@ -3034,15 +2265,7 @@ mod tests {
         assert_eq!(seq.sched_stats.batches, 0, "one worker is the plain sequential loop");
         for workers in [2, 4, 8] {
             let par = run(workers);
-            assert_eq!(
-                par.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                seq.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                "rank bits diverged at {workers} workers"
-            );
-            assert_eq!(par.counters, seq.counters, "counters diverged at {workers} workers");
-            assert_eq!(par.per_node, seq.per_node);
-            assert_eq!(par.sim_stats, seq.sim_stats, "engine stats diverged at {workers} workers");
-            assert_eq!(par.rel_err.points(), seq.rel_err.points());
+            assert_same_run(&par, &seq, &format!("{workers} workers"));
             assert_eq!(par.route_cache.hits, seq.route_cache.hits);
             assert_eq!(par.route_cache.misses, seq.route_cache.misses);
             assert!(par.sched_stats.batches > 0, "parallel runs must actually batch");
@@ -3051,127 +2274,76 @@ mod tests {
     }
 
     #[test]
-    fn inner_solver_modes_are_bit_identical_across_workers_and_replays() {
-        // Each non-default mode must replay against its *own* reference bit
-        // for bit — ranks, counters (including the new sweep counters),
+    fn gauss_seidel_is_bit_identical_across_workers_and_replays() {
+        // The non-default solver must replay against its *own* reference
+        // bit for bit — ranks, counters (including the sweep counters),
         // engine stats, the whole error series — at every worker count,
         // under a lossy fault plan. The solves are per-node sequential
         // arithmetic, so worker count can only reorder scheduling, never
         // the bits.
         let g = toy::two_cliques(5);
-        let modes: [(InnerSolver, Option<AdaptiveEpsilon>); 3] = [
-            (InnerSolver::GaussSeidel, None),
-            (InnerSolver::Sor { omega: 1.1 }, None),
-            (InnerSolver::GaussSeidel, Some(AdaptiveEpsilon::default())),
-        ];
-        for (inner_solver, adaptive_epsilon) in modes {
-            let base = NetRunConfig {
-                inner_solver,
-                adaptive_epsilon,
-                faults: Some(
-                    FaultPlan::new()
-                        .with_latency(0.01)
-                        .with_default_success(0.8)
-                        .with_jitter(dpr_sim::Jitter::Uniform { max: 0.005 }),
-                ),
-                t_end: 200.0,
-                ..quick(Transmission::Indirect)
-            };
-            let run = |workers| {
-                run_over_network(&g, NetRunConfig { engine_workers: workers, ..base.clone() })
-            };
-            let seq = run(1);
-            assert!(seq.counters.inner_sweeps > 0, "{inner_solver:?}: no sweeps counted");
-            let replay = run(1);
-            assert_eq!(replay.final_ranks, seq.final_ranks, "{inner_solver:?}: replay diverged");
-            assert_eq!(replay.counters, seq.counters);
-            for workers in [2, 4, 8] {
-                let par = run(workers);
-                assert_eq!(
-                    par.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                    seq.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                    "{inner_solver:?}: rank bits diverged at {workers} workers"
-                );
-                assert_eq!(
-                    par.counters, seq.counters,
-                    "{inner_solver:?}: counters diverged at {workers} workers"
-                );
-                assert_eq!(par.per_node, seq.per_node);
-                assert_eq!(par.sim_stats, seq.sim_stats);
-                assert_eq!(par.rel_err.points(), seq.rel_err.points());
-            }
+        let base = NetRunConfig {
+            inner_solver: InnerSolver::GaussSeidel,
+            faults: Some(
+                FaultPlan::new()
+                    .with_latency(0.01)
+                    .with_default_success(0.8)
+                    .with_jitter(dpr_sim::Jitter::Uniform { max: 0.005 }),
+            ),
+            t_end: 200.0,
+            ..quick(Transmission::Indirect)
+        };
+        let run = |workers| {
+            run_over_network(&g, NetRunConfig { engine_workers: workers, ..base.clone() })
+        };
+        let seq = run(1);
+        assert!(seq.counters.inner_sweeps > 0, "no sweeps counted");
+        assert_same_run(&run(1), &seq, "replay");
+        for workers in [2, 4, 8] {
+            assert_same_run(&run(workers), &seq, &format!("{workers} workers"));
         }
     }
 
     #[test]
-    fn inner_solver_modes_agree_with_the_jacobi_fixed_point() {
-        // Different inner solvers walk different arithmetic paths, but all
+    fn gauss_seidel_agrees_with_the_jacobi_fixed_point_in_fewer_sweeps() {
+        // The two inner solvers walk different arithmetic paths but
         // contract to the same distributed fixed point: final ranks agree
-        // with the Jacobi run's to well under 1e-12 with the exact same
-        // top-10, and the within-sweep modes spend measurably fewer
-        // sweeps getting there. A random graph, not a symmetric toy — tied
-        // ranks would make top-10 order meaningless at 1e-15 noise — and
-        // few groups, so each holds enough internal coupling that solves
-        // genuinely take multiple sweeps (tolerance must matter).
+        // to well under 1e-12 with the exact same top-10, and Gauss–Seidel
+        // spends measurably fewer sweeps getting there. A random graph,
+        // not a symmetric toy — tied ranks would make top-10 order
+        // meaningless at 1e-15 noise — and few groups, so each holds
+        // enough internal coupling that solves genuinely take multiple
+        // sweeps (tolerance must matter).
         let g = dpr_graph::generators::random::erdos_renyi(240, 8, 5.0, 42);
         let base = NetRunConfig { k: 6, n_nodes: 6, t_end: 400.0, ..quick(Transmission::Indirect) };
-        let run = |inner_solver, adaptive_epsilon| {
-            run_over_network(&g, NetRunConfig { inner_solver, adaptive_epsilon, ..base.clone() })
-        };
+        let run =
+            |inner_solver| run_over_network(&g, NetRunConfig { inner_solver, ..base.clone() });
         let top10 = |ranks: &[f64]| {
             let mut idx: Vec<usize> = (0..ranks.len()).collect();
             idx.sort_by(|&a, &b| ranks[b].partial_cmp(&ranks[a]).unwrap().then_with(|| a.cmp(&b)));
             idx.truncate(10);
             idx
         };
-        let jacobi = run(InnerSolver::Jacobi, None);
+        let jacobi = run(InnerSolver::Jacobi);
         assert!(
             jacobi.counters.sweeps_saved > 0,
             "a converged run must bank its stall-skipped verification sweeps"
         );
-        for (mode, adaptive) in [
-            (InnerSolver::GaussSeidel, None),
-            (InnerSolver::Sor { omega: 1.1 }, None),
-            (InnerSolver::GaussSeidel, Some(AdaptiveEpsilon::default())),
-        ] {
-            let res = run(mode, adaptive);
-            let diff = res
-                .final_ranks
-                .iter()
-                .zip(&jacobi.final_ranks)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            assert!(diff < 1e-12, "{mode:?} adaptive={adaptive:?}: max diff {diff}");
-            assert_eq!(
-                top10(&res.final_ranks),
-                top10(&jacobi.final_ranks),
-                "{mode:?} adaptive={adaptive:?}: top-10 moved"
-            );
-            // Sweep win: asserted for plain GS modes. SOR (ω ≠ 1) is
-            // excluded — its relaxation arithmetic never reproduces the
-            // fixed point bitwise, so it forgoes the stall short-circuit
-            // and pays a one-sweep touch-up every window (see DESIGN.md
-            // §15).
-            if mode == InnerSolver::GaussSeidel {
-                assert!(
-                    res.counters.inner_sweeps < jacobi.counters.inner_sweeps,
-                    "{mode:?} adaptive={adaptive:?}: {} sweeps vs jacobi's {}",
-                    res.counters.inner_sweeps,
-                    jacobi.counters.inner_sweeps
-                );
-            }
-        }
-        // The adaptive schedule must save real work over plain GS and say
-        // so in the counter.
-        let gs = run(InnerSolver::GaussSeidel, None);
-        let gsa = run(InnerSolver::GaussSeidel, Some(AdaptiveEpsilon::default()));
+        let gs = run(InnerSolver::GaussSeidel);
+        let diff = gs
+            .final_ranks
+            .iter()
+            .zip(&jacobi.final_ranks)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(diff < 1e-12, "max diff {diff}");
+        assert_eq!(top10(&gs.final_ranks), top10(&jacobi.final_ranks), "top-10 moved");
         assert!(
-            gsa.counters.inner_sweeps < gs.counters.inner_sweeps,
-            "adaptive-ε: {} sweeps vs plain GS's {}",
-            gsa.counters.inner_sweeps,
-            gs.counters.inner_sweeps
+            gs.counters.inner_sweeps < jacobi.counters.inner_sweeps,
+            "{} sweeps vs jacobi's {}",
+            gs.counters.inner_sweeps,
+            jacobi.counters.inner_sweeps
         );
-        assert!(gsa.counters.sweeps_saved > gs.counters.sweeps_saved);
     }
 
     #[test]
@@ -3194,12 +2366,7 @@ mod tests {
         };
         let seq = run(1);
         let par = run(2);
-        assert_eq!(
-            par.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            seq.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(par.counters, seq.counters);
-        assert_eq!(par.sim_stats, seq.sim_stats);
+        assert_same_run(&par, &seq, "2 workers");
         assert!(par.counters.retries > 0, "loss must exercise the retransmit path");
         assert!(seq.final_rel_err < 1e-3, "rel err {}", seq.final_rel_err);
     }
@@ -3237,14 +2404,7 @@ mod tests {
         let a = run_over_network(&g, base.clone());
         let b =
             run_over_network(&g, NetRunConfig { checkpoint_every: 0.25, suspect_after: 9, ..base });
-        assert_eq!(
-            a.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            b.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            "inert knobs must not change a single bit"
-        );
-        assert_eq!(a.counters, b.counters);
-        assert_eq!(a.sim_stats, b.sim_stats);
-        assert_eq!(a.rel_err.points(), b.rel_err.points());
+        assert_same_run(&a, &b, "inert knobs must not change a single bit");
         assert_eq!(a.counters.checkpoints_sent, 0);
         assert_eq!(a.counters.checkpoint_bytes, 0);
         assert_eq!(a.counters.takeovers_warm + a.counters.takeovers_cold, 0);
@@ -3328,51 +2488,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_recovery_is_bit_identical_across_engine_workers() {
-        // The replication protocol must preserve the batched-engine
-        // contract: checkpoints, failure detection, and warm takeover all
-        // happen in the sequential commit stage, so a crashed-and-
-        // recovered run replays bit for bit at any worker count.
-        let g = toy::two_cliques(6);
-        let crash = 100.0;
-        let base = NetRunConfig {
-            k: 8,
-            n_nodes: 8,
-            strategy: Strategy::HashByUrl,
-            variant: DprVariant::Dpr2,
-            replication: 2,
-            t_end: 300.0,
-            sample_every: 2.0,
-            ..NetRunConfig::default()
-        };
-        let victim = group_owners(&base)[0];
-        let base = NetRunConfig {
-            departures: vec![(crash, victim)],
-            faults: Some(FaultPlan::new().with_latency(0.01).with_permanent_crash(victim, crash)),
-            ..base
-        };
-        let run = |workers| {
-            run_over_network(&g, NetRunConfig { engine_workers: workers, ..base.clone() })
-        };
-        let seq = run(1);
-        assert!(seq.counters.checkpoints_sent > 0, "protocol must be exercised");
-        assert!(seq.counters.takeovers_warm > 0, "the victim's groups must be re-hosted warm");
-        assert_eq!(seq.counters.takeovers_cold, 0);
-        for workers in [2, 4] {
-            let par = run(workers);
-            assert_eq!(
-                par.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                seq.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                "rank bits diverged at {workers} workers"
-            );
-            assert_eq!(par.counters, seq.counters, "counters diverged at {workers} workers");
-            assert_eq!(par.per_node, seq.per_node);
-            assert_eq!(par.sim_stats, seq.sim_stats);
-            assert_eq!(par.rel_err.points(), seq.rel_err.points());
-        }
-    }
-
-    #[test]
     fn zero_op_delta_is_bit_invisible() {
         // A delta carrying zero ops must leave every rank bit and every
         // counter identical to an undisturbed run, at any worker count —
@@ -3389,15 +2504,7 @@ mod tests {
                     ..base.clone()
                 },
             );
-            assert_eq!(
-                res.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                undisturbed.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                "rank bits diverged at {workers} workers"
-            );
-            assert_eq!(res.counters, undisturbed.counters, "counters diverged at {workers}");
-            assert_eq!(res.per_node, undisturbed.per_node);
-            assert_eq!(res.sim_stats, undisturbed.sim_stats);
-            assert_eq!(res.rel_err.points(), undisturbed.rel_err.points());
+            assert_same_run(&res, &undisturbed, &format!("{workers} workers"));
             assert_eq!(res.counters.delta_messages, 0, "an empty delta ships nothing");
         }
     }
@@ -3456,14 +2563,7 @@ mod tests {
         for workers in [2, 4] {
             let par =
                 run_over_network(&g, NetRunConfig { engine_workers: workers, ..base.clone() });
-            assert_eq!(
-                par.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                res.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                "rank bits diverged at {workers} workers"
-            );
-            assert_eq!(par.counters, res.counters, "counters diverged at {workers} workers");
-            assert_eq!(par.sim_stats, res.sim_stats);
-            assert_eq!(par.rel_err.points(), res.rel_err.points());
+            assert_same_run(&par, &res, &format!("{workers} workers"));
         }
     }
 
@@ -3556,12 +2656,7 @@ mod tests {
         // Each delta ships to at least one dirty owner.
         assert!(res.counters.delta_messages >= times.len() as u64);
         let par = run_over_network(&g0, NetRunConfig { engine_workers: 4, ..base });
-        assert_eq!(
-            par.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            res.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-        );
-        assert_eq!(par.counters, res.counters);
-        assert_eq!(par.rel_err.points(), res.rel_err.points());
+        assert_same_run(&par, &res, "4 workers");
     }
 
     #[test]
@@ -3792,15 +2887,7 @@ mod tests {
         assert!(seq.counters.delta_messages > 0, "the deltas must dirty hosted groups");
         assert!(seq.final_rel_err < 1e-6, "rel err {}", seq.final_rel_err);
         for workers in [2, 4] {
-            let par = run(workers);
-            assert_eq!(
-                par.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                seq.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                "rank bits diverged at {workers} workers"
-            );
-            assert_eq!(par.counters, seq.counters, "counters diverged at {workers} workers");
-            assert_eq!(par.per_node, seq.per_node);
-            assert_eq!(par.rel_err.points(), seq.rel_err.points());
+            assert_same_run(&run(workers), &seq, &format!("{workers} workers"));
         }
     }
 }

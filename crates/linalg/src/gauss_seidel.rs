@@ -19,23 +19,18 @@ use crate::csr::SpMatVec;
 use crate::solver::SolveReport;
 use crate::vec_ops;
 
-/// Configuration for Gauss–Seidel / SOR sweeps.
+/// Configuration for Gauss–Seidel sweeps.
 #[derive(Debug, Clone, Copy)]
 pub struct GaussSeidelSolver {
     /// Stop when `‖xᵢ₊₁ − xᵢ‖₁ ≤ tolerance` (sweep-to-sweep difference).
     pub tolerance: f64,
     /// Hard sweep cap.
     pub max_iters: usize,
-    /// Relaxation factor ω: 1.0 = plain Gauss–Seidel; `1 < ω < 2`
-    /// over-relaxes (SOR), which can further shrink the spectral radius on
-    /// smoothly converging systems; `0 < ω < 1` under-relaxes (damping for
-    /// oscillatory components).
-    pub omega: f64,
 }
 
 impl Default for GaussSeidelSolver {
     fn default() -> Self {
-        Self { tolerance: 1e-10, max_iters: 10_000, omega: 1.0 }
+        Self { tolerance: 1e-10, max_iters: 10_000 }
     }
 }
 
@@ -60,11 +55,6 @@ impl GaussSeidelSolver {
         assert_eq!(a.n_cols(), n, "Gauss–Seidel needs a square matrix");
         assert_eq!(f.len(), n);
         assert_eq!(x.len(), n);
-        assert!(
-            self.omega > 0.0 && self.omega < 2.0,
-            "SOR requires 0 < omega < 2, got {}",
-            self.omega
-        );
 
         let mut iters = 0usize;
         let mut delta = f64::INFINITY;
@@ -78,37 +68,16 @@ impl GaussSeidelSolver {
         SolveReport::from_final_delta(iters, delta, self.tolerance, a.contraction_norm())
     }
 
-    /// [`Self::solve`] with the buffer signature of
-    /// [`FixedPointSolver::solve_with_scratch`](crate::FixedPointSolver::solve_with_scratch),
-    /// so hot loops can swap solver families behind one call shape.
-    /// Gauss–Seidel updates in place and needs neither a double buffer nor
-    /// a multiply workspace — both buffers are accepted untouched.
-    pub fn solve_with_scratch<M: SpMatVec>(
-        &self,
-        a: &M,
-        f: &[f64],
-        x: &mut [f64],
-        _scratch: &mut Vec<f64>,
-        _ws: &mut Vec<f64>,
-    ) -> SolveReport {
-        self.solve(a, f, x)
-    }
-
     /// Performs exactly `steps` sweeps (the DPR2 node body does a single
     /// step per outer loop), returning the last sweep-to-sweep difference.
     ///
     /// # Panics
-    /// If dimensions are inconsistent, `ω ∉ (0, 2)`, or some `a_ii ≥ 1`.
+    /// If dimensions are inconsistent or some `a_ii ≥ 1`.
     pub fn step<M: SpMatVec>(&self, a: &M, f: &[f64], x: &mut [f64], steps: usize) -> f64 {
         let n = a.n_rows();
         assert_eq!(a.n_cols(), n);
         assert_eq!(f.len(), n);
         assert_eq!(x.len(), n);
-        assert!(
-            self.omega > 0.0 && self.omega < 2.0,
-            "SOR requires 0 < omega < 2, got {}",
-            self.omega
-        );
         let mut delta = 0.0;
         for _ in 0..steps {
             delta = self.sweep_once(a, f, x);
@@ -122,8 +91,7 @@ impl GaussSeidelSolver {
         for i in 0..x.len() {
             let (acc, diag) = a.gs_row(i, f[i], x);
             assert!(diag < 1.0 - 1e-12, "diagonal entry {diag} breaks the GS update");
-            let gs = acc / (1.0 - diag);
-            let new = (1.0 - self.omega) * x[i] + self.omega * gs;
+            let new = acc / (1.0 - diag);
             delta += (new - x[i]).abs();
             x[i] = new;
         }
@@ -139,8 +107,7 @@ pub fn sweep_comparison<M: SpMatVec>(a: &M, f: &[f64], tolerance: f64) -> (usize
     let j = crate::solver::FixedPointSolver { tolerance, max_iters: 100_000, ..Default::default() }
         .solve(a, f, &mut xj);
     let mut xg = vec![0.0; f.len()];
-    let g = GaussSeidelSolver { tolerance, max_iters: 100_000, ..GaussSeidelSolver::default() }
-        .solve(a, f, &mut xg);
+    let g = GaussSeidelSolver { tolerance, max_iters: 100_000 }.solve(a, f, &mut xg);
     debug_assert!(vec_ops::l1_diff(&xj, &xg) < tolerance * 1e3, "Jacobi and Gauss–Seidel disagree");
     (j.iterations, g.iterations)
 }
@@ -235,71 +202,6 @@ mod tests {
         let a = Csr::zero(0, 0);
         let mut x: Vec<f64> = vec![];
         assert!(GaussSeidelSolver::default().solve(&a, &[], &mut x).converged);
-    }
-
-    #[test]
-    fn sor_omega_one_equals_gauss_seidel() {
-        let (a, f) = chain_system(10, 0.8);
-        let mut x1 = vec![0.0; 10];
-        let mut x2 = vec![0.0; 10];
-        GaussSeidelSolver::new(1e-12).solve(&a, &f, &mut x1);
-        GaussSeidelSolver { omega: 1.0, ..GaussSeidelSolver::new(1e-12) }.solve(&a, &f, &mut x2);
-        assert_eq!(x1, x2);
-    }
-
-    #[test]
-    fn over_relaxation_converges_to_the_same_point() {
-        // A lower-triangular system: SOR's iteration matrix has spectral
-        // radius |1 − ω|, so any 0 < ω < 2 converges and we can exercise
-        // both under- and over-relaxation. (On matrices with complex
-        // eigenvalues aggressive ω may diverge — ω is a tunable, not a
-        // default, for exactly that reason.)
-        let mut t = TripletMatrix::new(6, 6);
-        for i in 1..6 {
-            t.push(i, i - 1, 0.45);
-            t.push(i, i, 0.3);
-        }
-        let a = t.to_csr();
-        let f = vec![1.0; 6];
-        let mut plain = vec![0.0; 6];
-        GaussSeidelSolver::new(1e-12).solve(&a, &f, &mut plain);
-        // Mild relaxation either side of 1; aggressive omega can diverge
-        // when the iteration matrix has complex eigenvalues, which is why
-        // omega stays a tunable rather than a default.
-        for omega in [0.5, 1.1, 1.25] {
-            let mut x = vec![0.0; 6];
-            let r =
-                GaussSeidelSolver { omega, ..GaussSeidelSolver::new(1e-12) }.solve(&a, &f, &mut x);
-            assert!(r.converged, "omega {omega} failed to converge");
-            assert!(vec_ops::l1_diff(&x, &plain) < 1e-8, "omega {omega} wrong fixed point");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "SOR requires")]
-    fn omega_out_of_range_rejected() {
-        let (a, f) = chain_system(3, 0.5);
-        let mut x = vec![0.0; 3];
-        let _ =
-            GaussSeidelSolver { omega: 2.5, ..GaussSeidelSolver::default() }.solve(&a, &f, &mut x);
-    }
-
-    #[test]
-    #[should_panic(expected = "SOR requires")]
-    fn omega_zero_rejected() {
-        let (a, f) = chain_system(3, 0.5);
-        let mut x = vec![0.0; 3];
-        let _ =
-            GaussSeidelSolver { omega: 0.0, ..GaussSeidelSolver::default() }.solve(&a, &f, &mut x);
-    }
-
-    #[test]
-    #[should_panic(expected = "SOR requires")]
-    fn omega_two_rejected_by_step() {
-        let (a, f) = chain_system(3, 0.5);
-        let mut x = vec![0.0; 3];
-        let _ = GaussSeidelSolver { omega: 2.0, ..GaussSeidelSolver::default() }
-            .step(&a, &f, &mut x, 1);
     }
 
     /// A random pull-oriented ranking matrix in implicit form, with

@@ -15,9 +15,8 @@
 //! Because of that invariant the cache is invisible to simulation results
 //! (same ranks, same §4.5 counters, same `SimStats`); it only removes
 //! repeated route walks and their per-hop `Vec` allocations from the hot
-//! path. A [`RouteCache::bypassed`] instance keeps the same bookkeeping
-//! (every lookup counted as a miss) without storing anything, so benchmarks
-//! can report an honest allocations-per-delivery proxy for both modes.
+//! path. The uncached [`Overlay`] methods stay the reference the tests
+//! compare every cached answer against, through churn.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,8 +28,7 @@ use crate::{NodeIndex, Overlay};
 pub struct RouteCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to walk the overlay (including every lookup of a
-    /// bypassed cache).
+    /// Lookups that had to walk the overlay.
     pub misses: u64,
     /// Number of times a generation change flushed the cache.
     pub invalidations: u64,
@@ -45,17 +43,6 @@ impl RouteCacheStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Component-wise difference, for measuring a steady-state window:
-    /// `later.delta(earlier)` is the traffic between two snapshots.
-    #[must_use]
-    pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            invalidations: self.invalidations - earlier.invalidations,
         }
     }
 }
@@ -75,29 +62,13 @@ pub struct RouteCache {
     routes: HashMap<(NodeIndex, u128), Arc<[NodeIndex]>>,
     replica_sets: HashMap<(u128, usize), Arc<[NodeIndex]>>,
     stats: RouteCacheStats,
-    /// When set, nothing is stored and every lookup counts as a miss —
-    /// the "cache off" configuration with identical bookkeeping.
-    bypass: bool,
 }
 
 impl RouteCache {
-    /// An empty, active cache.
+    /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A cache that memoizes nothing: every lookup recomputes and counts
-    /// as a miss. Lets "cache off" runs share the cache-aware call sites.
-    #[must_use]
-    pub fn bypassed() -> Self {
-        Self { bypass: true, ..Self::default() }
-    }
-
-    /// Whether this instance actually stores entries.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        !self.bypass
     }
 
     /// Drops every entry if the overlay's topology generation moved since
@@ -121,10 +92,6 @@ impl RouteCache {
     /// Memoized [`Overlay::next_hop`]. Identical to the overlay's answer
     /// by construction: entries never survive a generation change.
     pub fn next_hop(&mut self, net: &dyn Overlay, src: NodeIndex, key: u128) -> Option<NodeIndex> {
-        if self.bypass {
-            self.stats.misses += 1;
-            return net.next_hop(src, key);
-        }
         self.sync(net);
         if let Some(&hop) = self.next_hops.get(&(src, key)) {
             self.stats.hits += 1;
@@ -138,10 +105,6 @@ impl RouteCache {
 
     /// Memoized [`Overlay::route`], shared without copying the hop vector.
     pub fn route(&mut self, net: &dyn Overlay, src: NodeIndex, key: u128) -> Arc<[NodeIndex]> {
-        if self.bypass {
-            self.stats.misses += 1;
-            return net.route(src, key).into();
-        }
         self.sync(net);
         if let Some(path) = self.routes.get(&(src, key)) {
             self.stats.hits += 1;
@@ -164,10 +127,6 @@ impl RouteCache {
     /// they ride the same generation-stamped invalidation as routes: a
     /// cached set can never outlive the membership that produced it.
     pub fn replicas(&mut self, net: &dyn Overlay, key: u128, k: usize) -> Arc<[NodeIndex]> {
-        if self.bypass {
-            self.stats.misses += 1;
-            return net.replicas(key, k).into();
-        }
         self.sync(net);
         if let Some(set) = self.replica_sets.get(&(key, k)) {
             self.stats.hits += 1;
@@ -184,18 +143,6 @@ impl RouteCache {
     pub fn stats(&self) -> RouteCacheStats {
         self.stats
     }
-
-    /// Number of memoized entries (next-hop, full-route and replica-set).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.next_hops.len() + self.routes.len() + self.replica_sets.len()
-    }
-
-    /// Whether the cache currently holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -204,48 +151,64 @@ mod tests {
     use crate::id::key_from_u64;
     use crate::{ChordNetwork, PastryNetwork};
 
-    #[test]
-    fn repeated_lookups_hit() {
-        let net = PastryNetwork::with_nodes(64, 9);
-        let mut cache = RouteCache::new();
-        let key = key_from_u64(42);
-        let first = cache.next_hop(&net, 3, key);
-        let second = cache.next_hop(&net, 3, key);
-        assert_eq!(first, second);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn cached_routes_match_fresh_routes() {
-        let net = PastryNetwork::with_nodes(100, 17);
-        let mut cache = RouteCache::new();
-        for pass in 0..2 {
-            for k in 0..50u64 {
-                let key = key_from_u64(k);
-                for src in [0usize, 13, 99] {
-                    let cached = cache.route(&net, src, key);
-                    assert_eq!(cached.as_ref(), net.route(src, key).as_slice());
-                    assert_eq!(cache.next_hop(&net, src, key), net.next_hop(src, key));
-                }
+    /// Every cached answer against the overlay's own, for a few sources
+    /// and keys.
+    fn assert_matches_fresh(cache: &mut RouteCache, net: &dyn Overlay, srcs: &[NodeIndex]) {
+        for k in 0..12u64 {
+            let key = key_from_u64(k);
+            for &src in srcs {
+                assert_eq!(cache.next_hop(net, src, key), net.next_hop(src, key));
+                assert_eq!(cache.route(net, src, key).as_ref(), net.route(src, key).as_slice());
+                assert_eq!(cache.route_hops(net, src, key), net.route(src, key).len());
             }
-            if pass == 1 {
-                assert_eq!(cache.stats().hits, 300, "second pass must hit on every lookup");
-            }
+            assert_eq!(cache.replicas(net, key, 2).as_ref(), net.replicas(key, 2).as_slice());
         }
     }
 
     #[test]
-    fn depart_invalidates() {
-        let mut net = PastryNetwork::with_nodes(32, 5);
+    fn cached_routes_match_fresh_routes() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut net = PastryNetwork::with_nodes(100, 17);
         let mut cache = RouteCache::new();
-        let key = key_from_u64(7);
-        let stale = cache.next_hop(&net, 1, key);
-        let _ = stale;
-        net.depart(net.responsible(key));
-        // Post-churn answers must be recomputed, not replayed.
-        assert_eq!(cache.next_hop(&net, 1, key), net.next_hop(1, key));
-        assert_eq!(cache.stats().invalidations, 1);
+        assert_matches_fresh(&mut cache, &net, &[0, 13, 99]);
+        let warm = cache.stats();
+        assert_matches_fresh(&mut cache, &net, &[0, 13, 99]);
+        assert_eq!(cache.stats().misses, warm.misses, "the second pass must hit on every lookup");
+
+        // Through churn: departures, joins and lookups in a random
+        // interleaving. An answer computed before a membership change must
+        // never be served after it.
+        let mut rng = SmallRng::seed_from_u64(23);
+        let mut churned = 0;
+        for step in 0..60u64 {
+            let alive: Vec<NodeIndex> = (0..net.n_nodes()).filter(|&h| net.is_alive(h)).collect();
+            match rng.gen_range(0..4) {
+                0 => net.depart(alive[rng.gen_range(0..alive.len())]),
+                1 => {
+                    net.join(alive[0], 1_000 + step);
+                }
+                _ => {
+                    let srcs: Vec<NodeIndex> =
+                        (0..3).map(|_| alive[rng.gen_range(0..alive.len())]).collect();
+                    assert_matches_fresh(&mut cache, &net, &srcs);
+                    continue;
+                }
+            }
+            churned += 1;
+        }
+        let alive: Vec<NodeIndex> = (0..net.n_nodes()).filter(|&h| net.is_alive(h)).collect();
+        assert_matches_fresh(&mut cache, &net, &alive[..3]);
+        assert!(churned > 10 && cache.stats().invalidations > 5, "the schedule must churn");
+
+        // Chord departs too (it has no incremental join).
+        let mut ring = ChordNetwork::with_nodes(40, 5);
+        let mut cache = RouteCache::new();
+        for victim in [7, 21, 3, 30] {
+            assert_matches_fresh(&mut cache, &ring, &[0, 11, 39]);
+            ring.depart(victim);
+        }
+        assert_matches_fresh(&mut cache, &ring, &[0, 11, 39]);
+        assert_eq!(cache.stats().invalidations, 4, "one flush per departure");
     }
 
     #[test]
@@ -256,20 +219,6 @@ mod tests {
         assert_eq!(net.generation(), 1);
         net.depart(6);
         assert_eq!(net.generation(), 2);
-    }
-
-    #[test]
-    fn bypassed_cache_stores_nothing_and_counts_misses() {
-        let net = ChordNetwork::with_nodes(32, 11);
-        let mut cache = RouteCache::bypassed();
-        let key = key_from_u64(9);
-        for _ in 0..3 {
-            assert_eq!(cache.next_hop(&net, 2, key), net.next_hop(2, key));
-        }
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 3);
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.stats().hit_rate(), 0.0);
     }
 
     #[test]
@@ -288,31 +237,5 @@ mod tests {
         assert_eq!(fresh.as_ref(), net.replicas(key, 2).as_slice());
         assert_eq!(cache.stats().invalidations, 1);
         assert_ne!(first.as_ref(), fresh.as_ref());
-    }
-
-    #[test]
-    fn bypassed_replicas_store_nothing() {
-        let net = PastryNetwork::with_nodes(16, 3);
-        let mut cache = RouteCache::bypassed();
-        let key = key_from_u64(2);
-        for _ in 0..2 {
-            assert_eq!(cache.replicas(&net, key, 2).as_ref(), net.replicas(key, 2).as_slice());
-        }
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn stats_delta_isolates_a_window() {
-        let net = PastryNetwork::with_nodes(16, 21);
-        let mut cache = RouteCache::new();
-        let key = key_from_u64(1);
-        cache.next_hop(&net, 0, key); // miss
-        let snapshot = cache.stats();
-        cache.next_hop(&net, 0, key); // hit
-        cache.next_hop(&net, 0, key); // hit
-        let window = cache.stats().delta(&snapshot);
-        assert_eq!(window, RouteCacheStats { hits: 2, misses: 0, invalidations: 0 });
-        assert_eq!(window.hit_rate(), 1.0);
     }
 }

@@ -47,7 +47,13 @@ fn assert_cache_matches_fresh(
             let cached = cache.route(net, s, k);
             let fresh = net.route(s, k);
             prop_assert_eq!(cached.as_ref(), fresh.as_slice(), "route src {}", s);
+            prop_assert_eq!(cache.route_hops(net, s, k), fresh.len(), "route_hops src {}", s);
         }
+    }
+    for &k in keys {
+        let cached = cache.replicas(net, k, 2);
+        let fresh = net.replicas(k, 2);
+        prop_assert_eq!(cached.as_ref(), fresh.as_slice(), "replicas of {}", k);
     }
     Ok(())
 }

@@ -107,47 +107,6 @@ fn partition_then_heal_reconverges() {
     );
 }
 
-/// The fault-recovery scenarios replay bit-identically on the legacy
-/// `BinaryHeap` + full-rebuild engine and the slab scheduler + dirty-row
-/// cache: same ranks, same engine statistics, through Chord crashes with
-/// state-loss migration and a partition window.
-#[test]
-fn legacy_and_slab_engines_agree_under_recovery_scenarios() {
-    use dpr::sim::SchedulerKind;
-    let g = toy::two_cliques(6);
-    let side_a: Vec<usize> = (0..12).collect();
-    let scenarios = [
-        NetRunConfig {
-            k: 24,
-            n_nodes: 24,
-            overlay: OverlayKind::Chord,
-            strategy: Strategy::HashByUrl,
-            t_end: 400.0,
-            departures: vec![(60.0, 2), (90.0, 5)],
-            ..NetRunConfig::default()
-        },
-        NetRunConfig {
-            k: 24,
-            n_nodes: 24,
-            strategy: Strategy::HashByUrl,
-            t_end: 400.0,
-            faults: Some(FaultPlan::new().with_latency(0.01).with_partition(10.0, 60.0, &side_a)),
-            ..NetRunConfig::default()
-        },
-    ];
-    for cfg in scenarios {
-        let new = run_over_network(&g, cfg.clone());
-        let old = run_over_network(
-            &g,
-            NetRunConfig { scheduler: SchedulerKind::BinaryHeap, ext_cache: false, ..cfg },
-        );
-        let new_bits: Vec<u64> = new.final_ranks.iter().map(|x| x.to_bits()).collect();
-        let old_bits: Vec<u64> = old.final_ranks.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(new_bits, old_bits, "ranks diverged between engines");
-        assert_eq!(new.sim_stats, old.sim_stats);
-    }
-}
-
 /// On a network that drops everything, the retry budget is bounded: every
 /// package is retransmitted at most `max_retries` times, then abandoned.
 /// The run terminating at all is the termination half of the claim.
