@@ -292,6 +292,43 @@ mod tests {
         assert_eq!(a.messages, b.messages);
     }
 
+    /// Whole-run digests (FNV-1a over the final rank bits, then `rounds`
+    /// and `messages`), recorded on x86-64 Linux before the thread body
+    /// became a `Ranker` host: that change must not move them. To
+    /// re-record on purpose, paste the table the failure prints.
+    #[test]
+    fn whole_runs_match_their_committed_digests() {
+        const CELLS: [(usize, Strategy, DprVariant, u64, u64, u64); 4] = [
+            (8, Strategy::HashBySite, DprVariant::Dpr1, 11, 483, 0xb334_3bbf_0402_c89f),
+            (16, Strategy::HashByUrl, DprVariant::Dpr1, 26, 5_775, 0x47ca_1d7b_007b_97bb),
+            (4, Strategy::HashBySite, DprVariant::Dpr2, 28, 318, 0x2624_9d13_940c_ec73),
+            (1, Strategy::HashBySite, DprVariant::Dpr1, 2, 0, 0x7c02_f379_f5f1_cdad),
+        ];
+        let g = edu_domain(&EduDomainConfig {
+            n_pages: 3_000,
+            n_sites: 24,
+            ..EduDomainConfig::default()
+        });
+        let mut table = String::new();
+        let mut moved = false;
+        for (k, strategy, variant, rounds, messages, digest) in CELLS {
+            let cfg =
+                ThreadedRunConfig { k, strategy: strategy.clone(), variant, ..Default::default() };
+            let res = run_threaded(&g, &cfg);
+            let mut d = 0xcbf2_9ce4_8422_2325u64;
+            let words = res.final_ranks.iter().map(|x| x.to_bits());
+            for b in words.chain([res.rounds, res.messages]).flat_map(u64::to_le_bytes) {
+                d = (d ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            moved |= (res.rounds, res.messages, d) != (rounds, messages, digest);
+            table.push_str(&format!(
+                "({k}, Strategy::{strategy:?}, DprVariant::{variant:?}, {}, {}, {d:#018x}),\n",
+                res.rounds, res.messages
+            ));
+        }
+        assert!(!moved, "threaded digests moved; the run now reads:\n{table}");
+    }
+
     #[test]
     fn matches_the_simulated_run_fixed_point() {
         // Real threads and the discrete-event simulator must land on the
