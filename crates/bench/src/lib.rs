@@ -86,14 +86,6 @@ impl BenchArgs {
         flag(&self.args, key)
     }
 
-    /// Comma-separated list lookup: `--key 1,2,4` parses to `[1, 2, 4]`;
-    /// `default` (same syntax) is parsed when the key is absent.
-    /// Unparsable items are skipped.
-    #[must_use]
-    pub fn list<T: std::str::FromStr>(&self, key: &str, default: &str) -> Vec<T> {
-        self.raw(key).unwrap_or(default).split(',').filter_map(|v| v.trim().parse().ok()).collect()
-    }
-
     /// Writes `payload` to `target/experiments/<name>.json` and, when
     /// `--out PATH` was given, to that path too. Returns the experiments
     /// path.
@@ -244,7 +236,7 @@ mod tests {
     fn bench_args_typed_lookups() {
         let a = BenchArgs::from_iter(
             "unit",
-            ["--pages", "100", "--quick", "--workers", "1, 2,4"].iter().map(|s| s.to_string()),
+            ["--pages", "100", "--quick"].iter().map(|s| s.to_string()),
         );
         assert_eq!(a.get("pages", 0usize), 100);
         assert_eq!(a.get("missing", 7i32), 7);
@@ -252,8 +244,6 @@ mod tests {
         assert!(!a.flag("absent"));
         assert_eq!(a.raw("pages"), Some("100"));
         assert_eq!(a.raw("absent"), None);
-        assert_eq!(a.list::<usize>("workers", "8"), vec![1, 2, 4]);
-        assert_eq!(a.list::<usize>("threads", "8,16"), vec![8, 16]);
     }
 
     #[test]

@@ -108,11 +108,11 @@ mod tests {
 
     #[test]
     fn command_positional_options() {
-        let a = parse(&["rank", "graph.txt", "--top", "5", "--accelerated"]);
-        assert_eq!(a.command, "rank");
+        let a = parse(&["simulate", "graph.txt", "--k", "5", "--threaded"]);
+        assert_eq!(a.command, "simulate");
         assert_eq!(a.positional(0, "graph").unwrap(), "graph.txt");
-        assert_eq!(a.get("top", 0usize), Ok(5));
-        assert_eq!(a.flag("accelerated"), Ok(true));
+        assert_eq!(a.get("k", 0usize), Ok(5));
+        assert_eq!(a.flag("threaded"), Ok(true));
         assert_eq!(a.flag("absent"), Ok(false));
         assert_eq!(a.reject_unread(), Ok(()));
     }

@@ -1,6 +1,6 @@
 //! The `dpr` subcommand implementations.
 
-use dpr_core::centralized::{open_pagerank, open_pagerank_accelerated, pagerank};
+use dpr_core::centralized::{open_pagerank, pagerank};
 use dpr_core::hits::{hits, HitsConfig};
 use dpr_core::metrics::top_k;
 use dpr_core::{run_distributed, DistributedRunConfig, DprVariant, RankConfig};
@@ -32,7 +32,7 @@ COMMANDS:
             Print dataset statistics.
   partition FILE [--k K] [--strategy site|url|random]
             Evaluate a dividing strategy (cut links, balance, stability).
-  rank      FILE [--algo cpr|pagerank|hits] [--accelerated] [--top T] [--alpha A]
+  rank      FILE [--algo cpr|pagerank|hits] [--top T] [--alpha A]
             Centralized ranking baselines.
   simulate  FILE [--k K] [--variant dpr1|dpr2] [--p P] [--t1 T] [--t2 T]
             [--t-end T] [--strategy site|url|random] [--seed X]
@@ -198,16 +198,11 @@ pub fn rank(args: &Args) -> CmdResult {
     let top = args.get("top", 10usize)?;
     let cfg = RankConfig { alpha: args.get("alpha", 0.85f64)?, ..RankConfig::default() };
     let algo = args.get_str("algo", "cpr");
-    let accelerated = args.flag("accelerated")?;
     args.reject_unread()?;
     let g = load_graph(args.positional(0, "graph")?)?;
     let (name, ranks, iterations) = match algo {
         "cpr" => {
-            let out = if accelerated {
-                open_pagerank_accelerated(&g, &cfg)
-            } else {
-                open_pagerank(&g, &cfg)
-            };
+            let out = open_pagerank(&g, &cfg);
             ("open-system PageRank (CPR)", out.ranks, out.iterations)
         }
         "pagerank" => {
@@ -444,7 +439,7 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         p.refresh,
         p.solve,
         // The rate the inner solves ran at, to compare with the kernel's
-        // own (`BENCH_spmv.json`, `sweep`).
+        // own (`group.sweep_rows_per_s` in the benchmark).
         res.counters.rows_swept as f64 / p.solve.max(f64::MIN_POSITIVE) / 1e6,
         p.compute_y,
         p.dispatch,
@@ -521,6 +516,9 @@ pub fn simulate(args: &Args) -> CmdResult {
         return simulate_net(args, &g, variant);
     }
     let k = args.get("k", 100usize)?;
+    if k == 0 {
+        return Err("--k must be at least 1".into());
+    }
     let strategy = parse_strategy(args.get_str("strategy", "site"))?;
     let save_ranks = args.get_opt("save-ranks");
     if args.flag("threaded")? {
@@ -556,16 +554,26 @@ pub fn simulate(args: &Args) -> CmdResult {
         }
     };
     let t_end = args.get("t-end", 100.0f64)?;
+    let sample_every = args.get("sample-every", 1.0f64)?;
+    if !(t_end > 0.0 && t_end.is_finite() && sample_every > 0.0) {
+        return Err(format!(
+            "--t-end and --sample-every must be positive, got {t_end} and {sample_every}"
+        ));
+    }
+    let (t1, t2) = (args.get("t1", 0.0f64)?, args.get("t2", 6.0f64)?);
+    if !(t1 >= 0.0 && t1 <= t2 && t2.is_finite()) {
+        return Err(format!("--t1/--t2 must satisfy 0 <= t1 <= t2, got {t1} and {t2}"));
+    }
     let cfg = DistributedRunConfig {
         k,
         variant,
         strategy,
-        t1: args.get("t1", 0.0f64)?,
-        t2: args.get("t2", 6.0f64)?,
+        t1,
+        t2,
         send_success_prob: p,
         seed: args.get("seed", 0u64)?,
         t_end,
-        sample_every: args.get("sample-every", 1.0f64)?,
+        sample_every,
         warm_start,
         ..DistributedRunConfig::default()
     };

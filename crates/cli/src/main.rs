@@ -5,7 +5,7 @@
 //! dpr crawl    --web-pages 100000 --agents 8 --mode exchange --out crawl.graph
 //! dpr stats    crawl.graph
 //! dpr partition crawl.graph --k 64 --strategy site
-//! dpr rank     crawl.graph --top 10 [--algo cpr|pagerank|hits] [--accelerated]
+//! dpr rank     crawl.graph --top 10 [--algo cpr|pagerank|hits]
 //! dpr simulate crawl.graph --k 100 --variant dpr1 --p 0.7 --t2 6 --t-end 100
 //! dpr plan     --rankers 1000 --pages 3e9
 //! ```

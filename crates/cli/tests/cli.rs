@@ -23,7 +23,7 @@ fn generate_stats_partition_rank_simulate_pipeline() {
     commands::partition(&args(&["partition", &path, "--k", "8", "--strategy", "site"])).unwrap();
     commands::rank(&args(&["rank", &path, "--top", "5"])).unwrap();
     commands::rank(&args(&["rank", &path, "--algo", "hits", "--top", "3"])).unwrap();
-    commands::rank(&args(&["rank", &path, "--algo", "pagerank", "--accelerated"])).unwrap();
+    commands::rank(&args(&["rank", &path, "--algo", "pagerank"])).unwrap();
     commands::simulate(&args(&["simulate", &path, "--k", "10", "--p", "0.8", "--t-end", "60"]))
         .unwrap();
     std::fs::remove_file(&path).ok();
@@ -254,6 +254,24 @@ fn net_simulate_rejects_bad_specs() {
     ]))
     .unwrap_err()
     .contains("not supported on the CAN overlay"));
+    std::fs::remove_file(&graph).ok();
+}
+
+#[test]
+fn degenerate_run_shapes_are_clean_errors_on_every_host() {
+    // Each of these used to reach an `assert!` inside a library host and
+    // abort with a backtrace.
+    let graph = tmp("degenerate.graph");
+    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+        .unwrap();
+    let err = |extra: &[&str]| {
+        commands::simulate(&args(&[&["simulate", graph.as_str()], extra].concat())).unwrap_err()
+    };
+    assert!(err(&["--t-end", "0"]).contains("--t-end"));
+    assert!(err(&["--k", "0"]).contains("--k"));
+    assert!(err(&["--threaded", "--k", "0"]).contains("--k"));
+    assert!(err(&["--t1", "5", "--t2", "1"]).contains("--t1/--t2"));
+    assert!(err(&["--net", "--t1", "5", "--t2", "1"]).contains("t1/t2"));
     std::fs::remove_file(&graph).ok();
 }
 

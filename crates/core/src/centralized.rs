@@ -87,31 +87,6 @@ pub fn open_pagerank_with_pool(g: &WebGraph, cfg: &RankConfig, pool: &Pool) -> P
     }
 }
 
-/// CPR with Aitken Δ² extrapolation (Kamvar et al. \[8\], the acceleration
-/// the paper's related work points at): same fixed point, fewer iterations
-/// on slowly-mixing graphs. The ablation bench compares this against
-/// [`open_pagerank`].
-#[must_use]
-pub fn open_pagerank_accelerated(g: &WebGraph, cfg: &RankConfig) -> PageRankOutcome {
-    cfg.validate(g.n_pages());
-    let a = open_system_matrix(g, cfg.alpha);
-    let pages: Vec<u32> = (0..g.n_pages() as u32).collect();
-    let f = cfg.beta_e_for(&pages);
-    let mut r = vec![0.0; g.n_pages()];
-    let solver = dpr_linalg::AitkenSolver {
-        tolerance: cfg.epsilon,
-        max_iters: cfg.max_iters,
-        ..dpr_linalg::AitkenSolver::default()
-    };
-    let report = solver.solve(&a, &f, &mut r);
-    PageRankOutcome {
-        ranks: r,
-        iterations: report.iterations,
-        final_delta: report.final_delta,
-        converged: report.converged,
-    }
-}
-
 /// CPR solved with Gauss–Seidel sweeps — the centralized-only alternative
 /// (within-sweep updates need all pages in one address space, which is
 /// exactly what a distributed ranker does not have). The Jacobi/GS gap per
@@ -295,18 +270,6 @@ mod tests {
         let err = vec_ops::relative_error(&gs.ranks, &plain.ranks);
         assert!(err < 1e-9, "GS CPR diverged from plain: {err}");
         assert!(gs.iterations <= plain.iterations, "{} vs {}", gs.iterations, plain.iterations);
-    }
-
-    #[test]
-    fn accelerated_cpr_matches_plain_cpr() {
-        let g = toy::star(40);
-        let cfg = RankConfig { epsilon: 1e-12, ..RankConfig::default() };
-        let plain = open_pagerank(&g, &cfg);
-        let fast = open_pagerank_accelerated(&g, &cfg);
-        assert!(fast.converged);
-        let err = vec_ops::relative_error(&fast.ranks, &plain.ranks);
-        assert!(err < 1e-9, "accelerated CPR diverged from plain: {err}");
-        assert!(fast.iterations <= plain.iterations + 2);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! Nodes start at different times, run at different speeds, and their `Y`
 //! sends are dropped with probability `1 − p` — precisely the freedoms §4.2
 //! grants ("ranking programs in all the nodes can start at different time,
-//! execute at different 'speed', sleep for some time").
+//! execute at different 'speed', sleep for some time"). Longer absences —
+//! a node that sleeps, suspends itself or shuts down — are
+//! [`dpr_sim::FaultPlan`] crash windows and stragglers, for this host as
+//! for every other.
 //!
 //! With `R₀ = 0` the per-node rank sequences are monotone non-decreasing and
 //! bounded by the centralized fixed point (Theorems 4.1/4.2); enabling
@@ -30,7 +33,7 @@ use rand::Rng;
 
 use crate::group::GroupContext;
 pub use crate::ranker::DprVariant;
-use crate::ranker::{InnerSolver, Ranker};
+use crate::ranker::{assemble_ranks, InnerSolver, Ranker};
 
 /// The `Y` payload one group sends another: aggregated
 /// `(destination page, score)` pairs. The sender is identified by the
@@ -39,19 +42,6 @@ use crate::ranker::{InnerSolver, Ranker};
 pub struct YMessage {
     /// Aggregated rank transfers, keyed by global destination page.
     pub entries: Vec<(PageId, f64)>,
-}
-
-/// Node-churn model — §4.2 grants rankers the freedom to "sleep for some
-/// time, suspend itself as its wish, or even shutdown". At each wake the
-/// node blacks out with `prob`, skipping its loop body (no compute, no
-/// publish; incoming `Y` still accumulates) for an exponential duration
-/// with mean `mean_duration`.
-#[derive(Debug, Clone, Copy)]
-pub struct BlackoutModel {
-    /// Probability a wake turns into a blackout.
-    pub prob: f64,
-    /// Mean blackout duration (exponential).
-    pub mean_duration: f64,
 }
 
 /// Theorem 4.1/4.2 instrumentation state.
@@ -96,17 +86,6 @@ pub struct RankerNode {
     pub y_entries_sent: u64,
     /// Y entries suppressed by the threshold.
     pub y_entries_suppressed: u64,
-    /// Split-phase publication (§4.2: "we can insert some delays before or
-    /// after any instructions"): when set, the `Y` computed at one wake is
-    /// published at the *next* wake, so compute and publish never happen
-    /// atomically.
-    deferred_publish: bool,
-    /// Y batches computed but not yet published (split-phase mode).
-    pending_y: Vec<(GroupId, Vec<(PageId, f64)>)>,
-    /// Optional churn model (see [`BlackoutModel`]).
-    blackout: Option<BlackoutModel>,
-    /// Number of blackouts taken.
-    pub blackouts: u64,
     tracker: Option<TheoremTracker>,
 }
 
@@ -125,10 +104,6 @@ impl RankerNode {
             last_sent: None,
             y_entries_sent: 0,
             y_entries_suppressed: 0,
-            deferred_publish: false,
-            pending_y: Vec::new(),
-            blackout: None,
-            blackouts: 0,
             tracker: None,
         }
     }
@@ -146,24 +121,6 @@ impl RankerNode {
     pub fn with_y_threshold(mut self, threshold: f64) -> Self {
         assert!(threshold >= 0.0);
         self.y_threshold = threshold;
-        self
-    }
-
-    /// Enables split-phase publication: compute at one wake, publish at the
-    /// next (a §4.2-sanctioned reordering that stresses the asynchrony
-    /// tolerance of the algorithm).
-    #[must_use]
-    pub fn with_deferred_publish(mut self) -> Self {
-        self.deferred_publish = true;
-        self
-    }
-
-    /// Enables node churn (§4.2's sleep/suspend/shutdown freedom).
-    #[must_use]
-    pub fn with_blackouts(mut self, model: BlackoutModel) -> Self {
-        assert!((0.0..=1.0).contains(&model.prob));
-        assert!(model.mean_duration >= 0.0);
-        self.blackout = Some(model);
         self
     }
 
@@ -216,7 +173,7 @@ impl RankerNode {
     }
 
     /// One wake's work: think, then publish this think's `Y` — all of it,
-    /// what moved past the threshold, or the previous wake's.
+    /// or what moved past the threshold.
     fn loop_body(&mut self, ctx: &mut Ctx<'_, YMessage>) {
         let (parts, _) = self.ranker.think(self.variant, InnerSolver::Jacobi, self.inner_epsilon);
         let ys: Vec<(GroupId, Vec<(PageId, f64)>)> = parts
@@ -227,19 +184,6 @@ impl RankerNode {
             .collect();
         self.outer_iterations += 1;
         self.check_theorems();
-        // Split-phase: publish what the *previous* wake computed.
-        if self.deferred_publish {
-            for (dest, entries) in std::mem::take(&mut self.pending_y) {
-                self.y_entries_sent += entries.len() as u64;
-                ctx.send(dest as usize, YMessage { entries });
-            }
-        }
-        if self.deferred_publish {
-            // Stash for the next wake (thresholding is bypassed in this
-            // mode; the deferral itself already rate-limits publication).
-            self.pending_y = ys;
-            return;
-        }
         let threshold = self.y_threshold;
         let last = self
             .last_sent
@@ -293,17 +237,17 @@ impl RankerNode {
         }
         t.prev_r.copy_from_slice(r);
     }
+}
 
-    /// Samples an exponential think time with this node's mean (zero mean ⇒
-    /// immediate re-wake with a tiny guard so the simulation still
-    /// advances).
-    fn sample_wait(&self, ctx: &mut Ctx<'_, YMessage>) -> f64 {
-        if self.mean_wait <= 0.0 {
-            return 1e-3;
-        }
-        let u: f64 = ctx.rng().gen::<f64>();
-        -self.mean_wait * (1.0 - u).ln()
+/// Samples a host's exponential think time with mean `mean_wait` (zero
+/// mean ⇒ immediate re-wake with a tiny guard so the simulation still
+/// advances).
+pub(crate) fn sample_wait(mean_wait: f64, rng: &mut impl Rng) -> f64 {
+    if mean_wait <= 0.0 {
+        return 1e-3;
     }
+    let u: f64 = rng.gen::<f64>();
+    -mean_wait * (1.0 - u).ln()
 }
 
 impl Actor for RankerNode {
@@ -312,29 +256,15 @@ impl Actor for RankerNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, YMessage>) {
         // Nodes start at different times: the first wake is itself an
         // exponential draw.
-        let w = self.sample_wait(ctx);
+        let w = sample_wait(self.mean_wait, ctx.rng());
         ctx.schedule_wake(w);
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_, YMessage>) {
-        use rand::Rng;
-        if let Some(b) = self.blackout {
-            if b.prob > 0.0 && ctx.rng().gen_bool(b.prob) {
-                // Suspend: skip the loop body, come back later. Incoming Y
-                // keeps accumulating in `afferent` meanwhile.
-                self.blackouts += 1;
-                let u: f64 = ctx.rng().gen::<f64>();
-                let pause =
-                    if b.mean_duration > 0.0 { -b.mean_duration * (1.0 - u).ln() } else { 0.0 };
-                let wait = self.sample_wait(ctx);
-                ctx.schedule_wake(pause + wait);
-                return;
-            }
-        }
         if self.group().n_local() > 0 {
             self.loop_body(ctx);
         }
-        let w = self.sample_wait(ctx);
+        let w = sample_wait(self.mean_wait, ctx.rng());
         ctx.schedule_wake(w);
     }
 
@@ -351,13 +281,7 @@ impl Actor for RankerNode {
 /// vector (page-indexed).
 #[must_use]
 pub fn assemble_global(nodes: &[RankerNode], n_pages: usize) -> Vec<f64> {
-    let mut global = vec![0.0; n_pages];
-    for node in nodes {
-        for (li, &p) in node.group().pages().iter().enumerate() {
-            global[p as usize] = node.ranks()[li];
-        }
-    }
-    global
+    assemble_ranks(nodes.iter().map(|n| &n.ranker), n_pages)
 }
 
 #[cfg(test)]
@@ -368,7 +292,7 @@ mod tests {
     use dpr_graph::generators::toy;
     use dpr_linalg::vec_ops::relative_error;
     use dpr_partition::{Partition, Strategy};
-    use dpr_sim::{SimConfig, Simulation};
+    use dpr_sim::{FaultPlan, SimConfig, Simulation};
 
     fn make_nodes(
         g: &dpr_graph::WebGraph,
@@ -427,7 +351,7 @@ mod tests {
         let cfg = RankConfig::default();
         let star = open_pagerank(&g, &cfg).ranks;
         let p = Partition::build(&g, &Strategy::HashByUrl, 3, 0);
-        let mut nodes: Vec<RankerNode> = GroupContext::build_all(&g, &p, &cfg)
+        let nodes: Vec<RankerNode> = GroupContext::build_all(&g, &p, &cfg)
             .into_iter()
             .map(|c| {
                 let bound: Vec<f64> = c.pages().iter().map(|&pg| star[pg as usize]).collect();
@@ -437,7 +361,6 @@ mod tests {
             })
             .collect();
         // Lossy + heterogeneous — the theorems must hold regardless.
-        nodes.iter_mut().for_each(|_| {});
         let sim_cfg = SimConfig { send_success_prob: 0.7, seed: 7, ..SimConfig::default() };
         let mut sim = Simulation::new(nodes, sim_cfg);
         sim.run_until(300.0);
@@ -492,36 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_publication_still_converges_and_stays_monotone() {
-        // §4.2 allows delays "before or after any instructions": publishing
-        // the previous wake's Y must not break convergence or Theorem 4.1.
-        let g = toy::two_cliques(5);
-        let cfg = RankConfig::default();
-        let star = open_pagerank(&g, &cfg).ranks;
-        let p = Partition::build(&g, &Strategy::HashByUrl, 4, 0);
-        let nodes: Vec<RankerNode> = GroupContext::build_all(&g, &p, &cfg)
-            .into_iter()
-            .map(|c| {
-                let mut n = RankerNode::new(c, DprVariant::Dpr1, 1.0).with_deferred_publish();
-                n.enable_theorem_tracking(None);
-                n
-            })
-            .collect();
-        let mut sim = Simulation::new(nodes, SimConfig { seed: 21, ..SimConfig::default() });
-        sim.run_until(400.0);
-        let global = assemble_global(sim.actors(), g.n_pages());
-        let err = relative_error(&global, &star);
-        assert!(err < 1e-5, "rel err {err} with split-phase publication");
-        for node in sim.actors() {
-            assert!(node.theorems_held().unwrap().0);
-        }
-    }
-
-    #[test]
     fn convergence_survives_node_blackouts() {
-        // Half the wakes turn into long suspensions: §4.2 says nodes may
-        // "sleep for some time, suspend itself as its wish" — convergence
-        // (and the theorems) must survive.
+        // §4.2 says nodes may "sleep for some time, suspend itself as its
+        // wish, or even shutdown": half the nodes drop off the network for
+        // long windows and a third runs slow — convergence and the theorems
+        // must survive.
         let g = toy::two_cliques(5);
         let cfg = RankConfig::default();
         let star = open_pagerank(&g, &cfg).ranks;
@@ -529,19 +427,22 @@ mod tests {
         let nodes: Vec<RankerNode> = GroupContext::build_all(&g, &p, &cfg)
             .into_iter()
             .map(|c| {
-                let mut n = RankerNode::new(c, DprVariant::Dpr1, 1.0)
-                    .with_blackouts(BlackoutModel { prob: 0.5, mean_duration: 10.0 });
+                let mut n = RankerNode::new(c, DprVariant::Dpr1, 1.0);
                 n.enable_theorem_tracking(None);
                 n
             })
             .collect();
-        let mut sim = Simulation::new(nodes, SimConfig { seed: 13, ..SimConfig::default() });
+        let plan = FaultPlan::new()
+            .with_crash(0, 5.0, 60.0)
+            .with_crash(0, 150.0, 260.0)
+            .with_crash(1, 30.0, 200.0)
+            .with_straggler(2, 3.0, 4.0);
+        let mut sim = Simulation::with_plan(nodes, 13, plan);
         sim.run_until(2_000.0);
         let global = assemble_global(sim.actors(), g.n_pages());
         let err = relative_error(&global, &star);
         assert!(err < 1e-5, "rel err {err} under churn");
-        let total_blackouts: u64 = sim.actors().iter().map(|n| n.blackouts).sum();
-        assert!(total_blackouts > 10, "churn never exercised");
+        assert!(sim.stats().crash_dropped > 10, "churn never exercised");
         for node in sim.actors() {
             assert!(node.theorems_held().unwrap().0, "Thm 4.1 must survive churn");
         }

@@ -14,13 +14,19 @@
 //!   `R = A·R + βE + X` with afferent rank `X` received from other groups,
 //!   and producing efferent rank `Y` for them;
 //! * [`ranker`] — the loop body of Algorithms 3 & 4 (refresh `X`, solve,
-//!   publish `Y`) as one sans-IO state machine, hosted by every
-//!   simulated driver;
+//!   publish `Y`) as one sans-IO state machine: the only place the loop is
+//!   spelled, hosted by everything below;
 //! * [`dpr`] — **DPR1** and **DPR2** as asynchronous actors in the
-//!   discrete-event simulator, with optional instrumentation asserting
-//!   Theorems 4.1/4.2 (monotone, bounded rank sequences);
-//! * [`run`] — whole-system experiment orchestration producing the time
-//!   series behind Figs 6–8;
+//!   discrete-event simulator (one ranker per actor, `Y` in one hop), with
+//!   optional instrumentation asserting Theorems 4.1/4.2 (monotone, bounded
+//!   rank sequences); §4.2's freedoms — start late, run slow, sleep, shut
+//!   down — are `dpr_sim::FaultPlan`'s for every host;
+//! * [`run`] — whole-system experiment orchestration over those actors,
+//!   producing the time series behind Figs 6–8;
+//! * [`netrun`] — the product path: rankers placed on overlay nodes, `Y`
+//!   routed through the overlay under faults, churn, deltas and replication;
+//! * [`threaded`] — one ranker per OS thread, the host with real
+//!   interleavings;
 //! * [`hits`] — Kleinberg's HITS, the other seminal link-analysis baseline
 //!   the introduction discusses;
 //! * [`personalized`] — non-uniform `E` (§3's pointer to personalized page
@@ -66,6 +72,6 @@ pub use netrun::{
 };
 pub use query::{distributed_top_k, query_cost, site_totals, Hit, QueryCost};
 pub use ranker::{DprVariant, GroupSnapshot, InnerSolver, Ranker, YPart};
-pub use run::{run_distributed, DistributedRun, DistributedRunConfig, RunResult};
+pub use run::{run_distributed, DistributedRunConfig, RunResult};
 pub use store::{GroupPublish, PointLookup, RankStore, StoreStats, StoreView};
 pub use threaded::{run_threaded, ThreadedRunConfig, ThreadedRunResult};

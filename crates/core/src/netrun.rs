@@ -1,7 +1,7 @@
 //! Whole-system mode: DPR with rank exchange **routed through the
 //! structured overlay**, in both §4.4 transmission styles.
 //!
-//! [`run::DistributedRun`](crate::run::DistributedRun) abstracts the network
+//! [`run::run_distributed`](crate::run::run_distributed) abstracts the network
 //! away (group *g* is actor *g*; `Y` travels in one hop), which is the model
 //! the paper's own convergence experiments use. This module closes the loop
 //! with the rest of the system:
@@ -40,8 +40,9 @@ use dpr_transport::snapshot::paper_snapshot_bytes;
 
 use crate::centralized::open_pagerank;
 use crate::config::RankConfig;
+use crate::dpr::sample_wait;
 use crate::group::{GroupContext, MatrixLayout};
-use crate::ranker::Ranker;
+use crate::ranker::{assemble_ranks, Ranker};
 pub use crate::ranker::{AfferentSnapshot, DprVariant, GroupSnapshot, InnerSolver, YPart};
 
 /// Which structured overlay carries the deployment.
@@ -1020,22 +1021,13 @@ impl NetNode {
         }
         self.groups.push(ranker);
     }
-
-    fn sample_wait(&self, ctx: &mut Ctx<'_, NetMsg>) -> f64 {
-        use rand::Rng;
-        if self.mean_wait <= 0.0 {
-            return 1e-3;
-        }
-        let u: f64 = ctx.rng().gen::<f64>();
-        -self.mean_wait * (1.0 - u).ln()
-    }
 }
 
 impl Actor for NetNode {
     type Msg = NetMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        let w = self.sample_wait(ctx);
+        let w = sample_wait(self.mean_wait, ctx.rng());
         ctx.schedule_wake(w);
     }
 
@@ -1081,7 +1073,7 @@ impl Actor for NetNode {
             }
         }
 
-        let w = self.sample_wait(ctx);
+        let w = sample_wait(self.mean_wait, ctx.rng());
         ctx.schedule_wake(w);
     }
 
@@ -1206,7 +1198,8 @@ enum ChurnEvent {
 /// [`NetRunError::Churn`] when `departures` are scheduled on CAN or
 /// `joins` on anything but Pastry; [`NetRunError::Config`] for malformed
 /// values (empty system, non-increasing churn schedules, replication on
-/// CAN, degenerate checkpoint/suspicion settings).
+/// CAN, degenerate checkpoint/suspicion settings, an inverted or negative
+/// think-time interval).
 pub fn try_run_over_network(g: &WebGraph, cfg: NetRunConfig) -> Result<NetRunResult, NetRunError> {
     try_run_over_network_with_store(g, cfg, None)
 }
@@ -1311,6 +1304,19 @@ pub fn try_run_over_network_with_store(
         return Err(NetRunError::Config {
             what: "inner_epsilon",
             detail: format!("must be positive and finite, got {}", cfg.inner_epsilon),
+        });
+    }
+    if !(cfg.t1 >= 0.0 && cfg.t1 <= cfg.t2 && cfg.t2.is_finite()) {
+        return Err(NetRunError::Config {
+            what: "t1/t2",
+            detail: format!("need finite 0 <= t1 <= t2, got t1={} t2={}", cfg.t1, cfg.t2),
+        });
+    }
+    if !(cfg.sample_every > 0.0 && cfg.sample_every.is_finite()) {
+        // The sampling loop below would never advance.
+        return Err(NetRunError::Config {
+            what: "sample_every",
+            detail: format!("must be positive and finite, got {}", cfg.sample_every),
         });
     }
     let overlay = AnyOverlay::build(&cfg);
@@ -1781,13 +1787,7 @@ fn publication(ranker: &Ranker) -> crate::store::GroupPublish<'_> {
 }
 
 fn assemble(nodes: &[NetNode], n_pages: usize) -> Vec<f64> {
-    let mut global = vec![0.0; n_pages];
-    for ranker in nodes.iter().flat_map(|n| &n.groups) {
-        for (&p, &rank) in ranker.ctx().pages().iter().zip(ranker.ranks()) {
-            global[p as usize] = rank;
-        }
-    }
-    global
+    assemble_ranks(nodes.iter().flat_map(|n| &n.groups), n_pages)
 }
 
 #[cfg(test)]
@@ -2034,6 +2034,10 @@ mod tests {
         for eps in [0.0, -1e-10, f64::INFINITY, f64::NAN] {
             assert_eq!(what(NetRunConfig { inner_epsilon: eps, ..base() }), "inner_epsilon");
         }
+        for (t1, t2) in [(5.0, 1.0), (-1.0, 6.0), (0.0, f64::INFINITY), (f64::NAN, 6.0)] {
+            assert_eq!(what(NetRunConfig { t1, t2, ..base() }), "t1/t2");
+        }
+        assert_eq!(what(NetRunConfig { sample_every: 0.0, ..base() }), "sample_every");
         let err = try_run_over_network(&g, NetRunConfig { k: 0, ..base() }).unwrap_err();
         assert!(err.to_string().contains("invalid net-run config"));
     }

@@ -8,7 +8,8 @@
 //! sans-IO: no simulator type, no configuration struct, no RNG, no clock
 //! that feeds back into a result. Whoever hosts it decides when to think
 //! and where the parts go — [`netrun`](crate::netrun)'s overlay nodes host
-//! several, [`dpr`](crate::dpr)'s `RankerNode` hosts one.
+//! several, [`dpr`](crate::dpr)'s `RankerNode` hosts one, and so does each
+//! OS thread of [`threaded`](crate::threaded).
 //!
 //! # What is cached, and why it cannot move a bit
 //!
@@ -400,6 +401,22 @@ impl Ranker {
         *self = fresh;
         dropped
     }
+}
+
+/// Stitches the local rank vectors of `rankers` into one global,
+/// page-indexed vector; a page no ranker owns reads zero.
+#[must_use]
+pub fn assemble_ranks<'a>(
+    rankers: impl IntoIterator<Item = &'a Ranker>,
+    n_pages: usize,
+) -> Vec<f64> {
+    let mut global = vec![0.0; n_pages];
+    for ranker in rankers {
+        for (&p, &rank) in ranker.ctx.pages().iter().zip(&ranker.r) {
+            global[p as usize] = rank;
+        }
+    }
+    global
 }
 
 #[cfg(test)]

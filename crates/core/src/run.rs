@@ -108,119 +108,98 @@ pub struct RunResult {
     pub y_entries_suppressed: u64,
 }
 
-/// A fully wired distributed page-ranking system, ready to run. Separating
-/// construction from execution lets benches reuse the (expensive) group
-/// build across measurements.
-pub struct DistributedRun {
-    sim: Simulation<RankerNode>,
-    reference: Vec<f64>,
-    n_pages: usize,
-    cfg: DistributedRunConfig,
-}
-
-impl DistributedRun {
-    /// Builds partition, group contexts, reference solution and actors.
-    #[must_use]
-    pub fn new(g: &WebGraph, cfg: DistributedRunConfig) -> Self {
-        cfg.rank.validate(g.n_pages());
-        assert!(cfg.t_end > 0.0 && cfg.sample_every > 0.0);
-        assert!((0.0..=1.0).contains(&cfg.send_success_prob));
-
-        let partition = Partition::build(g, &cfg.strategy, cfg.k, 0);
-        // Both construction hot spots fan out over the shared worker pool
-        // on large graphs: the reference solve through the pooled kernels
-        // (bit-identical to sequential) and the per-group context assembly
-        // inside `build_all`.
-        let reference = open_pagerank(g, &cfg.rank).ranks;
-        let contexts = GroupContext::build_all(g, &partition, &cfg.rank);
-        let waits = WaitModel::uniform_means(cfg.k, cfg.t1, cfg.t2, cfg.seed ^ 0xABCD);
-
-        let nodes: Vec<RankerNode> = contexts
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let bound: Option<Vec<f64>> = cfg
-                    .track_theorems
-                    .then(|| c.pages().iter().map(|&p| reference[p as usize]).collect());
-                let mut node = RankerNode::new(c, cfg.variant, waits.mean(i))
-                    .with_inner_epsilon(cfg.inner_epsilon)
-                    .with_y_threshold(cfg.y_threshold);
-                if cfg.track_theorems {
-                    node.enable_theorem_tracking(bound);
-                }
-                if let Some(seed_ranks) = &cfg.warm_start {
-                    node.seed_ranks(seed_ranks);
-                }
-                node
-            })
-            .collect();
-
-        let sim = Simulation::new(
-            nodes,
-            SimConfig { send_success_prob: cfg.send_success_prob, latency: 0.01, seed: cfg.seed },
-        );
-        Self { sim, reference, n_pages: g.n_pages(), cfg }
-    }
-
-    /// Runs to `t_end`, sampling the two series every `sample_every` units.
-    #[must_use]
-    pub fn execute(mut self) -> RunResult {
-        let mut rel_err = TimeSeries::new();
-        let mut avg_rank = TimeSeries::new();
-        let mut time_at_threshold = None;
-        let mut iters_at_threshold = None;
-        let reference = std::mem::take(&mut self.reference);
-        let n_pages = self.n_pages;
-        let threshold = self.cfg.threshold_rel_err;
-
-        self.sim.run_sampled(self.cfg.t_end, self.cfg.sample_every, |t, nodes| {
-            let global = assemble_global(nodes, n_pages);
-            let err = vec_ops::relative_error(&global, &reference);
-            rel_err.push(t, err);
-            avg_rank.push(t, vec_ops::mean(&global));
-            if err <= threshold && time_at_threshold.is_none() {
-                time_at_threshold = Some(t);
-                let active: Vec<&RankerNode> =
-                    nodes.iter().filter(|n| n.group().n_local() > 0).collect();
-                let total: u64 = active.iter().map(|n| n.outer_iterations).sum();
-                iters_at_threshold = Some(total as f64 / active.len().max(1) as f64);
-            }
-        });
-
-        let nodes = self.sim.actors();
-        let final_ranks = assemble_global(nodes, n_pages);
-        let final_rel_err = vec_ops::relative_error(&final_ranks, &reference);
-        let active_groups = nodes.iter().filter(|n| n.group().n_local() > 0).count();
-        let theorems_held = self.cfg.track_theorems.then(|| {
-            nodes
-                .iter()
-                .filter_map(|n| n.theorems_held())
-                .fold((true, true), |(am, ab), (m, b)| (am && m, ab && b))
-        });
-
-        let y_entries_sent = nodes.iter().map(|n| n.y_entries_sent).sum();
-        let y_entries_suppressed = nodes.iter().map(|n| n.y_entries_suppressed).sum();
-        RunResult {
-            rel_err,
-            avg_rank,
-            time_at_threshold,
-            mean_outer_iters_at_threshold: iters_at_threshold,
-            final_rel_err,
-            final_ranks,
-            reference_ranks: reference,
-            sim_stats: self.sim.stats(),
-            theorems_held,
-            active_groups,
-            y_entries_sent,
-            y_entries_suppressed,
-        }
-    }
-}
-
-/// Convenience: build and execute in one call.
+/// Builds partition, group contexts, reference solution and actors, runs
+/// to `t_end`, and samples the two series every `sample_every` units.
+///
+/// # Panics
+/// If the configuration is invalid.
 #[must_use]
 pub fn run_distributed(g: &WebGraph, cfg: DistributedRunConfig) -> RunResult {
-    DistributedRun::new(g, cfg).execute()
+    cfg.rank.validate(g.n_pages());
+    assert!(cfg.t_end > 0.0 && cfg.sample_every > 0.0);
+    assert!((0.0..=1.0).contains(&cfg.send_success_prob));
+
+    let partition = Partition::build(g, &cfg.strategy, cfg.k, 0);
+    // Both construction hot spots fan out over the shared worker pool
+    // on large graphs: the reference solve through the pooled kernels
+    // (bit-identical to sequential) and the per-group context assembly
+    // inside `build_all`.
+    let reference = open_pagerank(g, &cfg.rank).ranks;
+    let contexts = GroupContext::build_all(g, &partition, &cfg.rank);
+    let waits = WaitModel::uniform_means(cfg.k, cfg.t1, cfg.t2, cfg.seed ^ 0xABCD);
+
+    let nodes: Vec<RankerNode> = contexts
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let bound: Option<Vec<f64>> = cfg
+                .track_theorems
+                .then(|| c.pages().iter().map(|&p| reference[p as usize]).collect());
+            let mut node = RankerNode::new(c, cfg.variant, waits.mean(i))
+                .with_inner_epsilon(cfg.inner_epsilon)
+                .with_y_threshold(cfg.y_threshold);
+            if cfg.track_theorems {
+                node.enable_theorem_tracking(bound);
+            }
+            if let Some(seed_ranks) = &cfg.warm_start {
+                node.seed_ranks(seed_ranks);
+            }
+            node
+        })
+        .collect();
+
+    let mut sim = Simulation::new(
+        nodes,
+        SimConfig { send_success_prob: cfg.send_success_prob, latency: 0.01, seed: cfg.seed },
+    );
+
+    let mut rel_err = TimeSeries::new();
+    let mut avg_rank = TimeSeries::new();
+    let mut time_at_threshold = None;
+    let mut iters_at_threshold = None;
+    let n_pages = g.n_pages();
+
+    sim.run_sampled(cfg.t_end, cfg.sample_every, |t, nodes| {
+        let global = assemble_global(nodes, n_pages);
+        let err = vec_ops::relative_error(&global, &reference);
+        rel_err.push(t, err);
+        avg_rank.push(t, vec_ops::mean(&global));
+        if err <= cfg.threshold_rel_err && time_at_threshold.is_none() {
+            time_at_threshold = Some(t);
+            let active: Vec<&RankerNode> =
+                nodes.iter().filter(|n| n.group().n_local() > 0).collect();
+            let total: u64 = active.iter().map(|n| n.outer_iterations).sum();
+            iters_at_threshold = Some(total as f64 / active.len().max(1) as f64);
+        }
+    });
+
+    let nodes = sim.actors();
+    let final_ranks = assemble_global(nodes, n_pages);
+    let final_rel_err = vec_ops::relative_error(&final_ranks, &reference);
+    let active_groups = nodes.iter().filter(|n| n.group().n_local() > 0).count();
+    let theorems_held = cfg.track_theorems.then(|| {
+        nodes
+            .iter()
+            .filter_map(|n| n.theorems_held())
+            .fold((true, true), |(am, ab), (m, b)| (am && m, ab && b))
+    });
+
+    let y_entries_sent = nodes.iter().map(|n| n.y_entries_sent).sum();
+    let y_entries_suppressed = nodes.iter().map(|n| n.y_entries_suppressed).sum();
+    RunResult {
+        rel_err,
+        avg_rank,
+        time_at_threshold,
+        mean_outer_iters_at_threshold: iters_at_threshold,
+        final_rel_err,
+        final_ranks,
+        reference_ranks: reference,
+        sim_stats: sim.stats(),
+        theorems_held,
+        active_groups,
+        y_entries_sent,
+        y_entries_suppressed,
+    }
 }
 
 #[cfg(test)]

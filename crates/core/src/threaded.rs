@@ -1,36 +1,40 @@
-//! Real-thread execution: every page ranker is an OS thread and `Y`
-//! travels over crossbeam channels.
+//! The thread host: every page group's [`Ranker`] runs on its own OS
+//! thread and `Y` travels over crossbeam channels.
 //!
-//! The discrete-event runs ([`run`](crate::run), [`netrun`](crate::netrun))
+//! The discrete-event hosts ([`run`](crate::run), [`netrun`](crate::netrun))
 //! prove the paper's properties under *controlled* asynchrony —
 //! reproducible schedules, injected failures, per-node think times. This
-//! module complements them with genuine parallel hardware: rankers compute
-//! concurrently on all cores and exchange rank over channels.
+//! host runs the same think step on genuine parallel hardware, the check
+//! Kollias, Gallopoulos & Szyld (cs/0606047) made of the asynchronous
+//! iteration on a real cluster.
 //!
 //! Execution is bulk-synchronous (Pregel-style): within a round every
-//! ranker drains its inbox, solves its group, and publishes `Y`; a barrier
-//! separates rounds, so everything sent in round `i` is visible in round
-//! `i + 1`. The barrier makes termination exact — a round in which no
-//! ranker moved more than `epsilon` publishes nothing, so the system is
-//! quiescent — and makes results *deterministic* even though threads race
-//! freely inside a round (the afferent state sums per-source contributions
-//! in a fixed order, so arrival order cannot perturb the floats). The
-//! fully asynchronous schedule of §4.2 lives in the simulator, where it can
-//! be controlled and replayed; here the point is correctness on real
-//! parallelism.
+//! thread drains its inbox into its ranker, thinks, and publishes the
+//! returned parts; a barrier separates rounds, so everything sent in round
+//! `i` is visible in round `i + 1`. The barrier makes termination exact — a
+//! round in which no ranker moved more than `epsilon` publishes nothing, so
+//! the system is quiescent — and makes results *deterministic* even though
+//! threads race freely inside a round (a ranker sums per-source
+//! contributions in a fixed order, so arrival order cannot perturb the
+//! floats). The fully asynchronous schedule of §4.2 lives in the simulator,
+//! where it can be controlled and replayed; here the point is correctness
+//! on real parallelism.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use dpr_graph::{PageId, WebGraph};
-use dpr_linalg::{vec_ops, Pool};
-use dpr_partition::{GroupId, Partition, Strategy};
+use dpr_graph::WebGraph;
+use dpr_linalg::vec_ops;
+use dpr_partition::{Partition, Strategy};
 
 use crate::centralized::open_pagerank;
 use crate::config::RankConfig;
-use crate::dpr::DprVariant;
-use crate::group::{AfferentState, GroupContext};
+use crate::group::GroupContext;
+use crate::ranker::{assemble_ranks, DprVariant, InnerSolver, Ranker, YPart};
+
+/// DPR1 inner tolerance of a thread's think.
+const INNER_EPSILON: f64 = 1e-12;
 
 /// Parameters of a real-thread run.
 #[derive(Debug, Clone)]
@@ -47,12 +51,6 @@ pub struct ThreadedRunConfig {
     pub quiescence_epsilon: f64,
     /// Safety cap on rounds.
     pub max_rounds: u64,
-    /// Worker pool for each ranker's *inner* solve kernels. Defaults to
-    /// sequential: the rankers themselves already occupy one core each, so
-    /// hand a real pool in only when `k` is small relative to the machine
-    /// (e.g. 2 rankers on a 16-core box). The kernels' fixed chunking
-    /// keeps results bit-identical whichever pool is used.
-    pub solver_pool: Pool,
 }
 
 impl Default for ThreadedRunConfig {
@@ -64,7 +62,6 @@ impl Default for ThreadedRunConfig {
             variant: DprVariant::Dpr1,
             quiescence_epsilon: 1e-9,
             max_rounds: 100_000,
-            solver_pool: Pool::sequential(),
         }
     }
 }
@@ -81,9 +78,6 @@ pub struct ThreadedRunResult {
     /// Total `Y` messages exchanged.
     pub messages: u64,
 }
-
-/// A `Y` payload on the wire: `(source group, entries)`.
-type YWire = (GroupId, Vec<(PageId, f64)>);
 
 /// Shared coordination state.
 struct Coord {
@@ -118,88 +112,68 @@ pub fn run_threaded(g: &WebGraph, cfg: &ThreadedRunConfig) -> ThreadedRunResult 
     let reference = open_pagerank(g, &cfg.rank).ranks;
     let contexts = GroupContext::build_all(g, &partition, &cfg.rank);
 
-    let (senders, receivers): (Vec<Sender<YWire>>, Vec<Receiver<YWire>>) =
+    let (senders, receivers): (Vec<Sender<YPart>>, Vec<Receiver<YPart>>) =
         (0..cfg.k).map(|_| unbounded()).unzip();
-    let coord = Arc::new(Coord {
+    let coord = Coord {
         compute_done: Barrier::new(cfg.k),
         publish_done: Barrier::new(cfg.k),
         round_done: Barrier::new(cfg.k),
         max_moved_bits: AtomicU64::new(0),
         done: AtomicBool::new(false),
         rounds: AtomicU64::new(0),
-    });
+    };
 
-    let results: Vec<(GroupContext, Vec<f64>, u64)> = std::thread::scope(|scope| {
+    let results: Vec<(Ranker, u64)> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(cfg.k);
         for (i, (ctx, inbox)) in contexts.into_iter().zip(receivers).enumerate() {
-            let senders = senders.clone();
-            let coord = Arc::clone(&coord);
-            let cfg = cfg.clone();
+            let (senders, coord) = (senders.clone(), &coord);
+            let ranker = Ranker::new(Arc::new(ctx));
             handles.push(
-                scope.spawn(move || ranker_thread(i == 0, ctx, inbox, senders, &coord, &cfg)),
+                scope.spawn(move || ranker_thread(i == 0, ranker, inbox, senders, coord, cfg)),
             );
         }
         drop(senders);
         handles.into_iter().map(|h| h.join().expect("ranker thread panicked")).collect()
     });
 
-    let mut final_ranks = vec![0.0; g.n_pages()];
-    let mut messages = 0u64;
-    for (ctx, r, sent) in &results {
-        for (li, &p) in ctx.pages().iter().enumerate() {
-            final_ranks[p as usize] = r[li];
-        }
-        messages += sent;
-    }
+    let final_ranks = assemble_ranks(results.iter().map(|(ranker, _)| ranker), g.n_pages());
     ThreadedRunResult {
         final_rel_err: vec_ops::relative_error(&final_ranks, &reference),
         final_ranks,
         rounds: coord.rounds.load(Ordering::Acquire),
-        messages,
+        messages: results.iter().map(|(_, sent)| sent).sum(),
     }
 }
 
-/// Body of one ranker thread. Returns `(context, R, messages sent)`.
+/// Body of one ranker thread. Returns the ranker and the messages it sent.
 fn ranker_thread(
     leader: bool,
-    ctx: GroupContext,
-    inbox: Receiver<YWire>,
-    senders: Vec<Sender<YWire>>,
+    mut ranker: Ranker,
+    inbox: Receiver<YPart>,
+    senders: Vec<Sender<YPart>>,
     coord: &Coord,
     cfg: &ThreadedRunConfig,
-) -> (GroupContext, Vec<f64>, u64) {
-    let n = ctx.n_local();
-    let mut r = vec![0.0; n];
-    let mut prev = vec![0.0; n];
-    let mut afferent = AfferentState::new(n);
+) -> (Ranker, u64) {
+    let mut prev = ranker.ranks().to_vec();
     let mut sent = 0u64;
 
     loop {
         // --- compute phase -------------------------------------------------
         // Everything published last round is already in the inbox (sends
         // happened before the senders crossed barrier B).
-        while let Ok((src, entries)) = inbox.try_recv() {
-            let localized = ctx.localize(&entries);
-            afferent.merge(src, &localized);
+        while let Ok(part) = inbox.try_recv() {
+            ranker.deliver(part.src_group, &part.pattern, &part.scores);
         }
-        let x = afferent.refresh();
-        match cfg.variant {
-            DprVariant::Dpr1 => {
-                ctx.group_pagerank_pooled(&mut r, x, 1e-12, 100_000, &cfg.solver_pool);
-            }
-            DprVariant::Dpr2 => {
-                ctx.step_pooled(&mut r, x, &cfg.solver_pool);
-            }
-        }
-        let moved = vec_ops::l1_diff(&r, &prev);
-        prev.copy_from_slice(&r);
+        let parts = ranker.think(cfg.variant, InnerSolver::Jacobi, INNER_EPSILON).0.to_vec();
+        let moved = vec_ops::l1_diff(ranker.ranks(), &prev);
+        prev.copy_from_slice(ranker.ranks());
         coord.max_moved_bits.fetch_max(moved.abs().to_bits(), Ordering::AcqRel);
 
         // --- publish phase (gated so no drain can observe this round) ------
         coord.compute_done.wait();
         if moved > cfg.quiescence_epsilon {
-            for (dest, entries) in ctx.compute_y(&r) {
-                if senders[dest as usize].send((ctx.group_id(), entries)).is_ok() {
+            for part in parts {
+                if senders[part.dest_group as usize].send(part).is_ok() {
                     sent += 1;
                 }
             }
@@ -217,7 +191,7 @@ fn ranker_thread(
         }
         coord.round_done.wait();
         if coord.done.load(Ordering::Acquire) {
-            return (ctx, r, sent);
+            return (ranker, sent);
         }
     }
 }
@@ -312,8 +286,7 @@ mod tests {
         let mut table = String::new();
         let mut moved = false;
         for (k, strategy, variant, rounds, messages, digest) in CELLS {
-            let cfg =
-                ThreadedRunConfig { k, strategy: strategy.clone(), variant, ..Default::default() };
+            let cfg = ThreadedRunConfig { k, strategy, variant, ..Default::default() };
             let res = run_threaded(&g, &cfg);
             let mut d = 0xcbf2_9ce4_8422_2325u64;
             let words = res.final_ranks.iter().map(|x| x.to_bits());

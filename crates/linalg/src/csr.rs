@@ -1352,6 +1352,10 @@ mod tests {
         wide.mul_vec(&x, &mut y2, &mut w2);
         assert!(y1.iter().zip(&y2).all(|(a, b)| a.to_bits() == b.to_bits()));
         assert!(wide.heap_bytes() > m.heap_bytes());
+        // The layout's reason to exist: 4 B/nnz of `col_idx`, and the 14 B
+        // a row of narrow `row_ptr`, scale and sweep order amortize under
+        // another 4 once the mean degree passes 3.5 (here 4).
+        assert!(m.heap_bytes() as f64 / m.nnz() as f64 <= 8.0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`vec_ops`] — the dense-vector kernels (norms, axpy, differences) used
 //!   by every iteration loop,
 //! * [`solver`] — the Jacobi-style fixed-point solver of Algorithm 2
-//!   (`GroupPageRank`), with termination based on the `‖x_m − x_{m−1}‖`
-//!   criterion that Theorem 3.3 justifies,
+//!   (`GroupPageRank`), terminating on `‖x_m − x_{m−1}‖`, the test
+//!   Theorem 3.3 justifies,
 //! * [`theory`] — executable forms of Theorems 3.1–3.3 and the appendix
 //!   lemmas (spectral-radius bounds, contraction error bounds,
 //!   non-negativity and monotonicity of the fixed point),
@@ -40,7 +40,6 @@
 
 #![warn(missing_docs)]
 
-pub mod accel;
 pub mod csr;
 pub mod gauss_seidel;
 pub mod pool;
@@ -49,7 +48,6 @@ pub mod theory;
 pub mod triplet;
 pub mod vec_ops;
 
-pub use accel::AitkenSolver;
 pub use csr::{column_scale, Csr, CsrImplicit, RowPtr, SpMatVec};
 pub use gauss_seidel::GaussSeidelSolver;
 pub use pool::Pool;

@@ -218,10 +218,10 @@ impl Pool {
 
     /// The machine's usable hardware parallelism: `available_parallelism()`
     /// with a fallback of 1 when the host cannot report it. Benchmarks
-    /// record this next to their timings — `BENCH_parallel.json` was
-    /// recorded on a `host_threads() == 1` machine, where speedup ≈ 1× *by
-    /// construction* (every pool degenerates to sequential), so its numbers
-    /// certify determinism, not scaling.
+    /// record this next to their timings: on a `host_threads() == 1`
+    /// machine speedup is ≈ 1× *by construction* (every pool degenerates
+    /// to sequential), so numbers taken there certify determinism, not
+    /// scaling.
     #[must_use]
     pub fn host_threads() -> usize {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)

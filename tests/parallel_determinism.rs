@@ -2,12 +2,11 @@
 //! chunked arithmetic runs whatever the worker count, so every pooled
 //! result must equal its sequential counterpart down to the last bit —
 //! for the kernels (covered by unit tests in `dpr-linalg`), for the full
-//! open PageRank solve, for the threaded BSP runner, and for the batched
-//! netrun engine under randomized fault plans.
+//! open PageRank solve, and for the batched netrun engine under randomized
+//! fault plans.
 
 use dpr::core::{
-    open_pagerank_with_pool, run_threaded, try_run_over_network, NetRunConfig, RankConfig,
-    Reliability, ThreadedRunConfig,
+    open_pagerank_with_pool, try_run_over_network, NetRunConfig, RankConfig, Reliability,
 };
 use dpr::graph::generators::edu::{edu_domain, EduDomainConfig};
 use dpr::graph::generators::toy;
@@ -40,30 +39,6 @@ fn open_pagerank_is_bit_identical_at_every_worker_count() {
             &pooled.ranks,
             &reference.ranks,
             &format!("open_pagerank with {workers} workers"),
-        );
-    }
-}
-
-/// The threaded BSP runner already spreads groups over `k` OS threads; the
-/// solver pool it hands each ranker must not change the arithmetic either.
-#[test]
-fn run_threaded_is_bit_identical_with_and_without_solver_pool() {
-    let g =
-        edu_domain(&EduDomainConfig { n_pages: 4_000, n_sites: 20, ..EduDomainConfig::default() });
-    let base =
-        ThreadedRunConfig { k: 4, strategy: Strategy::HashBySite, ..ThreadedRunConfig::default() };
-
-    let sequential = run_threaded(&g, &base);
-    for workers in [1usize, 2, 8] {
-        let pooled = run_threaded(
-            &g,
-            &ThreadedRunConfig { solver_pool: Pool::with_workers(workers), ..base.clone() },
-        );
-        assert_eq!(pooled.rounds, sequential.rounds, "{workers} workers");
-        assert_bits_equal(
-            &pooled.final_ranks,
-            &sequential.final_ranks,
-            &format!("run_threaded with {workers}-worker solver pool"),
         );
     }
 }

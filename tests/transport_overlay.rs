@@ -69,6 +69,8 @@ fn measured_costs_track_closed_forms() {
     let s_it = analytic::s_indirect(g, n as f64);
     assert!((d.messages as f64 / s_dt - 1.0).abs() < 0.25, "{} vs {s_dt}", d.messages);
     assert!(i.messages as f64 <= s_it * 1.25, "{} vs {s_it}", i.messages);
+    // The §4.4 scalability ordering the closed forms predict.
+    assert!(i.messages < d.messages, "indirect must win on messages at N = {n}");
 }
 
 #[test]
