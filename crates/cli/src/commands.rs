@@ -2,7 +2,7 @@
 
 use dpr_core::centralized::{open_pagerank, pagerank};
 use dpr_core::hits::{hits, HitsConfig};
-use dpr_core::metrics::top_k;
+use dpr_core::metrics::{top_k, top_k_among};
 use dpr_core::{run_distributed, DistributedRunConfig, DprVariant, RankConfig};
 use dpr_crawl::crawler::parallel_crawl;
 use dpr_crawl::{crawl_to_graph, CrawlBudget, HiddenWeb, HiddenWebConfig, Mode};
@@ -622,18 +622,9 @@ pub fn top(args: &Args) -> CmdResult {
             g.n_pages()
         ));
     }
-    let candidates: Option<Vec<u32>> =
-        site_filter.map(|s| (0..g.n_pages() as u32).filter(|&p| g.site(p) == s).collect());
-    let order = match &candidates {
+    let order = match site_filter {
         None => top_k(&ranks, k),
-        Some(c) => {
-            let mut idx = c.clone();
-            idx.sort_unstable_by(|&a, &b| {
-                ranks[b as usize].total_cmp(&ranks[a as usize]).then(a.cmp(&b))
-            });
-            idx.truncate(k);
-            idx
-        }
+        Some(s) => top_k_among(&ranks, (0..g.n_pages() as u32).filter(|&p| g.site(p) == s), k),
     };
     let summary = dpr_core::metrics::RankSummary::compute(&ranks);
     println!(

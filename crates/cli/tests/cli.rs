@@ -127,6 +127,23 @@ fn top_reads_saved_ranks() {
 }
 
 #[test]
+fn rank_file_with_an_unbacked_count_is_a_clean_error() {
+    // 33 bytes claiming 10^14 values: reading it used to abort the process
+    // on an 800 TB allocation before the first value was parsed.
+    let graph = tmp("unbacked.graph");
+    let ranks = tmp("unbacked.ranks");
+    commands::generate(&args(&["generate", "--pages", "100", "--sites", "4", "--out", &graph]))
+        .unwrap();
+    std::fs::write(&ranks, "dpr-ranks v1\n100000000000000\n0.5\n").unwrap();
+    let err = commands::top(&args(&["top", &graph, "--ranks", &ranks])).unwrap_err();
+    assert!(err.contains("unexpected end of file"), "{err}");
+    let err = commands::simulate(&args(&["simulate", &graph, "--warm-start", &ranks])).unwrap_err();
+    assert!(err.contains("unexpected end of file"), "{err}");
+    std::fs::remove_file(&graph).ok();
+    std::fs::remove_file(&ranks).ok();
+}
+
+#[test]
 fn analyze_reports_structure() {
     let path = tmp("analyze.graph");
     commands::generate(&args(&["generate", "--pages", "1000", "--sites", "10", "--out", &path]))

@@ -1,5 +1,7 @@
 //! Convergence and ranking-quality metrics.
 
+use std::cmp::Ordering;
+
 pub use dpr_linalg::vec_ops::{l1_diff, l1_norm, mean, relative_error};
 
 /// Kendall-tau-style pairwise order agreement between two rankings, sampled
@@ -54,18 +56,62 @@ pub fn sampled_order_agreement(a: &[f64], b: &[f64], samples: usize, seed: u64) 
     }
 }
 
+/// The `k` first items of `items` under `cmp`, in `cmp` order: what a full
+/// sort followed by `truncate(k)` returns whenever `cmp` is a strict total
+/// order (no two items compare `Equal`), at `O(n + k log k)` instead of
+/// `O(n log n)`, holding at most `2k` items at once.
+///
+/// A bounded scan: an item enters the buffer only if it beats the `k`-th
+/// best of the last cut; when the buffer reaches `2k` items,
+/// `select_nth_unstable_by` cuts it back to its best `k` and leaves the new
+/// `k`-th best at `buf[k - 1]`. The one top-k selection of the workspace:
+/// the store's per-group prefixes and merges, [`top_k`] and `dpr top`.
+pub(crate) fn select_top_k_by<T, I, F>(items: I, k: usize, mut cmp: F) -> Vec<T>
+where
+    I: IntoIterator<Item = T>,
+    F: FnMut(&T, &T) -> Ordering,
+{
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut buf: Vec<T> = Vec::new();
+    let mut cut = false;
+    for x in items {
+        if cut && cmp(&x, &buf[k - 1]) != Ordering::Less {
+            continue;
+        }
+        buf.push(x);
+        if buf.len() == k.saturating_mul(2) {
+            buf.select_nth_unstable_by(k - 1, &mut cmp);
+            buf.truncate(k);
+            cut = true;
+        }
+    }
+    if buf.len() > k {
+        buf.select_nth_unstable_by(k - 1, &mut cmp);
+        buf.truncate(k);
+    }
+    buf.sort_unstable_by(cmp);
+    buf
+}
+
 /// Indices of the top-`k` pages by rank (descending; ties by page id).
 #[must_use]
 pub fn top_k(ranks: &[f64], k: usize) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..ranks.len() as u32).collect();
+    top_k_among(ranks, 0..ranks.len() as u32, k)
+}
+
+/// [`top_k`] restricted to `pages` (each listed at most once).
+#[must_use]
+pub fn top_k_among(ranks: &[f64], pages: impl IntoIterator<Item = u32>, k: usize) -> Vec<u32> {
     // `total_cmp` gives a total order even with NaNs (which `partial_cmp +
     // unwrap_or(Equal)` silently turned into an inconsistent comparator —
     // a violation of the sort's ordering contract). Positive NaN compares
     // greater than every real in the IEEE total order, so NaN ranks land
     // at the front of this descending order, deterministically.
-    idx.sort_unstable_by(|&i, &j| ranks[j as usize].total_cmp(&ranks[i as usize]).then(i.cmp(&j)));
-    idx.truncate(k);
-    idx
+    select_top_k_by(pages, k, |&i, &j| {
+        ranks[j as usize].total_cmp(&ranks[i as usize]).then_with(|| i.cmp(&j))
+    })
 }
 
 /// Overlap fraction of the top-`k` sets of two rankings (a precision-style
@@ -444,5 +490,48 @@ mod tests {
         assert_eq!(sampled_order_agreement(&[1.0], &[2.0], 10, 1), 1.0);
         assert_eq!(top_k(&[], 3), Vec::<u32>::new());
         assert_eq!(top_k_overlap(&[1.0], &[1.0], 0), 1.0);
+    }
+
+    #[test]
+    fn top_k_among_keeps_only_listed_pages() {
+        let r = [0.5, 0.9, 0.5, 0.1, 0.7];
+        assert_eq!(top_k_among(&r, [0, 2, 3, 4], 3), vec![4, 0, 2]);
+        assert_eq!(top_k_among(&r, [3], 5), vec![3]);
+        assert!(top_k_among(&r, [], 5).is_empty());
+    }
+
+    /// Ties are the rule in this pool, with both zeros and both NaN signs
+    /// (`total_cmp` orders all four apart).
+    const POOL: [f64; 6] = [0.5, 0.25, 0.0, -0.0, f64::NAN, -f64::NAN];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        // The selection helper against its definition — a full sort, then
+        // `truncate` — bit for bit, through `top_k` too. The index tiebreak
+        // makes the order strict, as every caller's is.
+        #[test]
+        fn select_top_k_by_equals_sort_then_truncate(
+            picks in proptest::collection::vec(0..POOL.len(), 0..80),
+            extra_k in 0usize..90,
+        ) {
+            let ranks: Vec<f64> = picks.iter().map(|&i| POOL[i]).collect();
+            let items: Vec<(f64, u32)> = ranks.iter().zip(0..).map(|(&r, i)| (r, i)).collect();
+            let cmp = |a: &(f64, u32), b: &(f64, u32)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+            let mut sorted = items.clone();
+            sorted.sort_by(cmp);
+            let n = items.len();
+            for k in [0, 1, n.saturating_sub(1), n, n + 3, extra_k] {
+                let want = &sorted[..k.min(n)];
+                let got = select_top_k_by(items.iter().copied(), k, cmp);
+                let bits = |v: &[(f64, u32)]| v.iter().map(|h| (h.0.to_bits(), h.1)).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&got), bits(want), "k = {}", k);
+                let idx: Vec<u32> = want.iter().map(|h| h.1).collect();
+                proptest::prop_assert_eq!(top_k(&ranks, k), idx, "top_k, k = {}", k);
+            }
+        }
     }
 }

@@ -32,8 +32,14 @@ pub struct Hit {
 /// The one ordering every query path uses: descending rank (`total_cmp`,
 /// so NaN-safe), ties broken by ascending page id. Shared with the store
 /// so merged answers agree bit-for-bit.
-pub(crate) fn sort_hits(hits: &mut [Hit]) {
-    hits.sort_unstable_by(|a, b| b.rank.total_cmp(&a.rank).then(a.page.cmp(&b.page)));
+pub(crate) fn hit_order(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+    b.rank.total_cmp(&a.rank).then_with(|| a.page.cmp(&b.page))
+}
+
+/// The reference paths here keep a plain full sort on purpose: they are
+/// what the store's selections are held against.
+fn sort_hits(hits: &mut [Hit]) {
+    hits.sort_unstable_by(hit_order);
 }
 
 /// Candidate lists come from keyword matching and can repeat a page (one

@@ -47,7 +47,10 @@ pub fn read_ranks<R: BufRead>(r: R) -> Result<Vec<f64>, String> {
     let (ln, count) = next("count")?;
     let n: usize =
         count.trim().parse().map_err(|e| format!("line {ln}: bad count {count:?}: {e}"))?;
-    let mut out = Vec::with_capacity(n);
+    // The count is a claim the value lines must back: reserve at most a
+    // bounded guess and let the vector grow as values arrive, so a short
+    // file with a huge count is a clean "unexpected end of file".
+    let mut out = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         let (ln, v) = next("rank value")?;
         let value: f64 =
@@ -155,6 +158,18 @@ mod tests {
             buf.len() - 1 - buf[..buf.len() - 1].iter().rev().position(|&b| b == b'\n').unwrap();
         buf.truncate(cut);
         assert!(read_ranks(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn huge_counts_are_errors_not_allocations() {
+        // Each count used to size the vector before any value was read:
+        // the first aborted on an 800 TB allocation, the second panicked
+        // with "capacity overflow".
+        for count in ["100000000000000", "18446744073709551615"] {
+            let file = format!("dpr-ranks v1\n{count}\n0.5\n");
+            let err = read_ranks(file.as_bytes()).unwrap_err();
+            assert!(err.contains("unexpected end of file"), "{count}: {err}");
+        }
     }
 
     #[test]

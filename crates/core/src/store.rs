@@ -12,14 +12,19 @@
 //! reader ever blocks the solve/commit path, and no query ever observes a
 //! half-published epoch (§12 of DESIGN.md).
 //!
-//! Derived indices are cheap by construction:
+//! A publish costs what the readers use:
 //!
-//! * per-group descending rank order, the global top-k, and the per-site
-//!   partial sums are rebuilt **only when a group's rank bits actually
-//!   change** — an epoch bump that re-publishes identical bits (a
+//! * a group's derived indices — its top-`topk_cap` order prefix and its
+//!   per-site partial sums — are rebuilt **only when its rank bits
+//!   actually change**; an epoch bump that re-publishes identical bits (a
 //!   converged group) reuses every index by `Arc` clone;
-//! * the global top-k merges each group's precomputed order prefix, so a
-//!   publish costs `O(changed pages · log)` not `O(total pages · log)`.
+//! * a changed group of `n` pages costs `O(n)` — one bounded selection
+//!   scan (`metrics::select_top_k_by`) — plus `O(cap log cap)` to sort its
+//!   prefix, never a sort of all `n`; the global top-`cap` is then one
+//!   more selection over the `G · cap` prefix entries of the `G` groups;
+//! * the page → (group, local index) map is a dense vector indexed by page
+//!   id (graph ids are dense; crawl deltas append), shared between views
+//!   while page sets are stable, so a lookup is one bounds-checked index.
 //!
 //! Answers are **bit-identical** to the one-shot scatter-gather in
 //! [`crate::query`] at the same epoch: hits use the exact published rank
@@ -27,7 +32,6 @@
 //! aggregates fold per-group partials in the same canonical order as
 //! [`crate::query::site_totals`].
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,7 +41,8 @@ use dpr_graph::PageId;
 use dpr_partition::GroupId;
 
 use crate::dpr::RankerNode;
-use crate::query::{sort_hits, Hit};
+use crate::metrics::select_top_k_by;
+use crate::query::{hit_order, Hit};
 
 /// Default number of precomputed global top-k entries.
 pub const DEFAULT_TOPK_CAP: usize = 128;
@@ -69,8 +74,8 @@ pub struct GroupRanks {
     epoch: u64,
     pages: Arc<Vec<PageId>>,
     ranks: Arc<Vec<f64>>,
-    /// Local indices sorted by (rank desc, page asc) — the group's
-    /// contribution to any top-k is a prefix of this.
+    /// Local indices of the group's top-`topk_cap` pages, sorted by (rank
+    /// desc, page asc) — all the group can add to a top-`topk_cap`.
     order: Arc<Vec<u32>>,
     /// Per-site rank mass of this group's pages, accumulated in local page
     /// order (present iff the store was built with site info).
@@ -97,6 +102,44 @@ impl GroupRanks {
     #[must_use]
     pub fn ranks(&self) -> &[f64] {
         &self.ranks
+    }
+}
+
+/// Where each page lives: `(owning group, local index)` at position `page`
+/// of a dense vector, [`PageIndex::NOWHERE`] for a page no published group
+/// owns. Page ids are dense (graph ids; crawl deltas append), so the
+/// vector is as long as the largest published id.
+#[derive(Debug, Clone, Default)]
+struct PageIndex {
+    loc: Vec<(GroupId, u32)>,
+    /// Entries that are not `NOWHERE`.
+    located: usize,
+}
+
+impl PageIndex {
+    const NOWHERE: (GroupId, u32) = (GroupId::MAX, u32::MAX);
+
+    fn get(&self, page: PageId) -> Option<(GroupId, u32)> {
+        self.loc.get(page as usize).copied().filter(|&l| l != Self::NOWHERE)
+    }
+
+    fn retire(&mut self, page: PageId) {
+        if let Some(l) = self.loc.get_mut(page as usize) {
+            if *l != Self::NOWHERE {
+                *l = Self::NOWHERE;
+                self.located -= 1;
+            }
+        }
+    }
+
+    fn install(&mut self, page: PageId, at: (GroupId, u32)) {
+        let i = page as usize;
+        if i >= self.loc.len() {
+            self.loc.resize(i + 1, Self::NOWHERE);
+        }
+        assert!(self.loc[i] == Self::NOWHERE, "page {page} published by two groups");
+        self.loc[i] = at;
+        self.located += 1;
     }
 }
 
@@ -134,11 +177,11 @@ pub struct StoreView {
     version: u64,
     /// Indexed by group id; `None` for never-published ids.
     groups: Vec<Option<Arc<GroupRanks>>>,
-    /// page → (owning group, local index). Built incrementally and shared
-    /// between views while page sets are stable; a publish that changes a
-    /// group's page set (crawl delta) clones the map once, retiring the
-    /// group's old entries before installing the new ones.
-    page_loc: Arc<HashMap<PageId, (GroupId, u32)>>,
+    /// page → (owning group, local index). Shared between views while page
+    /// sets are stable; a publish that changes a group's page set (crawl
+    /// delta) clones the vector once, retiring the group's old entries
+    /// before installing the new ones.
+    page_loc: Arc<PageIndex>,
     /// Precomputed global top-`topk_cap` (rank desc, page asc).
     topk: Vec<Hit>,
     topk_cap: usize,
@@ -151,7 +194,7 @@ impl StoreView {
         Self {
             version: 0,
             groups: Vec::new(),
-            page_loc: Arc::new(HashMap::new()),
+            page_loc: Arc::default(),
             topk: Vec::new(),
             topk_cap,
             site_totals: None,
@@ -180,14 +223,13 @@ impl StoreView {
     /// Total pages published so far.
     #[must_use]
     pub fn n_pages(&self) -> usize {
-        self.page_loc.len()
+        self.page_loc.located
     }
 
     /// Global top-`k`: bit-identical to
     /// [`crate::query::distributed_top_k`] over the live rankers at this
     /// view's epochs. `k ≤ topk_cap` is answered from the precomputed
-    /// prefix (a memcpy); larger `k` falls back to merging the per-group
-    /// orders.
+    /// prefix (a memcpy); larger `k` selects from every published page.
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<Hit> {
         if k <= self.topk_cap || self.topk.len() < self.topk_cap {
@@ -195,18 +237,10 @@ impl StoreView {
             // precomputed list already holds *every* page.
             return self.topk[..k.min(self.topk.len())].to_vec();
         }
-        let mut hits: Vec<Hit> = Vec::new();
-        for g in self.groups.iter().flatten() {
-            hits.extend(
-                g.order
-                    .iter()
-                    .take(k)
-                    .map(|&li| Hit { page: g.pages[li as usize], rank: g.ranks[li as usize] }),
-            );
-        }
-        sort_hits(&mut hits);
-        hits.truncate(k);
-        hits
+        let all = self.groups.iter().flatten().flat_map(|g| {
+            g.pages.iter().zip(g.ranks.iter()).map(|(&page, &rank)| Hit { page, rank })
+        });
+        select_top_k_by(all, k, hit_order)
     }
 
     /// Top-`k` restricted to a candidate set (duplicates count once):
@@ -217,20 +251,16 @@ impl StoreView {
         let mut cands = candidates.to_vec();
         cands.sort_unstable();
         cands.dedup();
-        let mut hits: Vec<Hit> = cands
-            .into_iter()
-            .filter_map(|p| self.lookup(p).map(|l| Hit { page: p, rank: l.rank }))
-            .collect();
-        sort_hits(&mut hits);
-        hits.truncate(k);
-        hits
+        let hits =
+            cands.into_iter().filter_map(|p| self.lookup(p).map(|l| Hit { page: p, rank: l.rank }));
+        select_top_k_by(hits, k, hit_order)
     }
 
     /// Point lookup: the page's exact published rank bits plus owning
     /// group and epoch. `None` if no published group owns the page.
     #[must_use]
     pub fn lookup(&self, page: PageId) -> Option<PointLookup> {
-        let &(group, li) = self.page_loc.get(&page)?;
+        let (group, li) = self.page_loc.get(page)?;
         let g = self.groups[group as usize].as_ref()?;
         Some(PointLookup { page, rank: g.ranks[li as usize], group, epoch: g.epoch })
     }
@@ -395,7 +425,7 @@ impl RankStore {
             } else {
                 ranks_changed = true;
                 let ranks = Arc::new(u.ranks.to_vec());
-                let order = Arc::new(build_order(&pages, &ranks));
+                let order = Arc::new(build_order(&pages, &ranks, self.topk_cap));
                 let partial = self
                     .site_of
                     .as_ref()
@@ -425,15 +455,12 @@ impl RankStore {
             // All retirements precede all inserts, so a page surviving a
             // repage (or moving between groups in one batch) re-resolves
             // cleanly instead of tripping the clash assert.
-            for pages in &retired_pages {
-                for p in pages.iter() {
-                    m.remove(p);
-                }
+            for &p in retired_pages.iter().flat_map(|pages| pages.iter()) {
+                m.retire(p);
             }
             for (gid, pages) in &new_pages {
                 for (li, &p) in pages.iter().enumerate() {
-                    let clash = m.insert(p, (*gid, li as u32));
-                    assert!(clash.is_none(), "page {p} published by two groups");
+                    m.install(p, (*gid, li as u32));
                 }
             }
             Arc::new(m)
@@ -498,14 +525,14 @@ fn rank_bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn build_order(pages: &[PageId], ranks: &[f64]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..ranks.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
+/// Local indices of the group's top-`cap` pages in (rank desc, page asc)
+/// order: `O(n)` to select, `O(cap log cap)` to sort.
+fn build_order(pages: &[PageId], ranks: &[f64], cap: usize) -> Vec<u32> {
+    select_top_k_by(0..ranks.len() as u32, cap, |&a, &b| {
         ranks[b as usize]
             .total_cmp(&ranks[a as usize])
-            .then(pages[a as usize].cmp(&pages[b as usize]))
-    });
-    order
+            .then_with(|| pages[a as usize].cmp(&pages[b as usize]))
+    })
 }
 
 fn build_site_partial(
@@ -525,19 +552,12 @@ fn build_site_partial(
     partial
 }
 
+/// The global top-`cap`: a selection over every group's order prefix.
 fn build_topk(groups: &[Option<Arc<GroupRanks>>], cap: usize) -> Vec<Hit> {
-    let mut hits: Vec<Hit> = Vec::new();
-    for g in groups.iter().flatten() {
-        hits.extend(
-            g.order
-                .iter()
-                .take(cap)
-                .map(|&li| Hit { page: g.pages[li as usize], rank: g.ranks[li as usize] }),
-        );
-    }
-    sort_hits(&mut hits);
-    hits.truncate(cap);
-    hits
+    let prefixes = groups.iter().flatten().flat_map(|g| {
+        g.order.iter().map(|&li| Hit { page: g.pages[li as usize], rank: g.ranks[li as usize] })
+    });
+    select_top_k_by(prefixes, cap, hit_order)
 }
 
 /// Folds per-group site partials into global totals in ascending group id
@@ -557,6 +577,8 @@ fn fold_site_totals(groups: &[Option<Arc<GroupRanks>>], n_sites: usize) -> Vec<f
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn publish_two_groups(store: &RankStore) {
@@ -723,5 +745,168 @@ mod tests {
             GroupPublish { group: 0, epoch: 1, pages: &[0, 1], ranks: &[0.1, 0.2] },
             GroupPublish { group: 1, epoch: 1, pages: &[1], ranks: &[0.3] },
         ]);
+    }
+
+    /// Pages `0..UNIVERSE` exist; groups `0..GROUPS` deal them out.
+    const UNIVERSE: u32 = 12;
+    const GROUPS: u32 = 3;
+    /// Ties across groups are the rule; both zeros order apart.
+    const RANK_POOL: [f64; 5] = [0.5, 0.25, 1.0, 0.0, -0.0];
+    /// Candidate list of the model test: duplicates, unowned, out of range.
+    const CANDIDATES: [PageId; 10] = [0, 3, 3, 7, 11, 13, 99, u32::MAX, 5, 0];
+
+    /// Everything the model test asks a view, in exact bits.
+    #[derive(Debug, PartialEq)]
+    struct Answers {
+        top_k: Vec<Vec<(PageId, u64)>>,
+        candidates: Vec<Vec<(PageId, u64)>>,
+        lookups: Vec<Option<(GroupId, u64, u64)>>,
+        n_pages: usize,
+    }
+
+    fn lookup_ids() -> impl Iterator<Item = PageId> {
+        (0..=UNIVERSE + 1).chain([u32::MAX])
+    }
+
+    fn bits(hits: &[Hit]) -> Vec<(PageId, u64)> {
+        hits.iter().map(|h| (h.page, h.rank.to_bits())).collect()
+    }
+
+    fn answers_of(view: &StoreView, ks: &[usize]) -> Answers {
+        Answers {
+            top_k: ks.iter().map(|&k| bits(&view.top_k(k))).collect(),
+            candidates: ks.iter().map(|&k| bits(&view.top_k_candidates(k, &CANDIDATES))).collect(),
+            lookups: lookup_ids()
+                .map(|p| view.lookup(p).map(|l| (l.group, l.epoch, l.rank.to_bits())))
+                .collect(),
+            n_pages: view.n_pages(),
+        }
+    }
+
+    /// The naive model: what each group last published, answered by a
+    /// `HashMap` and full sorts.
+    type Held = Vec<Option<(u64, Vec<PageId>, Vec<f64>)>>;
+
+    fn model_answers(held: &Held, ks: &[usize]) -> Answers {
+        let mut loc: HashMap<PageId, (GroupId, u64, f64)> = HashMap::new();
+        for (g, h) in held.iter().enumerate() {
+            if let Some((epoch, pages, ranks)) = h {
+                for (&p, &r) in pages.iter().zip(ranks) {
+                    assert!(loc.insert(p, (g as GroupId, *epoch, r)).is_none());
+                }
+            }
+        }
+        let mut all: Vec<Hit> =
+            loc.iter().map(|(&page, &(_, _, rank))| Hit { page, rank }).collect();
+        all.sort_by(hit_order);
+        let mut cands = CANDIDATES.to_vec();
+        cands.sort_unstable();
+        cands.dedup();
+        let mut cand_hits: Vec<Hit> =
+            all.iter().filter(|h| cands.binary_search(&h.page).is_ok()).copied().collect();
+        cand_hits.sort_by(hit_order);
+        Answers {
+            top_k: ks.iter().map(|&k| bits(&all[..k.min(all.len())])).collect(),
+            candidates: ks.iter().map(|&k| bits(&cand_hits[..k.min(cand_hits.len())])).collect(),
+            lookups: lookup_ids()
+                .map(|p| loc.get(&p).map(|&(g, e, r)| (g, e, r.to_bits())))
+                .collect(),
+            n_pages: loc.len(),
+        }
+    }
+
+    /// One publish step as raw draws: per page a new owner (`GROUPS` =
+    /// nobody) used when `redeal`, per page a fresh rank, per group an
+    /// action — 0 stay out of the batch, 1 fresh ranks at the next epoch,
+    /// 2 the held ranks at the next epoch, 3 the held ranks at the held
+    /// epoch. A group whose dealt page set differs from the one it holds
+    /// is always in the batch, with fresh ranks.
+    type Step = (bool, Vec<u32>, Vec<usize>, Vec<u8>);
+
+    fn step_strategy() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        let pages = UNIVERSE as usize;
+        (
+            any::<bool>(),
+            proptest::collection::vec(0..=GROUPS, pages),
+            proptest::collection::vec(0..RANK_POOL.len(), pages),
+            proptest::collection::vec(0u8..4, GROUPS as usize),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        // The store against the naive model after every publish — top-k
+        // around the cap, candidate top-k, every lookup, `n_pages` — with
+        // equal ranks across groups, epoch-only bumps, identical
+        // republishes and repages that delete, insert and move pages
+        // between groups in one batch; and every view pinned earlier
+        // still answers exactly what it did.
+        #[test]
+        fn store_matches_a_naive_model(
+            cap in proptest::strategy::Strategy::prop_map(0..4usize, |i| [0, 1, 3, 100][i]),
+            steps in proptest::collection::vec(step_strategy(), 1..10),
+        ) {
+            let store = RankStore::new(cap);
+            let mut held: Held = vec![None; GROUPS as usize];
+            let mut owner: Vec<u32> = (0..UNIVERSE).map(|p| p % GROUPS).collect();
+            let mut pinned: Vec<(Arc<StoreView>, Vec<usize>, Answers)> = Vec::new();
+            for (redeal, owners, rank_draws, actions) in steps {
+                if redeal {
+                    owner = owners;
+                }
+                // A fixed, non-ascending local order per page set.
+                let mut dealt: Vec<Vec<PageId>> = vec![Vec::new(); GROUPS as usize];
+                for p in 0..UNIVERSE {
+                    if let Some(d) = dealt.get_mut(owner[p as usize] as usize) {
+                        d.push(p);
+                    }
+                }
+                let mut batch: Vec<(GroupId, u64, Vec<PageId>, Vec<f64>)> = Vec::new();
+                let mut expect_swap = false;
+                for (g, mut pages) in dealt.into_iter().enumerate() {
+                    pages.sort_by_key(|&p| (p * 7) % UNIVERSE);
+                    let fresh: Vec<f64> =
+                        pages.iter().map(|&p| RANK_POOL[rank_draws[p as usize]]).collect();
+                    let (epoch, ranks) = match (&held[g], actions[g]) {
+                        (Some((e, hp, _)), _) if *hp != pages => (e + 1, fresh),
+                        (None, 0) | (Some(_), 0) => continue,
+                        (None, _) => (0, fresh),
+                        (Some((e, _, _)), 1) => (e + 1, fresh),
+                        (Some((e, _, hr)), 2) => (e + 1, hr.clone()),
+                        (Some((e, _, hr)), _) => (*e, hr.clone()),
+                    };
+                    expect_swap |= held[g].as_ref().is_none_or(|(e, hp, hr)| {
+                        *e != epoch || *hp != pages || bits_of(hr) != bits_of(&ranks)
+                    });
+                    batch.push((g as GroupId, epoch, pages, ranks));
+                }
+                let swapped = store.publish(batch.iter().map(|(group, epoch, pages, ranks)| {
+                    GroupPublish { group: *group, epoch: *epoch, pages, ranks }
+                }));
+                proptest::prop_assert_eq!(swapped, expect_swap);
+                for (g, epoch, pages, ranks) in batch {
+                    held[g as usize] = Some((epoch, pages, ranks));
+                }
+
+                let total = held.iter().flatten().map(|(_, p, _)| p.len()).sum::<usize>();
+                let ks = vec![0, 1, cap.saturating_sub(1), cap, cap + 1, total + 3];
+                let want = model_answers(&held, &ks);
+                let view = store.view();
+                proptest::prop_assert_eq!(&answers_of(&view, &ks), &want);
+                for (old, old_ks, old_want) in &pinned {
+                    proptest::prop_assert_eq!(&answers_of(old, old_ks), old_want);
+                }
+                pinned.push((view, ks, want));
+            }
+        }
+    }
+
+    fn bits_of(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 }
