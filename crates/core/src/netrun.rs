@@ -43,6 +43,7 @@ use dpr_overlay::{
 use dpr_partition::{GroupId, Partition};
 use dpr_sim::waits::WaitModel;
 use dpr_sim::{Actor, Ctx, FaultPlan, SchedStats, SimStats, Simulation, TimeSeries};
+use dpr_transport::codec;
 use dpr_transport::snapshot::paper_snapshot_bytes;
 use rand::Rng;
 
@@ -52,6 +53,13 @@ use crate::group::{GroupContext, MatrixLayout};
 use crate::observe::Sample;
 use crate::ranker::{assemble_ranks, Ranker};
 pub use crate::ranker::{AfferentSnapshot, DprVariant, GroupSnapshot, InnerSolver, YPart};
+
+/// §4.5's price of one message header (data, ack, checkpoint and delta
+/// frames alike).
+const HEADER_BYTES: u64 = codec::PAPER_HEADER_BYTES as u64;
+
+/// §4.5's `r`: the price of one lookup message, per routed hop.
+const LOOKUP_BYTES: u64 = codec::PAPER_LOOKUP_BYTES as u64;
 
 /// Which structured overlay carries the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,8 +150,10 @@ pub enum AnyOverlay {
 
 impl AnyOverlay {
     /// The overlay `cfg` deploys on: its kind, its node count, and node ids
-    /// drawn from its seed.
-    fn build(cfg: &NetRunConfig) -> Self {
+    /// drawn from its seed. A caller measuring the run's own overlay (the
+    /// `h` and `g` of §4.4) builds it here, the way the run does.
+    #[must_use]
+    pub fn build(cfg: &NetRunConfig) -> Self {
         let seed = cfg.seed ^ 0x0E0E;
         match cfg.overlay {
             OverlayKind::Pastry => AnyOverlay::Pastry(PastryNetwork::with_nodes(cfg.n_nodes, seed)),
@@ -152,7 +162,9 @@ impl AnyOverlay {
         }
     }
 
-    fn as_overlay(&self) -> &dyn Overlay {
+    /// The routing view shared by every overlay kind.
+    #[must_use]
+    pub fn as_overlay(&self) -> &dyn Overlay {
         match self {
             AnyOverlay::Pastry(p) => p,
             AnyOverlay::Chord(c) => c,
@@ -293,12 +305,10 @@ pub struct NetRunConfig {
     pub t_end: f64,
     /// Sampling period for the error series.
     pub sample_every: f64,
-    /// Bytes per rank update on the wire (the paper's `l` = 100).
+    /// Bytes per rank update on the wire (the paper's `l`; lookups and
+    /// headers pay [`codec::PAPER_LOOKUP_BYTES`] and
+    /// [`codec::PAPER_HEADER_BYTES`]).
     pub update_bytes: u64,
-    /// Bytes per lookup message (the `r` of formula 4.2).
-    pub lookup_bytes: u64,
-    /// Fixed per-message header bytes.
-    pub header_bytes: u64,
     /// Per-node bottleneck bandwidth in bytes per virtual-time unit
     /// (§4.5's `B`): every outgoing message is serialized through the
     /// sender's uplink, so messages queue when the node produces bytes
@@ -397,9 +407,7 @@ impl Default for NetRunConfig {
             seed: 0,
             t_end: 200.0,
             sample_every: 2.0,
-            update_bytes: 100,
-            lookup_bytes: 50,
-            header_bytes: 40,
+            update_bytes: codec::PAPER_RECORD_BYTES as u64,
             bottleneck_bytes_per_time: None,
             departures: Vec::new(),
             joins: Vec::new(),
@@ -715,7 +723,7 @@ impl NetNode {
 
     fn payload_bytes(&self, parts: &[YPart]) -> u64 {
         let updates: u64 = parts.iter().map(|p| p.scores.len() as u64).sum();
-        updates * self.shared.cfg.update_bytes + self.shared.cfg.header_bytes
+        updates * self.shared.cfg.update_bytes + HEADER_BYTES
     }
 
     /// Delivers a part to a locally hosted group, raw.
@@ -903,7 +911,7 @@ impl NetNode {
                     // before the data message can leave.
                     let hops = self.lookup_hops(part.dest_group);
                     self.counters.lookup_messages += hops;
-                    self.counters.bytes += hops * self.shared.cfg.lookup_bytes;
+                    self.counters.bytes += hops * LOOKUP_BYTES;
                     let slot = by_owner.entry(owner).or_insert((0, Vec::new()));
                     // The batch leaves once its slowest lookup resolves.
                     slot.0 = slot.0.max(hops);
@@ -985,8 +993,7 @@ impl NetNode {
         }
         for (dst, snaps) in per_dst {
             let entries: u64 = snaps.iter().map(GroupSnapshot::n_entries).sum();
-            let bytes = paper_snapshot_bytes(entries, self.shared.cfg.update_bytes)
-                + self.shared.cfg.header_bytes;
+            let bytes = paper_snapshot_bytes(entries, self.shared.cfg.update_bytes) + HEADER_BYTES;
             self.counters.checkpoints_sent += 1;
             self.counters.checkpoint_bytes += bytes;
             self.counters.bytes += bytes;
@@ -1157,7 +1164,7 @@ impl Actor for NetNode {
                     // ack may have been lost. Ack frames are header-sized
                     // control traffic; they skip the §4.5 data uplink.
                     self.counters.acks += 1;
-                    self.counters.bytes += self.shared.cfg.header_bytes;
+                    self.counters.bytes += HEADER_BYTES;
                     ctx.send(from, NetMsg::Ack { seq });
                     if !self.seen.insert((from, seq)) {
                         self.counters.duplicates_suppressed += 1;
@@ -1788,7 +1795,7 @@ fn apply_delta(
     // shipment to the nodes owning dirty groups.
     let dir = contexts.read();
     let actors = sim.actors_mut();
-    let wire = dpr_graph::io::delta_wire_bytes(delta) + cfg.header_bytes;
+    let wire = dpr_graph::io::delta_wire_bytes(delta) + HEADER_BYTES;
     let mut charged: BTreeSet<usize> = BTreeSet::new();
     for &gid in dirty.keys() {
         resolving.insert(gid);

@@ -2,10 +2,9 @@
 //!
 //! The paper (§4.5, Eq 4.5) assumes `<url_from, url_to, score>` records of
 //! ≈ 100 bytes (two ≈ 40-byte URLs \[16\] plus framing and the score). The
-//! binary layout here is length-prefixed UTF-8 URLs plus an `f64` score;
-//! [`MeasuredSizeModel`] measures real encoded sizes from a URL resolver,
-//! while [`PaperSizeModel`] uses the paper's constants so analytic and
-//! measured results can be compared on equal footing.
+//! binary layout here is length-prefixed UTF-8 URLs plus an `f64` score.
+//! The `PAPER_*` constants are the one place §4.5's prices live; netrun
+//! prices its messages by them.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -159,59 +158,6 @@ impl UpdateEncoder {
     }
 }
 
-/// Byte-size model for messages, so transmission simulations can run at
-/// scale without materializing every URL string.
-pub trait SizeModel {
-    /// Encoded size of one rank-update record.
-    fn update_size(&self, u: &RankUpdate) -> usize;
-    /// Size of one DHT lookup message (request or response hop).
-    fn lookup_size(&self) -> usize;
-    /// Fixed per-message framing overhead (headers, destination key).
-    fn header_size(&self) -> usize;
-}
-
-/// The paper's constants: 100-byte records (`l`), 50-byte lookups (`r` is
-/// never pinned in the paper; a node id + key + addressing info fits in
-/// ~50 bytes), 40-byte headers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PaperSizeModel;
-
-impl SizeModel for PaperSizeModel {
-    fn update_size(&self, _u: &RankUpdate) -> usize {
-        PAPER_RECORD_BYTES
-    }
-    fn lookup_size(&self) -> usize {
-        PAPER_LOOKUP_BYTES
-    }
-    fn header_size(&self) -> usize {
-        PAPER_HEADER_BYTES
-    }
-}
-
-/// Measures true encoded sizes through a URL resolver (`page id → URL`).
-pub struct MeasuredSizeModel<F: Fn(u32) -> String> {
-    resolver: F,
-}
-
-impl<F: Fn(u32) -> String> MeasuredSizeModel<F> {
-    /// Wraps a URL resolver (typically `|p| graph.url_of(p)`).
-    pub fn new(resolver: F) -> Self {
-        Self { resolver }
-    }
-}
-
-impl<F: Fn(u32) -> String> SizeModel for MeasuredSizeModel<F> {
-    fn update_size(&self, u: &RankUpdate) -> usize {
-        2 + (self.resolver)(u.from_page).len() + 2 + (self.resolver)(u.to_page).len() + 8
-    }
-    fn lookup_size(&self) -> usize {
-        PAPER_LOOKUP_BYTES
-    }
-    fn header_size(&self) -> usize {
-        PAPER_HEADER_BYTES
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,29 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_model_constants() {
-        let m = PaperSizeModel;
-        let u = RankUpdate { from_page: 0, to_page: 0, score: 0.0 };
-        assert_eq!(m.update_size(&u), PAPER_RECORD_BYTES);
-        assert_eq!(m.lookup_size(), PAPER_LOOKUP_BYTES);
-        assert_eq!(m.header_size(), PAPER_HEADER_BYTES);
-        // The id-form record is exactly two u32 ids plus the f64 score.
+    fn id_record_is_two_ids_and_a_score() {
         assert_eq!(ID_RECORD_BYTES, std::mem::size_of::<u32>() * 2 + std::mem::size_of::<f64>());
-    }
-
-    #[test]
-    fn measured_model_near_paper_constant() {
-        // With ≈40-byte URLs the record should land near 100 bytes.
-        let m = MeasuredSizeModel::new(|p| format!("http://www.cs-0001.edu/people/page{p}.html"));
-        let u = RankUpdate { from_page: 123, to_page: 456, score: 1.0 };
-        let sz = m.update_size(&u);
-        assert!((80..=120).contains(&sz), "measured record size {sz}");
-        // And it must match the real encoding exactly.
-        let enc = encode_update(
-            &u,
-            "http://www.cs-0001.edu/people/page123.html",
-            "http://www.cs-0001.edu/people/page456.html",
-        );
-        assert_eq!(sz, enc.len());
     }
 }

@@ -16,7 +16,11 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 
-use crate::codec::RankUpdate;
+use crate::codec::{RankUpdate, PAPER_RECORD_BYTES};
+
+/// The fewest bytes one encoded record takes: two one-byte varint deltas
+/// and an `f32` score.
+const MIN_RECORD_BYTES: usize = 1 + 1 + 4;
 
 /// Compression configuration.
 #[derive(Debug, Clone, Copy)]
@@ -62,12 +66,17 @@ pub fn encode_batch(updates: &[RankUpdate], cfg: &CompressConfig) -> Vec<u8> {
 }
 
 /// Decodes a batch produced by [`encode_batch`]. Returns `None` on corrupt
-/// input. Scores come back as `f32`-rounded values; record order is the
-/// canonical sorted order.
+/// input, including a count the remaining bytes cannot hold (a record is
+/// at least two one-byte varints and an `f32`), so a hostile count never
+/// sizes an allocation. Scores come back as `f32`-rounded values; record
+/// order is the canonical sorted order.
 #[must_use]
 pub fn decode_batch(mut buf: &[u8]) -> Option<Vec<RankUpdate>> {
-    let count = get_varint(&mut buf)? as usize;
-    let mut out = Vec::with_capacity(count);
+    let count = get_varint(&mut buf)?;
+    if count > (buf.remaining() / MIN_RECORD_BYTES) as u64 {
+        return None;
+    }
+    let mut out = Vec::with_capacity(count as usize);
     let mut prev_to = 0u32;
     let mut prev_from = 0u32;
     for _ in 0..count {
@@ -90,10 +99,10 @@ pub fn decode_batch(mut buf: &[u8]) -> Option<Vec<RankUpdate>> {
 }
 
 /// Size of the *uncompressed* URL-based wire form of the same batch, for
-/// ratio reporting (uses the paper's 100-byte constant).
+/// ratio reporting (§4.5's [`PAPER_RECORD_BYTES`] per record).
 #[must_use]
 pub fn baseline_size(updates: &[RankUpdate]) -> usize {
-    updates.len() * 100
+    updates.len() * PAPER_RECORD_BYTES
 }
 
 fn put_varint(out: &mut BytesMut, mut v: u64) {
@@ -193,6 +202,39 @@ mod tests {
         let mut extended = enc.clone();
         extended.push(0);
         assert!(decode_batch(&extended).is_none());
+    }
+
+    fn claiming(count: u64) -> BytesMut {
+        let mut b = BytesMut::new();
+        put_varint(&mut b, count);
+        b
+    }
+
+    #[test]
+    fn ten_bytes_claiming_u64_max_records_are_rejected() {
+        // Reserved as claimed, this is a capacity-overflow panic.
+        let b = claiming(u64::MAX);
+        assert_eq!(b.len(), 10);
+        assert!(decode_batch(&b).is_none());
+    }
+
+    #[test]
+    fn five_bytes_claiming_2_pow_32_records_are_rejected() {
+        // Reserved as claimed, this aborts on a 68.7 GB allocation.
+        let b = claiming(1 << 32);
+        assert_eq!(b.len(), 5);
+        assert!(decode_batch(&b).is_none());
+    }
+
+    #[test]
+    fn minimal_records_fill_the_count_bound_exactly() {
+        // Two 6-byte records: the bound admits exactly what the bytes hold.
+        let mut b = claiming(2);
+        b.put_slice(&[0; 2 * MIN_RECORD_BYTES]);
+        assert_eq!(decode_batch(&b).map(|v| v.len()), Some(2));
+        let mut b = claiming(3);
+        b.put_slice(&[0; 2 * MIN_RECORD_BYTES]);
+        assert!(decode_batch(&b).is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! snapshot stays compact.
 //!
 //! [`encode_snapshot_into`] / [`decode_snapshot`] define the binary frame
-//! (all integers little-endian via [`bytes`]' big-endian-free `put_*_le`):
+//! (integers and `f64` bits big-endian, as [`bytes`]' `put_*` writes them):
 //!
 //! ```text
 //! u32 group | u64 epoch | u32 n_r | f64 × n_r
@@ -84,6 +84,11 @@ fn decode_snapshot_from(buf: &mut &[u8]) -> Option<SnapshotFrame> {
     }
     let r: Vec<f64> = (0..n_r).map(|_| buf.get_f64()).collect();
     let n_src = buf.get_u32() as usize;
+    // Each source takes at least its `src` and `n` words: a count the
+    // remaining bytes cannot hold is rejected before it sizes anything.
+    if n_src > buf.remaining() / 8 {
+        return None;
+    }
     let mut afferent = Vec::with_capacity(n_src);
     for _ in 0..n_src {
         if buf.remaining() < 8 {
@@ -163,6 +168,19 @@ mod tests {
         for cut in [0, 3, 11, 15, 16, buf.len() - 1] {
             assert!(decode_snapshot(&buf[..cut]).is_none(), "cut={cut}");
         }
+    }
+
+    #[test]
+    fn source_count_the_input_cannot_hold_is_rejected() {
+        // 20 bytes: group, epoch, `n_r = 0`, then `n_src = 2^32 − 1`.
+        // Reserved as claimed, this aborts on a 137 GB allocation.
+        let mut buf = BytesMut::new();
+        buf.put_u32(7);
+        buf.put_u64(1);
+        buf.put_u32(0);
+        buf.put_u32(u32::MAX);
+        assert_eq!(buf.len(), 20);
+        assert!(decode_snapshot(&buf).is_none());
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub use dpr_partition as partition;
 /// Structured P2P overlays: Pastry and Chord with hop-counted routing.
 pub use dpr_overlay as overlay;
 
-/// Rank-exchange transport: wire codec, direct/indirect transmission,
-/// compression (§4.4, §4.5 future work).
+/// Rank-exchange transport: wire codec and §4.5 prices, the §4.4
+/// closed-form costs of direct/indirect transmission (both run in
+/// `core::netrun`), checkpoint frames, compression (§4.5 future work).
 pub use dpr_transport as transport;
 
 /// Discrete-event simulation: actors, think times, failure injection,
