@@ -1,5 +1,6 @@
 //! Integration tests for the `dpr` CLI subcommands, driven through the
-//! library API (no subprocess spawning, so they run everywhere).
+//! library API. One test runs the binary itself, for what only the
+//! process shows: the exit code, and that a bad run ends at all.
 
 use dpr_cli::args::Args;
 use dpr_cli::commands;
@@ -303,6 +304,8 @@ fn degenerate_run_shapes_are_clean_errors_on_every_host() {
     assert!(err(&["--threaded", "--k", "0"]).contains("--k"));
     assert!(err(&["--t1", "5", "--t2", "1"]).contains("--t1/--t2"));
     assert!(err(&["--net", "--t1", "5", "--t2", "1"]).contains("t1/t2"));
+    // A periodic delta schedule to an infinite horizon never ended.
+    assert!(err(&["--net", "--churn-rate", "0.1", "--t-end", "inf"]).contains("--t-end"));
     std::fs::remove_file(&graph).ok();
 }
 
@@ -325,6 +328,7 @@ fn retired_and_unknown_options_fail_by_name_before_anything_runs() {
             .unwrap_err();
         assert!(err.contains(stale), "{stale}: {err}");
     }
+    // Jacobi is the only inner solver: the switch that chose one is gone.
     let err = commands::simulate(&args(&[
         "simulate",
         &graph,
@@ -332,10 +336,21 @@ fn retired_and_unknown_options_fail_by_name_before_anything_runs() {
         "--k",
         "4",
         "--inner-solver",
+        "jacobi",
+    ]))
+    .unwrap_err();
+    assert!(err.contains("--inner-solver"), "{err}");
+    let err = commands::simulate(&args(&[
+        "simulate",
+        &graph,
+        "--net",
+        "--k",
+        "4",
+        "--ack-timeout",
         "sor:1.1",
     ]))
     .unwrap_err();
-    assert!(err.contains("sor:1.1"), "{err}");
+    assert!(err.contains("--ack-timeout") && err.contains("sor:1.1"), "{err}");
     // A whole-system option without --net would be silently ignored.
     let err = commands::simulate(&args(&["simulate", &graph, "--nodes", "8"])).unwrap_err();
     assert!(err.contains("--nodes"), "{err}");
@@ -379,5 +394,45 @@ fn unparsable_values_fail_by_name_instead_of_running_the_default() {
     // A flag that swallowed the next argument says so.
     let err = commands::simulate(&args(&["simulate", &graph, "--threaded", "yes"])).unwrap_err();
     assert!(err.contains("--threaded") && err.contains("yes"), "{err}");
+    std::fs::remove_file(&graph).ok();
+}
+
+#[test]
+fn bad_net_times_exit_1_without_running() {
+    // Each of these used to hang until killed or to run nothing and
+    // report a 100% error with exit 0.
+    let graph = tmp("bad-times.graph");
+    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+        .unwrap();
+    for bad in [
+        ["--crash", "nan:0"],
+        ["--join", "nan:3"],
+        ["--t-end", "inf"],
+        ["--t-end", "nan"],
+        ["--t-end", "-1"],
+    ] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dpr"))
+            .args(["simulate", &graph, "--net", "--k", "4"])
+            .args(bad)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let start = std::time::Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if start.elapsed() > std::time::Duration::from_secs(30) {
+                child.kill().ok();
+                panic!("{bad:?} still running after 30 s");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(1), "{bad:?}: {stderr}");
+        assert!(stderr.starts_with("dpr: "), "{bad:?}: {stderr}");
+    }
     std::fs::remove_file(&graph).ok();
 }

@@ -87,27 +87,6 @@ pub fn open_pagerank_with_pool(g: &WebGraph, cfg: &RankConfig, pool: &Pool) -> P
     }
 }
 
-/// CPR solved with Gauss–Seidel sweeps — the centralized-only alternative
-/// (within-sweep updates need all pages in one address space, which is
-/// exactly what a distributed ranker does not have). The Jacobi/GS gap per
-/// iteration is the computational price of distribution.
-#[must_use]
-pub fn open_pagerank_gauss_seidel(g: &WebGraph, cfg: &RankConfig) -> PageRankOutcome {
-    cfg.validate(g.n_pages());
-    let a = open_system_matrix(g, cfg.alpha);
-    let pages: Vec<u32> = (0..g.n_pages() as u32).collect();
-    let f = cfg.beta_e_for(&pages);
-    let mut r = vec![0.0; g.n_pages()];
-    let report = dpr_linalg::GaussSeidelSolver { tolerance: cfg.epsilon, max_iters: cfg.max_iters }
-        .solve(&a, &f, &mut r);
-    PageRankOutcome {
-        ranks: r,
-        iterations: report.iterations,
-        final_delta: report.final_delta,
-        converged: report.converged,
-    }
-}
-
 /// Counts the CPR iterations needed before the iterate's relative error to
 /// the (pre-computed) fixed point drops to `threshold` — the metric Fig 8
 /// plots for the CPR bar.
@@ -258,18 +237,6 @@ mod tests {
         let fine = open_pagerank_iterations_to(&g, &cfg, 1e-6);
         assert!(coarse <= fine, "{coarse} > {fine}");
         assert!(fine <= full.iterations + 1);
-    }
-
-    #[test]
-    fn gauss_seidel_cpr_matches_plain_cpr_in_fewer_sweeps() {
-        let g = toy::star(40);
-        let cfg = RankConfig { epsilon: 1e-12, ..RankConfig::default() };
-        let plain = open_pagerank(&g, &cfg);
-        let gs = open_pagerank_gauss_seidel(&g, &cfg);
-        assert!(gs.converged);
-        let err = vec_ops::relative_error(&gs.ranks, &plain.ranks);
-        assert!(err < 1e-9, "GS CPR diverged from plain: {err}");
-        assert!(gs.iterations <= plain.iterations, "{} vs {}", gs.iterations, plain.iterations);
     }
 
     #[test]

@@ -20,10 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 use dpr_graph::{PageId, WebGraph};
 use dpr_linalg::pool::SharedSlice;
-use dpr_linalg::{
-    column_scale, Csr, CsrImplicit, FixedPointSolver, GaussSeidelSolver, Pool, SolveReport,
-    SpMatVec,
-};
+use dpr_linalg::{column_scale, Csr, CsrImplicit, FixedPointSolver, Pool, SolveReport, SpMatVec};
 use dpr_partition::{GroupId, Partition};
 
 use crate::config::RankConfig;
@@ -567,33 +564,6 @@ impl GroupContext {
             .solve_with_scratch(&MemoNorm(self), f, r, scratch, ws)
     }
 
-    /// [`GroupContext::group_pagerank_prepared`] with Gauss–Seidel inner
-    /// sweeps instead of Jacobi: within the group the ranker owns every
-    /// page, so within-sweep ordering is locally legal and cuts the sweep
-    /// count. The sweep is sequential (no pool) and updates in place, so it
-    /// needs no buffers and is bit-identical across engine worker counts by
-    /// construction.
-    pub fn group_pagerank_gs_prepared(
-        &self,
-        r: &mut [f64],
-        f: &[f64],
-        epsilon: f64,
-        max_iters: usize,
-    ) -> SolveReport {
-        assert_eq!(r.len(), self.n_local());
-        assert_eq!(f.len(), self.n_local());
-        GaussSeidelSolver { tolerance: epsilon, max_iters }.solve(&MemoNorm(self), f, r)
-    }
-
-    /// One Gauss–Seidel sweep over a prepared `f = βE + X` (the DPR2 think
-    /// under `--inner-solver gauss-seidel`). Returns the sweep's L1
-    /// difference.
-    pub fn step_gs_prepared(&self, r: &mut [f64], f: &[f64]) -> f64 {
-        assert_eq!(r.len(), self.n_local());
-        assert_eq!(f.len(), self.n_local());
-        GaussSeidelSolver::default().step(&self.a, f, r, 1)
-    }
-
     /// One iteration `R ← A·R + βE + X` (the DPR2 node body) on an explicit
     /// pool, in the plain allocating form of
     /// [`GroupContext::group_pagerank_pooled`]. Returns the successive L1
@@ -994,7 +964,7 @@ impl AfferentState {
 
     /// Records the latest raw `Y` from `src`: `scores[k]` flows into page
     /// `pattern[k]` (global ids, strictly ascending — what
-    /// [`GroupContext::y_parts`] produces). `pages` is the receiving
+    /// `GroupContext::y_parts` produces). `pages` is the receiving
     /// group's own sorted page list ([`GroupContext::pages`]); pattern
     /// pages outside it contribute nothing. Replaces any previous
     /// contribution from the same source, like [`AfferentState::set`] of

@@ -69,6 +69,6 @@ pub use netrun::{
 };
 pub use observe::{RunRecorder, Sample};
 pub use query::{distributed_top_k, query_cost, site_totals, Hit, QueryCost};
-pub use ranker::{DprVariant, GroupSnapshot, InnerSolver, Ranker, YPart};
+pub use ranker::{DprVariant, GroupSnapshot, Ranker, YPart};
 pub use store::{GroupPublish, PointLookup, RankStore, StoreStats, StoreView};
 pub use threaded::{run_threaded, ThreadedRunConfig, ThreadedRunResult};

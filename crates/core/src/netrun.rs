@@ -52,7 +52,7 @@ use crate::config::RankConfig;
 use crate::group::{GroupContext, MatrixLayout};
 use crate::observe::Sample;
 use crate::ranker::{assemble_ranks, Ranker};
-pub use crate::ranker::{AfferentSnapshot, DprVariant, GroupSnapshot, InnerSolver, YPart};
+pub use crate::ranker::{AfferentSnapshot, DprVariant, GroupSnapshot, YPart};
 
 /// §4.5's price of one message header (data, ack, checkpoint and delta
 /// frames alike).
@@ -254,23 +254,6 @@ impl Default for Reliability {
     }
 }
 
-impl std::str::FromStr for InnerSolver {
-    type Err = NetRunError;
-
-    /// Parses the CLI spelling: `jacobi` or `gauss-seidel` (alias `gs`).
-    /// Anything else is a structured config error, never a panic.
-    fn from_str(s: &str) -> Result<Self, NetRunError> {
-        match s {
-            "jacobi" => Ok(InnerSolver::Jacobi),
-            "gauss-seidel" | "gs" => Ok(InnerSolver::GaussSeidel),
-            _ => Err(NetRunError::Config {
-                what: "inner_solver",
-                detail: format!("unknown solver {s:?} (try jacobi or gauss-seidel)"),
-            }),
-        }
-    }
-}
-
 /// Parameters of a whole-system run.
 #[derive(Debug, Clone)]
 pub struct NetRunConfig {
@@ -301,7 +284,7 @@ pub struct NetRunConfig {
     pub hop_latency: f64,
     /// Master seed.
     pub seed: u64,
-    /// Virtual-time horizon.
+    /// Virtual-time horizon: positive and finite.
     pub t_end: f64,
     /// Sampling period for the error series.
     pub sample_every: f64,
@@ -318,13 +301,14 @@ pub struct NetRunConfig {
     /// overlay, its hosted groups *lose their state* and migrate to the
     /// new responsible nodes, and ranking must re-converge. Requires
     /// [`OverlayKind::Pastry`] or [`OverlayKind::Chord`]. Times must be
-    /// strictly increasing.
+    /// finite, non-negative and strictly increasing.
     pub departures: Vec<(f64, NodeIndex)>,
     /// Scheduled node joins: at each `(time, id_seed)` a fresh node joins
     /// the overlay and the groups it becomes responsible for are handed
     /// over *gracefully* — ranking state moves with them (contrast with
     /// `departures`, where state is lost). Requires
-    /// [`OverlayKind::Pastry`]. Times must be strictly increasing.
+    /// [`OverlayKind::Pastry`]. Times must be finite, non-negative and
+    /// strictly increasing.
     pub joins: Vec<(f64, u64)>,
     /// Scheduled crawl deltas: at each `(time, delta)` the live graph is
     /// patched in place and the affected groups re-rank *incrementally* —
@@ -335,8 +319,9 @@ pub struct NetRunConfig {
     /// kept. Untouched converged groups never leave the stall
     /// short-circuit, and when a [`RankStore`](crate::store::RankStore)
     /// is attached it keeps serving each dirtied group's pre-delta epoch
-    /// until the group re-converges. Times must be strictly increasing;
-    /// an empty delta is bit-invisible. Works on every overlay.
+    /// until the group re-converges. Times must be finite, non-negative
+    /// and strictly increasing; an empty delta is bit-invisible. Works on
+    /// every overlay.
     pub deltas: Vec<(f64, GraphDelta)>,
     /// Optional ack/retry/dedup protocol on every data package. `None`
     /// keeps the paper's fire-and-forget model where lost `Y` vectors are
@@ -375,10 +360,6 @@ pub struct NetRunConfig {
     /// the sequential engine at any worker count (the
     /// [`dpr_sim`] batched-engine contract).
     pub engine_workers: usize,
-    /// Which solver runs the per-group inner solve. Gauss–Seidel reaches
-    /// each window's fixed point in measurably fewer sweeps (EXPERIMENTS.md)
-    /// and lands on the same fixed point up to low-order bits.
-    pub inner_solver: InnerSolver,
     /// Inner-solve tolerance: the `ε` each DPR1 think window's
     /// `R = A·R + βE + X` solve targets.
     pub inner_epsilon: f64,
@@ -418,7 +399,6 @@ impl Default for NetRunConfig {
             checkpoint_every: 4.0,
             suspect_after: 2,
             engine_workers: 1,
-            inner_solver: InnerSolver::Jacobi,
             inner_epsilon: 1e-10,
             warm_start: None,
         }
@@ -534,10 +514,10 @@ pub struct NetCounters {
     /// form plus a per-message header; also included in `bytes`) — the
     /// §4.5-style price of keeping ranks live against an evolving web.
     pub delta_bytes: u64,
-    /// Inner-solver sweeps (Jacobi iterations or Gauss–Seidel sweeps)
-    /// run by this node's hosted groups across all think windows — the
-    /// FLOP-side twin of [`NetCounters::rows_recomputed`]. Charged to the
-    /// group's host at collection time.
+    /// Inner-solver sweeps (Jacobi iterations) run by this node's hosted
+    /// groups across all think windows — the FLOP-side twin of
+    /// [`NetCounters::rows_recomputed`]. Charged to the group's host at
+    /// collection time.
     pub inner_sweeps: u64,
     /// Matrix rows those sweeps updated: per solve, its sweeps times the
     /// group's page count at that moment (a delta may resize a group
@@ -948,7 +928,7 @@ impl NetNode {
     fn run_group_thinks(&mut self) {
         let cfg = &self.shared.cfg;
         for ranker in &mut self.groups {
-            let (y, secs) = ranker.think(cfg.variant, cfg.inner_solver, cfg.inner_epsilon);
+            let (y, secs) = ranker.think(cfg.variant, cfg.inner_epsilon);
             let buffer_start = Instant::now();
             self.pending_y.extend_from_slice(y);
             self.phase.refresh += secs.refresh;
@@ -1251,9 +1231,10 @@ enum ChurnEvent {
 /// # Errors
 /// [`NetRunError::Churn`] when `departures` are scheduled on CAN or
 /// `joins` on anything but Pastry; [`NetRunError::Config`] for malformed
-/// values (empty system, non-increasing churn schedules, replication on
-/// CAN, degenerate checkpoint/suspicion settings, an inverted or negative
-/// think-time interval).
+/// values (empty system, a horizon that is not positive and finite, a
+/// schedule time that is not finite, non-negative and increasing,
+/// replication on CAN, degenerate checkpoint/suspicion settings, an
+/// inverted or negative think-time interval).
 pub fn try_run_over_network(g: &WebGraph, cfg: NetRunConfig) -> Result<NetRunResult, NetRunError> {
     try_run_over_network_with_store(g, cfg, None)
 }
@@ -1278,6 +1259,25 @@ pub fn try_run_over_network_with_store(
     store: Option<&crate::store::RankStore>,
 ) -> Result<NetRunResult, NetRunError> {
     try_run_over_network_observed(g, cfg, store, &mut |_| {})
+}
+
+/// The one rule every event schedule keeps: times finite, non-negative
+/// and strictly increasing. A NaN time never compares as due and an
+/// infinite one never comes, so either would hold the run open forever.
+fn check_schedule(what: &'static str, times: impl Iterator<Item = f64>) -> Result<(), NetRunError> {
+    let mut prev = f64::NEG_INFINITY;
+    for t in times {
+        if !(t.is_finite() && t >= 0.0 && t > prev) {
+            return Err(NetRunError::Config {
+                what,
+                detail: format!(
+                    "times must be finite, non-negative and strictly increasing, got {t}"
+                ),
+            });
+        }
+        prev = t;
+    }
+    Ok(())
 }
 
 /// [`try_run_over_network_with_store`] with an observer: after every sample
@@ -1307,16 +1307,15 @@ pub fn try_run_over_network_observed(
     }
     let cfg = Arc::new(cfg);
 
-    if !cfg.departures.is_empty() {
-        if matches!(cfg.overlay, OverlayKind::Can { .. }) {
-            return Err(ChurnUnsupported { op: "departures", overlay: "CAN" }.into());
-        }
-        if !cfg.departures.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(NetRunError::Config {
-                what: "departures",
-                detail: "departure times must be strictly increasing".into(),
-            });
-        }
+    if !(cfg.t_end > 0.0 && cfg.t_end.is_finite()) {
+        // An infinite horizon never ends; a NaN or non-positive one runs nothing.
+        return Err(NetRunError::Config {
+            what: "t_end",
+            detail: format!("must be positive and finite, got {}", cfg.t_end),
+        });
+    }
+    if !cfg.departures.is_empty() && matches!(cfg.overlay, OverlayKind::Can { .. }) {
+        return Err(ChurnUnsupported { op: "departures", overlay: "CAN" }.into());
     }
     if !cfg.joins.is_empty() {
         match cfg.overlay {
@@ -1328,27 +1327,10 @@ pub fn try_run_over_network_observed(
                 return Err(ChurnUnsupported { op: "joins", overlay: "CAN" }.into())
             }
         }
-        if !cfg.joins.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(NetRunError::Config {
-                what: "joins",
-                detail: "join times must be strictly increasing".into(),
-            });
-        }
     }
-    if !cfg.deltas.is_empty() {
-        if !cfg.deltas.iter().all(|&(t, _)| t.is_finite() && t >= 0.0) {
-            return Err(NetRunError::Config {
-                what: "deltas",
-                detail: "delta times must be finite and non-negative".into(),
-            });
-        }
-        if !cfg.deltas.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(NetRunError::Config {
-                what: "deltas",
-                detail: "delta times must be strictly increasing".into(),
-            });
-        }
-    }
+    check_schedule("departures", cfg.departures.iter().map(|e| e.0))?;
+    check_schedule("joins", cfg.joins.iter().map(|e| e.0))?;
+    check_schedule("deltas", cfg.deltas.iter().map(|e| e.0))?;
     if cfg.replication > 0 {
         if matches!(cfg.overlay, OverlayKind::Can { .. }) {
             return Err(NetRunError::Config {
@@ -1920,6 +1902,10 @@ mod tests {
             let res =
                 run_over_network(&g, NetRunConfig { overlay, ..quick(Transmission::Indirect) });
             assert!(res.final_rel_err < 1e-4, "{overlay:?}: rel err {}", res.final_rel_err);
+            assert!(
+                res.counters.sweeps_saved > 0,
+                "{overlay:?}: a converged run must bank its stall-skipped verification sweeps"
+            );
         }
     }
 
@@ -2105,21 +2091,29 @@ mod tests {
             assert_eq!(what(NetRunConfig { t1, t2, ..base() }), "t1/t2");
         }
         assert_eq!(what(NetRunConfig { sample_every: 0.0, ..base() }), "sample_every");
+        // A NaN or infinite horizon used to hang the run or end it before
+        // it started, reporting a 100% error as a result.
+        for t_end in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(what(NetRunConfig { t_end, ..base() }), "t_end");
+        }
+        // Every schedule keeps one rule: finite, non-negative, strictly
+        // increasing. A NaN or infinite time used to hang the run.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            assert_eq!(what(NetRunConfig { departures: vec![(bad, 0)], ..base() }), "departures");
+            assert_eq!(what(NetRunConfig { joins: vec![(bad, 3)], ..base() }), "joins");
+            let delta = GraphDelta::empty();
+            assert_eq!(what(NetRunConfig { deltas: vec![(bad, delta)], ..base() }), "deltas");
+        }
+        assert_eq!(what(NetRunConfig { joins: vec![(1.0, 3), (f64::NAN, 4)], ..base() }), "joins");
+        assert_eq!(
+            what(NetRunConfig {
+                deltas: vec![(5.0, GraphDelta::empty()), (5.0, GraphDelta::empty())],
+                ..base()
+            }),
+            "deltas"
+        );
         let err = try_run_over_network(&g, NetRunConfig { k: 0, ..base() }).unwrap_err();
         assert!(err.to_string().contains("invalid net-run config"));
-    }
-
-    #[test]
-    fn inner_solver_strings_parse_or_reject_structurally() {
-        assert_eq!("jacobi".parse::<InnerSolver>().unwrap(), InnerSolver::Jacobi);
-        assert_eq!("gauss-seidel".parse::<InnerSolver>().unwrap(), InnerSolver::GaussSeidel);
-        assert_eq!("gs".parse::<InnerSolver>().unwrap(), InnerSolver::GaussSeidel);
-        for bad in ["frobnicate", "sor:1.1", "Jacobi", ""] {
-            match bad.parse::<InnerSolver>().unwrap_err() {
-                NetRunError::Config { what, .. } => assert_eq!(what, "inner_solver"),
-                other => panic!("expected a config error for {bad:?}, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -2342,79 +2336,6 @@ mod tests {
             assert!(par.sched_stats.batches > 0, "parallel runs must actually batch");
             assert!(par.sched_stats.max_batch >= 2, "no same-window parallelism exposed");
         }
-    }
-
-    #[test]
-    fn gauss_seidel_is_bit_identical_across_workers_and_replays() {
-        // The non-default solver must replay against its *own* reference
-        // bit for bit — ranks, counters (including the sweep counters),
-        // engine stats, the whole error series — at every worker count,
-        // under a lossy fault plan. The solves are per-node sequential
-        // arithmetic, so worker count can only reorder scheduling, never
-        // the bits.
-        let g = toy::two_cliques(5);
-        let base = NetRunConfig {
-            inner_solver: InnerSolver::GaussSeidel,
-            faults: Some(
-                FaultPlan::new()
-                    .with_latency(0.01)
-                    .with_default_success(0.8)
-                    .with_jitter(dpr_sim::Jitter::Uniform { max: 0.005 }),
-            ),
-            t_end: 200.0,
-            ..quick(Transmission::Indirect)
-        };
-        let run = |workers| {
-            run_over_network(&g, NetRunConfig { engine_workers: workers, ..base.clone() })
-        };
-        let seq = run(1);
-        assert!(seq.counters.inner_sweeps > 0, "no sweeps counted");
-        assert_same_run(&run(1), &seq, "replay");
-        for workers in [2, 4, 8] {
-            assert_same_run(&run(workers), &seq, &format!("{workers} workers"));
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_agrees_with_the_jacobi_fixed_point_in_fewer_sweeps() {
-        // The two inner solvers walk different arithmetic paths but
-        // contract to the same distributed fixed point: final ranks agree
-        // to well under 1e-12 with the exact same top-10, and Gauss–Seidel
-        // spends measurably fewer sweeps getting there. A random graph,
-        // not a symmetric toy — tied ranks would make top-10 order
-        // meaningless at 1e-15 noise — and few groups, so each holds
-        // enough internal coupling that solves genuinely take multiple
-        // sweeps (tolerance must matter).
-        let g = dpr_graph::generators::random::erdos_renyi(240, 8, 5.0, 42);
-        let base = NetRunConfig { k: 6, n_nodes: 6, t_end: 400.0, ..quick(Transmission::Indirect) };
-        let run =
-            |inner_solver| run_over_network(&g, NetRunConfig { inner_solver, ..base.clone() });
-        let top10 = |ranks: &[f64]| {
-            let mut idx: Vec<usize> = (0..ranks.len()).collect();
-            idx.sort_by(|&a, &b| ranks[b].partial_cmp(&ranks[a]).unwrap().then_with(|| a.cmp(&b)));
-            idx.truncate(10);
-            idx
-        };
-        let jacobi = run(InnerSolver::Jacobi);
-        assert!(
-            jacobi.counters.sweeps_saved > 0,
-            "a converged run must bank its stall-skipped verification sweeps"
-        );
-        let gs = run(InnerSolver::GaussSeidel);
-        let diff = gs
-            .final_ranks
-            .iter()
-            .zip(&jacobi.final_ranks)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        assert!(diff < 1e-12, "max diff {diff}");
-        assert_eq!(top10(&gs.final_ranks), top10(&jacobi.final_ranks), "top-10 moved");
-        assert!(
-            gs.counters.inner_sweeps < jacobi.counters.inner_sweeps,
-            "{} sweeps vs jacobi's {}",
-            gs.counters.inner_sweeps,
-            jacobi.counters.inner_sweeps
-        );
     }
 
     #[test]

@@ -133,7 +133,7 @@ mod tests {
     use super::*;
     use crate::config::RankConfig;
     use crate::group::GroupContext;
-    use crate::ranker::{DprVariant, InnerSolver};
+    use crate::ranker::DprVariant;
 
     fn feed(rec: &mut RunRecorder, samples: &[&[f64]]) {
         for (i, global) in samples.iter().enumerate() {
@@ -169,7 +169,7 @@ mod tests {
         let mut rec = RunRecorder::new(0.1);
         for (t, rel_err) in [(1.0, 0.5), (2.0, 0.1), (3.0, 0.01)] {
             for r in &mut rankers {
-                r.think(DprVariant::Dpr2, InnerSolver::Jacobi, 1e-10);
+                r.think(DprVariant::Dpr2, 1e-10);
             }
             let refs: Vec<&Ranker> = rankers.iter().collect();
             rec.observe(&Sample { t, rel_err, rankers: &refs, global: &[0.0] });

@@ -152,7 +152,7 @@ mod tests {
     use crate::config::RankConfig;
     use crate::group::GroupContext;
     use crate::metrics::top_k;
-    use crate::ranker::{assemble_ranks, DprVariant, InnerSolver, YPart};
+    use crate::ranker::{assemble_ranks, DprVariant, YPart};
     use dpr_graph::generators::edu::{edu_domain, EduDomainConfig};
     use dpr_partition::{Partition, Strategy};
 
@@ -168,7 +168,7 @@ mod tests {
         for _ in 0..40 {
             let parts: Vec<YPart> = rankers
                 .iter_mut()
-                .flat_map(|r| r.think(DprVariant::Dpr1, InnerSolver::Jacobi, 1e-10).0.to_vec())
+                .flat_map(|r| r.think(DprVariant::Dpr1, 1e-10).0.to_vec())
                 .collect();
             for part in parts {
                 rankers[part.dest_group as usize].deliver(

@@ -19,8 +19,7 @@
 //!   solve ended on a successive difference of exactly `0.0`, `r` is the
 //!   exact f64 fixed point of `r ← A·r + f`: running the solve again would
 //!   reproduce `r` bit for bit (ranks are non-negative, so not even the
-//!   sign of a zero can differ; the Gauss–Seidel sweep updates in place
-//!   with the same property). The think skips the arithmetic and still
+//!   sign of a zero can differ). The think skips the arithmetic and still
 //!   publishes.
 //! * **`Y` memo.** `Y` is a pure function of `r`; the memoized parts are
 //!   valid exactly while `r` is bitwise unchanged.
@@ -43,25 +42,6 @@ pub enum DprVariant {
     Dpr1,
     /// Algorithm 4: one iteration per publish.
     Dpr2,
-}
-
-/// Which solver runs the per-group inner solve of a think step.
-///
-/// Within one group the ranker owns every page, so within-sweep
-/// (Gauss–Seidel) ordering is locally legal; cross-group coupling stays
-/// Jacobi either way — the "partially asynchronous iteration" regime.
-/// Both are deterministic and bit-identical across engine worker counts
-/// and replays; they differ from each other only in low-order bits (they
-/// agree on the fixed point to well under 1e-12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InnerSolver {
-    /// Plain Jacobi fixed-point iteration.
-    #[default]
-    Jacobi,
-    /// Forward Gauss–Seidel sweeps: consumes within-sweep updates, which
-    /// typically reaches each window's fixed point in ~1.5× fewer sweeps
-    /// on link graphs.
-    GaussSeidel,
 }
 
 /// Sweep cap of one DPR1 inner solve: a safety net.
@@ -246,12 +226,7 @@ impl Ranker {
     /// sweep), and return this think's `Y`, one part per destination group
     /// in ascending order, with where the time went. A group without pages
     /// has nothing to think about and publishes nothing.
-    pub fn think(
-        &mut self,
-        variant: DprVariant,
-        solver: InnerSolver,
-        epsilon: f64,
-    ) -> (&[YPart], ThinkSecs) {
+    pub fn think(&mut self, variant: DprVariant, epsilon: f64) -> (&[YPart], ThinkSecs) {
         let n = self.ctx.n_local();
         if n == 0 {
             return (&[], ThinkSecs::default());
@@ -268,8 +243,8 @@ impl Ranker {
             self.sweeps_saved += 1;
         } else {
             let (ctx, r, f) = (&self.ctx, &mut self.r, &self.f);
-            let (sweeps, delta) = match (variant, solver) {
-                (DprVariant::Dpr1, InnerSolver::Jacobi) => {
+            let (sweeps, delta) = match variant {
+                DprVariant::Dpr1 => {
                     let report = ctx.group_pagerank_prepared(
                         r,
                         f,
@@ -280,14 +255,7 @@ impl Ranker {
                     );
                     (report.iterations as u64, report.final_delta)
                 }
-                (DprVariant::Dpr1, InnerSolver::GaussSeidel) => {
-                    let report = ctx.group_pagerank_gs_prepared(r, f, epsilon, MAX_INNER_SWEEPS);
-                    (report.iterations as u64, report.final_delta)
-                }
-                (DprVariant::Dpr2, InnerSolver::Jacobi) => {
-                    (1, ctx.step_prepared(r, f, &mut self.scratch, &mut self.ws))
-                }
-                (DprVariant::Dpr2, InnerSolver::GaussSeidel) => (1, ctx.step_gs_prepared(r, f)),
+                DprVariant::Dpr2 => (1, ctx.step_prepared(r, f, &mut self.scratch, &mut self.ws)),
             };
             self.inner_sweeps += sweeps;
             self.rows_swept += sweeps * n as u64;
@@ -427,7 +395,6 @@ mod tests {
     use crate::group::MatrixLayout;
 
     const VARIANTS: [DprVariant; 2] = [DprVariant::Dpr1, DprVariant::Dpr2];
-    const SOLVERS: [InnerSolver; 2] = [InnerSolver::Jacobi, InnerSolver::GaussSeidel];
     const EPSILON: f64 = 1e-10;
 
     /// The reference: a ranker that caches nothing. `X` is rebuilt in full
@@ -446,32 +413,25 @@ mod tests {
         }
 
         /// One window's solve of `r` against the current `X`.
-        fn solve(&self, r: &mut Vec<f64>, variant: DprVariant, solver: InnerSolver) {
+        fn solve(&self, r: &mut Vec<f64>, variant: DprVariant) {
             let (ctx, x, pool) = (&self.ctx, self.afferent.x(), Pool::sequential());
-            let f: Vec<f64> = ctx.beta_e().iter().zip(x).map(|(b, xi)| b + xi).collect();
-            match (variant, solver) {
-                (DprVariant::Dpr1, InnerSolver::Jacobi) => {
+            match variant {
+                DprVariant::Dpr1 => {
                     ctx.group_pagerank_pooled(r, x, EPSILON, MAX_INNER_SWEEPS, &pool);
                 }
-                (DprVariant::Dpr2, InnerSolver::Jacobi) => {
+                DprVariant::Dpr2 => {
                     ctx.step_pooled(r, x, &pool);
-                }
-                (DprVariant::Dpr1, InnerSolver::GaussSeidel) => {
-                    ctx.group_pagerank_gs_prepared(r, &f, EPSILON, MAX_INNER_SWEEPS);
-                }
-                (DprVariant::Dpr2, InnerSolver::GaussSeidel) => {
-                    ctx.step_gs_prepared(r, &f);
                 }
             }
         }
 
-        fn think(&mut self, variant: DprVariant, solver: InnerSolver) -> Vec<YBits> {
+        fn think(&mut self, variant: DprVariant) -> Vec<YBits> {
             if self.ctx.n_local() == 0 {
                 return Vec::new();
             }
             self.afferent.refresh();
             let mut r = std::mem::take(&mut self.r);
-            self.solve(&mut r, variant, solver);
+            self.solve(&mut r, variant);
             self.r = r;
             let y = self.ctx.compute_y(&self.r).into_iter();
             y.map(|(d, e)| (d, e.into_iter().map(|(p, s)| (p, s.to_bits())).collect())).collect()
@@ -543,7 +503,7 @@ mod tests {
             ),
         ) {
             let (n_pages, ctxs) = contexts(seed);
-            for (variant, solver) in VARIANTS.into_iter().flat_map(|v| SOLVERS.map(|s| (v, s))) {
+            for variant in VARIANTS {
                 let mut next_ctx = ctxs.iter().cloned();
                 let first = next_ctx.next().expect("three contexts");
                 let mut ranker = Ranker::new(Arc::clone(&first));
@@ -603,13 +563,13 @@ mod tests {
                         // ranker stall.
                         _ => for _ in 0..=entries.len() % 4 {
                             let before = ranker.epoch();
-                            let y = y_bits(ranker.think(variant, solver, EPSILON).0);
-                            prop_assert_eq!(y, naive.think(variant, solver));
+                            let y = y_bits(ranker.think(variant, EPSILON).0);
+                            prop_assert_eq!(y, naive.think(variant));
                             prop_assert_eq!(bits(ranker.ranks()), bits(&naive.r));
                             prop_assert_eq!(ranker.epoch(), before + 1);
                             if ranker.is_stalled() {
                                 let mut again = naive.r.clone();
-                                naive.solve(&mut again, variant, solver);
+                                naive.solve(&mut again, variant);
                                 prop_assert_eq!(bits(&again), bits(&naive.r));
                             }
                         },
@@ -622,21 +582,21 @@ mod tests {
     #[test]
     fn steady_inputs_stall_then_skip_the_solve_and_republish_the_same_parts() {
         let (_, ctxs) = contexts(7);
-        for (variant, solver) in VARIANTS.into_iter().flat_map(|v| SOLVERS.map(|s| (v, s))) {
+        for variant in VARIANTS {
             let mut ranker = Ranker::new(Arc::clone(&ctxs[0]));
             let pattern: Arc<[PageId]> = ranker.ctx().pages().iter().copied().take(5).collect();
             ranker.deliver(2, &pattern, &[0.3, 0.1, 0.4, 0.1, 0.5]);
             let mut thinks = 0;
             while !ranker.is_stalled() {
-                ranker.think(variant, solver, EPSILON);
+                ranker.think(variant, EPSILON);
                 thinks += 1;
-                assert!(thinks < 1_000, "{variant:?}/{solver:?} never stalled");
+                assert!(thinks < 1_000, "{variant:?} never stalled");
             }
             assert_eq!(ranker.sweeps_saved(), 0, "a solve that moved nothing finds the stall");
             let (sweeps, rows) = (ranker.inner_sweeps(), ranker.rows_swept());
             assert_eq!(rows, sweeps * ranker.ctx().n_local() as u64);
-            let first: Vec<YPart> = ranker.think(variant, solver, EPSILON).0.to_vec();
-            let again: Vec<YPart> = ranker.think(variant, solver, EPSILON).0.to_vec();
+            let first: Vec<YPart> = ranker.think(variant, EPSILON).0.to_vec();
+            let again: Vec<YPart> = ranker.think(variant, EPSILON).0.to_vec();
             assert!(!first.is_empty());
             for (a, b) in first.iter().zip(&again) {
                 assert!(Arc::ptr_eq(&a.scores, &b.scores) && Arc::ptr_eq(&a.pattern, &b.pattern));
@@ -646,10 +606,10 @@ mod tests {
             // The same scores again move no bit: still stalled. One moved
             // score wakes the solver up.
             ranker.deliver(2, &pattern, &[0.3, 0.1, 0.4, 0.1, 0.5]);
-            ranker.think(variant, solver, EPSILON);
+            ranker.think(variant, EPSILON);
             assert!(ranker.is_stalled());
             ranker.deliver(2, &pattern, &[0.3, 0.1, 0.4, 0.1, 0.6]);
-            ranker.think(variant, solver, EPSILON);
+            ranker.think(variant, EPSILON);
             assert!(!ranker.is_stalled() && ranker.inner_sweeps() > sweeps);
         }
     }
@@ -657,7 +617,7 @@ mod tests {
     #[test]
     fn restore_resumes_a_snapshot_and_refuses_one_that_does_not_fit() {
         let (_, ctxs) = contexts(3);
-        let (variant, solver) = (DprVariant::Dpr2, InnerSolver::Jacobi);
+        let variant = DprVariant::Dpr2;
         let mut owner = Ranker::new(Arc::clone(&ctxs[0]));
         let pattern: Arc<[PageId]> = owner.ctx().pages().iter().copied().step_by(2).collect();
         let scores: Vec<f64> = (0..pattern.len()).map(|k| 0.05 * (k + 1) as f64).collect();
@@ -665,7 +625,7 @@ mod tests {
         let first: Arc<[PageId]> = owner.ctx().pages()[..1].into();
         owner.deliver(2, &first, &[0.25]);
         for _ in 0..3 {
-            owner.think(variant, solver, EPSILON);
+            owner.think(variant, EPSILON);
         }
         let snap = owner.snapshot();
         assert_eq!((snap.group, snap.epoch), (0, 3));
@@ -674,8 +634,8 @@ mod tests {
         let mut heir = Ranker::new(Arc::clone(&ctxs[0]));
         assert!(heir.restore(&snap));
         assert_eq!(heir.epoch(), 3);
-        let theirs = y_bits(owner.think(variant, solver, EPSILON).0);
-        assert_eq!(y_bits(heir.think(variant, solver, EPSILON).0), theirs);
+        let theirs = y_bits(owner.think(variant, EPSILON).0);
+        assert_eq!(y_bits(heir.think(variant, EPSILON).0), theirs);
         assert_eq!(bits(heir.ranks()), bits(owner.ranks()));
 
         // A snapshot of the group before a delta repaged it does not fit.

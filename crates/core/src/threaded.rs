@@ -31,7 +31,7 @@ use dpr_partition::{Partition, Strategy};
 use crate::centralized::open_pagerank;
 use crate::config::RankConfig;
 use crate::group::GroupContext;
-use crate::ranker::{assemble_ranks, DprVariant, InnerSolver, Ranker, YPart};
+use crate::ranker::{assemble_ranks, DprVariant, Ranker, YPart};
 
 /// DPR1 inner tolerance of a thread's think.
 const INNER_EPSILON: f64 = 1e-12;
@@ -164,7 +164,7 @@ fn ranker_thread(
         while let Ok(part) = inbox.try_recv() {
             ranker.deliver(part.src_group, &part.pattern, &part.scores);
         }
-        let parts = ranker.think(cfg.variant, InnerSolver::Jacobi, INNER_EPSILON).0.to_vec();
+        let parts = ranker.think(cfg.variant, INNER_EPSILON).0.to_vec();
         let moved = vec_ops::l1_diff(ranker.ranks(), &prev);
         prev.copy_from_slice(ranker.ranks());
         coord.max_moved_bits.fetch_max(moved.abs().to_bits(), Ordering::AcqRel);

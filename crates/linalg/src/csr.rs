@@ -329,7 +329,7 @@ impl Csr {
     /// same per-row dot product as [`Csr::mul_vec`], so the result is
     /// bit-identical to the sequential kernel at every worker count. Falls
     /// back to the sequential kernel for small matrices or a sequential
-    /// pool; chunk boundaries come from [`spmv_chunk_rows`], a pure
+    /// pool; chunk boundaries come from `spmv_chunk_rows`, a pure
     /// function of the matrix shape.
     pub fn mul_vec_pool(&self, x: &[f64], y: &mut [f64], pool: &Pool) {
         assert_eq!(x.len(), self.n_cols);
@@ -510,7 +510,7 @@ impl PtrWord for u64 {
     }
 }
 
-/// Rows per window of the [`SweepOrder`]. The sort by in-degree is local to
+/// Rows per window of the `SweepOrder`. The sort by in-degree is local to
 /// a window so that the row-indexed vectors (`f`, the iterate, the scaled
 /// workspace) are still walked front to back, 2 KiB of each at a time.
 /// Measured on the 100 groups of the `rank-1m` benchmark graph (cold
@@ -731,7 +731,7 @@ unsafe fn gather_window<P: PtrWord>(
 /// row pointer that auto-narrows to `u32` via [`RowPtr`]. A Jacobi solve
 /// pre-scales once and then makes one pass per sweep
 /// ([`SpMatVec::sweep`]); both walk the rows in the matrix's
-/// [`SweepOrder`], four rows side by side.
+/// `SweepOrder`, four rows side by side.
 ///
 /// The multiply is bit-identical to [`Csr::mul_vec`] over the same entries:
 /// each product `scale[u] · x[u]` is one f64 multiply of the same operands

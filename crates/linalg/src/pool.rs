@@ -24,7 +24,7 @@
 //!
 //! # Safety model
 //!
-//! [`WorkerPool::broadcast`] sends a type-erased pointer to a caller-owned
+//! `WorkerPool::broadcast` sends a type-erased pointer to a caller-owned
 //! `Fn(usize) + Sync` closure to every worker and then blocks on a latch
 //! until all workers have finished running it. The borrow therefore
 //! strictly outlives every use, which is the same argument that makes

@@ -8,7 +8,7 @@
 //! # Chunked reductions and bit-determinism
 //!
 //! The reductions ([`l1_norm`], [`l1_diff`], [`sum`], and their `_pool`
-//! variants) all accumulate over **fixed chunks of [`REDUCE_CHUNK`]
+//! variants) all accumulate over **fixed chunks of `REDUCE_CHUNK`
 //! elements** and then fold the per-chunk partials in chunk order.
 //! Floating-point addition is not associative, so this fixed association is
 //! what makes the sequential and pooled paths return *bit-identical*
@@ -115,8 +115,8 @@ fn l1_diff_chunks<const L: usize>(x: &mut &[f64], y: &mut &[f64], acc: &mut f64)
 /// The L1 distance `‖x − y‖₁` without materialising the difference vector.
 ///
 /// This is the `δ` of every Jacobi sweep, so the per-chunk add chains run
-/// up to four at a time (see [`l1_diff_chunks`]); the partials and the
-/// order they are added in are those of [`chunked_reduce`].
+/// up to four at a time (see `l1_diff_chunks`); the partials and the
+/// order they are added in are those of `chunked_reduce`.
 #[must_use]
 pub fn l1_diff(mut x: &[f64], mut y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());

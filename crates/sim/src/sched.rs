@@ -92,7 +92,7 @@ impl Entry {
     }
 }
 
-/// Min-heap of [`Entry`] over a payload arena with free-list recycling.
+/// Min-heap of `Entry` over a payload arena with free-list recycling.
 pub struct SlabScheduler<T> {
     /// Payload arena. `None` slots are free (listed in `free`).
     arena: Vec<Option<T>>,

@@ -2,8 +2,7 @@
 //! that must not move a bit gets its identity proof from `cargo test`, and
 //! a change that moves bits on purpose has to say which cells moved.
 //!
-//! Every netrun cell (one per deployment runs Gauss–Seidel, the rest
-//! Jacobi) runs at `engine_workers` 1 and 2, must produce the
+//! Every netrun cell runs at `engine_workers` 1 and 2, must produce the
 //! same digest at both, must match the committed one, and must land on
 //! centralized PageRank of the graph the run ended on (relative L1 error
 //! and exact top-10). A digest covers the final rank bits, the whole
@@ -21,8 +20,8 @@
 
 use dpr::core::{
     group_owners, open_pagerank, try_run_over_network, try_run_over_network_observed, DprVariant,
-    InnerSolver, NetRunConfig, NetRunResult, OverlayKind, RankConfig, Reliability, RunRecorder,
-    Sample, Transmission,
+    NetRunConfig, NetRunResult, OverlayKind, RankConfig, Reliability, RunRecorder, Sample,
+    Transmission,
 };
 use dpr::graph::generators::edu::{edu_domain, EduDomainConfig};
 use dpr::graph::{DeltaOp, GraphDelta, WebGraph};
@@ -258,30 +257,23 @@ fn deployment_of(scenario: usize, variant: usize, transmission: usize) -> &'stat
 fn netrun_cells(on: &str) -> Vec<(String, u64)> {
     let g = web();
     let mut got = Vec::new();
-    let mut cell =
-        |solver, sc: &str, (vname, variant): (&str, _), (tname, transmission): (&str, _)| {
-            let cfg =
-                NetRunConfig { variant, transmission, inner_solver: solver, ..deployment(on) };
-            let gs = if solver == InnerSolver::GaussSeidel { "gs/" } else { "" };
-            let name = format!("{gs}{vname}/{tname}/{on}/{sc}");
-            let digest = run_cell(&name, &g, &scenario(sc, &g, cfg), &mut |_| {});
-            got.push((name, digest));
-        };
+    let mut cell = |sc: &str, (vname, variant): (&str, _), (tname, transmission): (&str, _)| {
+        let cfg = NetRunConfig { variant, transmission, ..deployment(on) };
+        let name = format!("{vname}/{tname}/{on}/{sc}");
+        let digest = run_cell(&name, &g, &scenario(sc, &g, cfg), &mut |_| {});
+        got.push((name, digest));
+    };
     for (si, sc) in SCENARIOS.iter().enumerate() {
         for (vi, variant) in VARIANTS.into_iter().enumerate() {
             for (ti, transmission) in TRANSMISSIONS.into_iter().enumerate() {
                 // The main sweep, plus the lossless cells on the other
                 // deployment too: the plain path in full product.
                 if deployment_of(si, vi, ti) == on || *sc == "lossless" {
-                    cell(InnerSolver::Jacobi, sc, variant, transmission);
+                    cell(sc, variant, transmission);
                 }
             }
         }
     }
-    // One Gauss–Seidel cell per deployment, the two between them covering
-    // both variants and both transmissions.
-    let i = usize::from(on == "chord-url");
-    cell(InnerSolver::GaussSeidel, "loss", VARIANTS[i], TRANSMISSIONS[1 - i]);
     got
 }
 
@@ -306,7 +298,6 @@ const PASTRY_SITE: &[(&str, u64)] = &[
     ("dpr2/indirect/pastry-site/delta-add-only", 0x58aab73a81394f05),
     ("dpr1/indirect/pastry-site/delta-insert-page", 0x61f9bc7315090e19),
     ("dpr2/direct/pastry-site/delta-insert-page", 0xf7c59527704953ec),
-    ("gs/dpr1/indirect/pastry-site/loss", 0x24b7bce577a594ab),
 ];
 
 const CHORD_URL: &[(&str, u64)] = &[
@@ -326,7 +317,6 @@ const CHORD_URL: &[(&str, u64)] = &[
     ("dpr2/direct/chord-url/delta-add-only", 0xfb653a6af46bd400),
     ("dpr1/direct/chord-url/delta-insert-page", 0x21aa876457a675f9),
     ("dpr2/indirect/chord-url/delta-insert-page", 0x769ea1689895e53d),
-    ("gs/dpr2/direct/chord-url/loss", 0xe0962d1f27e4cbe2),
 ];
 
 const SECTION5: &[(&str, u64)] = &[
