@@ -5,6 +5,11 @@
 //! counterpart of Table 1's bottleneck column, plus the overlay comparison
 //! (Pastry vs Chord vs CAN) at a fixed B.
 //!
+//! Asserted (the bin exits non-zero when one fails): the time to 1% error
+//! never falls as B shrinks, the smallest B is strictly slower than an
+//! unlimited uplink, and Pastry moves the fewest bytes of the three
+//! overlays.
+//!
 //! Usage: `bottleneck [--pages N] [--k K] [--t-end T]`
 
 use dpr_bench::BenchArgs;
@@ -50,7 +55,7 @@ fn main() {
 
     // --- Sweep B. ----------------------------------------------------------
     let mut rows = Vec::new();
-    for b in [None, Some(1e6), Some(2e5), Some(1e5), Some(5e4), Some(2e4)] {
+    for b in [None, Some(1e6), Some(2e5), Some(1e5), Some(5e4), Some(2e4), Some(1e4), Some(5e3)] {
         let res =
             try_run_over_network(&g, NetRunConfig { bottleneck_bytes_per_time: b, ..base.clone() })
                 .expect("bench config uses supported churn");
@@ -110,6 +115,26 @@ fn main() {
         );
     }
     println!("\n(Longer CAN/Chord routes mean more forwarded bytes for the same exchange — the reason §4.5 assumes Pastry.)");
+
+    // A run that never reaches 1% counts as infinitely slow.
+    let t = |r: &Row| r.time_to_1pct.unwrap_or(f64::INFINITY);
+    for w in rows.windows(2) {
+        assert!(
+            t(&w[1]) >= t(&w[0]),
+            "t@1% fell as B shrank: {:?} then {:?}",
+            w[0].time_to_1pct,
+            w[1].time_to_1pct
+        );
+    }
+    let (unlimited, smallest) = (&rows[0], &rows[rows.len() - 1]);
+    assert!(t(smallest) > t(unlimited), "the smallest B is not slower than an unlimited uplink");
+    for other in &orows[1..] {
+        assert!(
+            orows[0].megabytes < other.megabytes,
+            "{} moved fewer bytes than Pastry",
+            other.overlay
+        );
+    }
 
     if let Err(e) = args.emit(&(rows, orows)) {
         eprintln!("[bottleneck] JSON write failed: {e}");

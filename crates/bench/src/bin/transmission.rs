@@ -16,9 +16,9 @@ use dpr_bench::BenchArgs;
 use dpr_core::netrun::AnyOverlay;
 use dpr_core::{try_run_over_network, NetRunConfig, OverlayKind, Transmission};
 use dpr_graph::generators::toy;
+use dpr_model::analytic;
 use dpr_overlay::avg_route_hops;
 use dpr_partition::{Partition, Strategy};
-use dpr_transport::analytic;
 use dpr_transport::codec::{PAPER_LOOKUP_BYTES, PAPER_RECORD_BYTES};
 use serde::Serialize;
 

@@ -400,17 +400,21 @@ fn unparsable_values_fail_by_name_instead_of_running_the_default() {
 #[test]
 fn bad_net_times_exit_1_without_running() {
     // Each of these used to hang until killed or to run nothing and
-    // report a 100% error with exit 0.
+    // report a 100% error with exit 0; the two ack timeouts used to run
+    // with reliability silently off (NaN) or retrying at once (-1).
     let graph = tmp("bad-times.graph");
     commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
         .unwrap();
-    for bad in [
-        ["--crash", "nan:0"],
-        ["--join", "nan:3"],
-        ["--t-end", "inf"],
-        ["--t-end", "nan"],
-        ["--t-end", "-1"],
-    ] {
+    let bads: [&[&str]; 7] = [
+        &["--crash", "nan:0"],
+        &["--join", "nan:3"],
+        &["--t-end", "inf"],
+        &["--t-end", "nan"],
+        &["--t-end", "-1"],
+        &["--reliable", "--ack-timeout", "nan"],
+        &["--reliable", "--ack-timeout", "-1"],
+    ];
+    for bad in bads {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dpr"))
             .args(["simulate", &graph, "--net", "--k", "4"])
             .args(bad)

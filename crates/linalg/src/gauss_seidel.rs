@@ -8,10 +8,12 @@
 //! owns every page, so within-sweep ordering is locally legal: Gauss–Seidel
 //! consumes `x_j^{(k+1)}` for `j` already updated in the current sweep, and
 //! for non-negative contractions converges at least as fast as Jacobi
-//! (often ~2× on link graphs). Cross-group coupling stays Jacobi — the
-//! "partially asynchronous iteration" regime — which is how the netrun
-//! engine uses this solver as its per-group inner solve (`--inner-solver
-//! gauss-seidel`). The sweep is generic over [`SpMatVec`] via
+//! (often ~2× on link graphs). Cross-group coupling would stay Jacobi —
+//! the "partially asynchronous iteration" regime. The netrun engine's
+//! inner solve is Jacobi only: measured on the product path, this solver
+//! took fewer sweeps but ran slower end to end (DESIGN.md §15), so it is
+//! kept as a solver of its own, not as a netrun option. The sweep is
+//! generic over [`SpMatVec`] via
 //! [`SpMatVec::gs_row`], so it drives the explicit and implicit matrix
 //! layouts alike.
 

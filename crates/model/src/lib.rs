@@ -16,7 +16,10 @@
 //! [`CapacityModel`] evaluates both constraints; [`table1`] regenerates
 //! Table 1 (minimal time per iteration and needed bottleneck bandwidth for
 //! 1 000 / 10 000 / 100 000 page rankers ranking 3 billion pages), using the
-//! paper's Pastry hop counts `h(N)`.
+//! paper's Pastry hop counts `h(N)`. [`analytic`] holds §4.4's closed forms
+//! (formulas 4.1–4.4) that `D_it` comes from: the `transmission` bin and
+//! `tests/transport_overlay.rs` set netrun's measured messages and bytes
+//! per iteration beside them.
 
 //!
 //! # Example
@@ -92,7 +95,7 @@ impl CapacityModel {
     /// `D_it = h·l·W` (formula 4.1).
     #[must_use]
     pub fn bytes_per_iteration(&self, hops: f64) -> f64 {
-        hops * self.link_record_bytes * self.total_pages
+        analytic::d_indirect(hops, self.link_record_bytes, self.total_pages)
     }
 
     /// Formula 4.6: the bisection constraint
@@ -161,6 +164,51 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
     s
 }
 
+/// The paper's closed-form estimates (formulas 4.1–4.4). All take the same
+/// symbols the paper uses: `w` pages total, `n` page rankers, `h` average
+/// lookup hops, `l` bytes per link record, `r` bytes per lookup message,
+/// `g` average neighbors per node.
+pub mod analytic {
+    /// Formula 4.1 — bytes moved per iteration with indirect transmission:
+    /// `D_it = h·l·W` (every one of the ~W inter-group link records is
+    /// forwarded over `h` hops on average).
+    #[must_use]
+    pub fn d_indirect(h: f64, l: f64, w: f64) -> f64 {
+        h * l * w
+    }
+
+    /// Formula 4.2 — bytes with direct transmission:
+    /// `D_dt = l·W + h·r·N²` (records travel one logical hop, but every
+    /// pair of rankers first pays an `h`-hop lookup of `r` bytes).
+    #[must_use]
+    pub fn d_direct(h: f64, l: f64, w: f64, r: f64, n: f64) -> f64 {
+        l * w + h * r * n * n
+    }
+
+    /// Formula 4.3 — messages per iteration with indirect transmission:
+    /// `S_it = g·N` (each node sends one package per neighbor).
+    #[must_use]
+    pub fn s_indirect(g: f64, n: f64) -> f64 {
+        g * n
+    }
+
+    /// Formula 4.4 — messages with direct transmission:
+    /// `S_dt = (h+1)·N²` (an `h`-message lookup plus one data message for
+    /// every ordered pair of rankers).
+    #[must_use]
+    pub fn s_direct(h: f64, n: f64) -> f64 {
+        (h + 1.0) * n * n
+    }
+
+    /// The N beyond which indirect transmission sends fewer messages than
+    /// direct: smallest `n` with `g·n < (h+1)·n²`, i.e. `n > g/(h+1)`.
+    /// "Direct transmission seems better only for small N."
+    #[must_use]
+    pub fn message_crossover_n(g: f64, h: f64) -> f64 {
+        g / (h + 1.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,5 +266,33 @@ mod tests {
         for key in ["1000", "10000", "100000", "7500s", "100KB/s"] {
             assert!(text.contains(key), "missing {key} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn paper_example_formula_4_6() {
+        // §4.5 example: W = 3G pages, l = 100 B, h = 2.5 ⇒ D_it = 750 GB;
+        // at 100 MB/s that is T > 7500 s.
+        let d = analytic::d_indirect(2.5, 100.0, 3.0e9);
+        let t = d / 100.0e6;
+        assert!((t - 7500.0).abs() < 1.0, "T = {t}");
+    }
+
+    #[test]
+    fn indirect_beats_direct_for_large_n() {
+        let (h, g) = (2.5, 40.0);
+        let n = 1000.0;
+        assert!(analytic::s_indirect(g, n) < analytic::s_direct(h, n));
+        assert!(
+            analytic::d_indirect(h, 100.0, 3.0e9)
+                < analytic::d_direct(h, 100.0, 3.0e9, 50.0, 100_000.0)
+        );
+    }
+
+    #[test]
+    fn direct_beats_indirect_for_tiny_n() {
+        let (h, g) = (2.5, 40.0);
+        let n = 3.0; // below the crossover g/(h+1) ≈ 11.4
+        assert!(analytic::s_direct(h, n) < analytic::s_indirect(g, n));
+        assert!(analytic::message_crossover_n(g, h) > n);
     }
 }

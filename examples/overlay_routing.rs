@@ -8,10 +8,10 @@
 use dpr::core::netrun::AnyOverlay;
 use dpr::core::{try_run_over_network, NetRunConfig, Transmission};
 use dpr::graph::generators::toy;
+use dpr::model::analytic;
 use dpr::overlay::id::key_from_u64;
 use dpr::overlay::{avg_route_hops, ChordNetwork, Overlay, PastryNetwork};
 use dpr::partition::{Partition, Strategy};
-use dpr::transport::analytic;
 use dpr::transport::codec::{PAPER_LOOKUP_BYTES, PAPER_RECORD_BYTES};
 
 fn main() {

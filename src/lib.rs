@@ -41,9 +41,8 @@ pub use dpr_partition as partition;
 /// Structured P2P overlays: Pastry and Chord with hop-counted routing.
 pub use dpr_overlay as overlay;
 
-/// Rank-exchange transport: wire codec and §4.5 prices, the §4.4
-/// closed-form costs of direct/indirect transmission (both run in
-/// `core::netrun`), checkpoint frames, compression (§4.5 future work).
+/// Rank-exchange transport: wire codec and §4.5 prices, checkpoint
+/// frames, compression (§4.5 future work).
 pub use dpr_transport as transport;
 
 /// Discrete-event simulation: actors, think times, failure injection,
@@ -54,7 +53,9 @@ pub use dpr_sim as sim;
 /// CPR, HITS, personalized ranking, and the hosts that run them (§2–§5).
 pub use dpr_core as core;
 
-/// The §4.5 analytic capacity model and Table 1.
+/// The analytic cost model: §4.4's closed-form costs of direct and
+/// indirect transmission (both run in `core::netrun`), §4.5's capacity
+/// model and Table 1.
 pub use dpr_model as model;
 
 /// Crawling substrate: hidden web (Fig 1's `W`), single + parallel

@@ -5,6 +5,7 @@
 use dpr::core::netrun::AnyOverlay;
 use dpr::core::{try_run_over_network, NetRunConfig, OverlayKind, Transmission};
 use dpr::graph::generators::toy;
+use dpr::model::analytic;
 use dpr::overlay::id::key_from_u64;
 use dpr::overlay::{avg_route_hops, ChordNetwork, Overlay, PastryNetwork};
 use dpr::partition::{Partition, Strategy};
@@ -13,7 +14,7 @@ use dpr::transport::codec::{
 };
 use dpr::transport::compress::{self, CompressConfig};
 use dpr::transport::snapshot::{self, encode_snapshot_into, SnapshotFrame};
-use dpr::transport::{analytic, RankUpdate};
+use dpr::transport::RankUpdate;
 use proptest::prelude::*;
 
 #[test]
