@@ -6,6 +6,10 @@
 //! random (because ~90% of links are intra-site), and only the hash
 //! strategies keep a page on the same ranker across crawls.
 //!
+//! Asserted (the bin exits non-zero when one fails): hash-by-site cuts at
+//! least 5x fewer links than hash-by-URL, both hash strategies are 100%
+//! re-crawl stable, and random is below 50%.
+//!
 //! Usage: `partition_ablation [--pages N] [--sites S] [--k K]`
 
 use dpr_bench::BenchArgs;
@@ -80,13 +84,22 @@ fn main() {
             r.recrawl_stability * 100.0
         );
     }
-    let site = rows.iter().find(|r| r.strategy == "hash-by-site").unwrap();
-    let url = rows.iter().find(|r| r.strategy == "hash-by-url").unwrap();
+    let by_name = |name: &str| rows.iter().find(|r| r.strategy == name).unwrap();
+    let (site, url, random) = (by_name("hash-by-site"), by_name("hash-by-url"), by_name("random"));
+    let fewer = url.cut_fraction / site.cut_fraction.max(1e-12);
     println!(
-        "\nhash-by-site cuts {:.1}x fewer links than hash-by-url and is {:.0}% re-crawl stable \
+        "\nhash-by-site cuts {fewer:.1}x fewer links than hash-by-url and is {:.0}% re-crawl stable \
          (paper: \"divide at site-granularity ... can reduce communication overhead greatly\").",
-        url.cut_fraction / site.cut_fraction.max(1e-12),
         site.recrawl_stability * 100.0
+    );
+    assert!(fewer >= 5.0, "hash-by-site cuts only {fewer:.1}x fewer links than hash-by-url");
+    for r in [site, url] {
+        assert!(r.recrawl_stability == 1.0, "{} is not re-crawl stable", r.strategy);
+    }
+    assert!(
+        random.recrawl_stability < 0.5,
+        "random is {:.1}% stable",
+        random.recrawl_stability * 100.0
     );
 
     if let Err(e) = args.emit(&rows) {

@@ -401,11 +401,14 @@ fn unparsable_values_fail_by_name_instead_of_running_the_default() {
 fn bad_net_times_exit_1_without_running() {
     // Each of these used to hang until killed or to run nothing and
     // report a 100% error with exit 0; the two ack timeouts used to run
-    // with reliability silently off (NaN) or retrying at once (-1).
+    // with reliability silently off (NaN) or retrying at once (-1). The
+    // last four crash a node that is not live (twice, out of range, the
+    // last one) or join one id twice, which used to panic inside the
+    // overlay with exit 101.
     let graph = tmp("bad-times.graph");
     commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
         .unwrap();
-    let bads: [&[&str]; 7] = [
+    let bads: [&[&str]; 11] = [
         &["--crash", "nan:0"],
         &["--join", "nan:3"],
         &["--t-end", "inf"],
@@ -413,6 +416,10 @@ fn bad_net_times_exit_1_without_running() {
         &["--t-end", "-1"],
         &["--reliable", "--ack-timeout", "nan"],
         &["--reliable", "--ack-timeout", "-1"],
+        &["--nodes", "12", "--crash", "20:4,40:4"],
+        &["--nodes", "12", "--crash", "20:99"],
+        &["--nodes", "2", "--crash", "10:0,20:1"],
+        &["--join", "10:7,20:7"],
     ];
     for bad in bads {
         let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_dpr"))

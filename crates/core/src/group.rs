@@ -15,110 +15,30 @@
 //! its row-stochastic orientation; ours is transposed), so Theorems 3.1–3.3
 //! guarantee convergence.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use dpr_graph::{PageId, WebGraph};
 use dpr_linalg::pool::SharedSlice;
-use dpr_linalg::{column_scale, Csr, CsrImplicit, FixedPointSolver, Pool, SolveReport, SpMatVec};
+use dpr_linalg::{column_scale, CsrImplicit, FixedPointSolver, Pool, SolveReport, SpMatVec};
 use dpr_partition::{GroupId, Partition};
 
 use crate::config::RankConfig;
 
-/// Which in-memory layout a group's local matrix uses. The implicit-value
-/// layout is the default everywhere: it streams ≤ 8 bytes per non-zero
-/// instead of 12+ and is bit-identical to the explicit layout by
-/// construction (see `dpr_linalg::CsrImplicit`).
+/// Which in-memory layout a group's local matrix uses: always the
+/// implicit-value [`CsrImplicit`], which streams ≤ 8 bytes per non-zero
+/// instead of 12+; the tests hold its solves to the explicit twin
+/// (`CsrImplicit::to_explicit`). It has one variant and stays a parameter
+/// of [`GroupContext::build_all_with_layout`] and [`GroupContext::rebuild`]
+/// only because the benchmark crate (`benchmark/src/phases.rs`,
+/// `layers.rs`) passes `MatrixLayout::default()` to both. It stays an enum,
+/// not a unit struct: clippy's `default_constructed_unit_structs` would
+/// flag those calls under the benchmark's `-D warnings`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatrixLayout {
     /// Implicit per-column values (`α/d(u)`), `u32` gather kernel.
     #[default]
     Implicit,
-    /// Explicit per-entry `f64` values: the reference the implicit layout's
-    /// solves are tested bit-identical against. No run uses it.
-    Explicit,
-}
-
-/// A group's local propagation matrix in its chosen layout. Both variants
-/// hold the *same entries* — the explicit form is materialized from the
-/// implicit one (`values[k] = scale[col_idx[k]]`) — so solves are
-/// bit-identical across layouts.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GroupMatrix {
-    /// Explicit-value CSR.
-    Explicit(Csr),
-    /// Implicit-value (bandwidth-lean) CSR.
-    Implicit(CsrImplicit),
-}
-
-impl GroupMatrix {
-    /// Number of stored entries.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        match self {
-            GroupMatrix::Explicit(m) => m.nnz(),
-            GroupMatrix::Implicit(m) => m.nnz(),
-        }
-    }
-
-    /// Heap bytes held by the matrix arrays.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            GroupMatrix::Explicit(m) => m.heap_bytes(),
-            GroupMatrix::Implicit(m) => m.heap_bytes(),
-        }
-    }
-}
-
-impl SpMatVec for GroupMatrix {
-    fn n_rows(&self) -> usize {
-        match self {
-            GroupMatrix::Explicit(m) => m.n_rows(),
-            GroupMatrix::Implicit(m) => m.n_rows(),
-        }
-    }
-    fn n_cols(&self) -> usize {
-        match self {
-            GroupMatrix::Explicit(m) => m.n_cols(),
-            GroupMatrix::Implicit(m) => m.n_cols(),
-        }
-    }
-    fn nnz(&self) -> usize {
-        GroupMatrix::nnz(self)
-    }
-    fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool) {
-        match self {
-            GroupMatrix::Explicit(m) => m.mul_into(x, y, ws, pool),
-            GroupMatrix::Implicit(m) => m.mul_into(x, y, ws, pool),
-        }
-    }
-    fn sweep(
-        &self,
-        k: usize,
-        x: &[f64],
-        f: &[f64],
-        next: &mut [f64],
-        ws: &mut Vec<f64>,
-        pool: &Pool,
-    ) -> f64 {
-        match self {
-            GroupMatrix::Explicit(m) => m.sweep(k, x, f, next, ws, pool),
-            GroupMatrix::Implicit(m) => m.sweep(k, x, f, next, ws, pool),
-        }
-    }
-    fn contraction_norm(&self) -> f64 {
-        match self {
-            GroupMatrix::Explicit(m) => m.contraction_norm(),
-            GroupMatrix::Implicit(m) => m.contraction_norm(),
-        }
-    }
-    fn gs_row(&self, i: usize, init: f64, x: &[f64]) -> (f64, f64) {
-        match self {
-            GroupMatrix::Explicit(m) => m.gs_row(i, init, x),
-            GroupMatrix::Implicit(m) => m.gs_row(i, init, x),
-        }
-    }
 }
 
 /// A value derived from the rest of its owner and computed on first use.
@@ -194,9 +114,8 @@ pub struct GroupContext {
     /// Global ids of the pages in this group, sorted ascending; local index
     /// `i` refers to `pages[i]`.
     pages: Vec<PageId>,
-    /// Local propagation matrix (inner links only), in the layout chosen
-    /// at build time (implicit-value by default).
-    a: GroupMatrix,
+    /// Local propagation matrix (inner links only).
+    a: CsrImplicit,
     /// `βE` restricted to this group's pages.
     beta_e: Vec<f64>,
     /// Outgoing rank routes, one batch per destination group.
@@ -238,28 +157,23 @@ impl SpMatVec for MemoNorm<'_> {
     fn contraction_norm(&self) -> f64 {
         self.0.contraction_norm()
     }
-    fn gs_row(&self, i: usize, init: f64, x: &[f64]) -> (f64, f64) {
-        self.0.a.gs_row(i, init, x)
-    }
 }
 
 impl GroupContext {
     /// Builds the contexts of **all** groups of a partition in one pass over
-    /// the graph (O(pages + links)), using the default bandwidth-lean
-    /// [`MatrixLayout::Implicit`] local matrices.
+    /// the graph (O(pages + links)).
     #[must_use]
     pub fn build_all(g: &WebGraph, partition: &Partition, cfg: &RankConfig) -> Vec<GroupContext> {
         Self::build_all_with_layout(g, partition, cfg, MatrixLayout::default())
     }
 
-    /// [`GroupContext::build_all`] with an explicit choice of local-matrix
-    /// layout.
+    /// [`GroupContext::build_all`]; `MatrixLayout` has one variant.
     #[must_use]
     pub fn build_all_with_layout(
         g: &WebGraph,
         partition: &Partition,
         cfg: &RankConfig,
-        layout: MatrixLayout,
+        _layout: MatrixLayout,
     ) -> Vec<GroupContext> {
         cfg.validate(g.n_pages());
         assert_eq!(partition.n_pages(), g.n_pages());
@@ -323,7 +237,7 @@ impl GroupContext {
                 let mut efferent: Vec<EfferentBatch> =
                     eff_map.drain().map(|(dest, edges)| EfferentBatch::new(dest, edges)).collect();
                 efferent.sort_unstable_by_key(|b| b.dest);
-                let a = Self::assemble_matrix(g, cfg, &pages, &inner[gid], layout);
+                let a = Self::assemble_matrix(g, cfg, &pages, &inner[gid]);
                 let ctx = GroupContext {
                     group_id: gid as GroupId,
                     beta_e: cfg.beta_e_for(&pages),
@@ -342,16 +256,13 @@ impl GroupContext {
     /// counting-sort by destination row, per-row column sort, per-column
     /// scale `α/d(u)` (exactly `0.0` for dangling pages — see
     /// `dpr_linalg::column_scale`). Parallel inner links stay as separate
-    /// entries in *every* layout — the explicit form is materialized from
-    /// the implicit one — so layouts share identical entry structure and
-    /// solves match bit for bit.
+    /// entries.
     fn assemble_matrix(
         g: &WebGraph,
         cfg: &RankConfig,
         pages: &[PageId],
         pairs: &[(u32, u32)],
-        layout: MatrixLayout,
-    ) -> GroupMatrix {
+    ) -> CsrImplicit {
         let n = pages.len();
         let degrees: Vec<u32> = pages.iter().map(|&p| g.out_degree(p)).collect();
         let scale = column_scale(cfg.alpha, &degrees);
@@ -372,11 +283,7 @@ impl GroupContext {
         for r in 0..n {
             col_idx[row_ptr[r] as usize..row_ptr[r + 1] as usize].sort_unstable();
         }
-        let m = CsrImplicit::from_raw_parts(n, n, row_ptr, col_idx, scale);
-        match layout {
-            MatrixLayout::Implicit => GroupMatrix::Implicit(m),
-            MatrixLayout::Explicit => GroupMatrix::Explicit(m.to_explicit()),
-        }
+        CsrImplicit::from_raw_parts(n, n, row_ptr, col_idx, scale)
     }
 
     /// Rebuilds **one** group's context against a mutated graph — the
@@ -403,7 +310,7 @@ impl GroupContext {
         cfg: &RankConfig,
         gid: GroupId,
         pages: Vec<PageId>,
-        layout: MatrixLayout,
+        _layout: MatrixLayout,
     ) -> GroupContext {
         cfg.validate(g.n_pages());
         assert_eq!(assignment.len(), g.n_pages(), "assignment must cover the graph");
@@ -430,7 +337,7 @@ impl GroupContext {
         let mut efferent: Vec<EfferentBatch> =
             eff_map.into_iter().map(|(dest, edges)| EfferentBatch::new(dest, edges)).collect();
         efferent.sort_unstable_by_key(|b| b.dest);
-        let a = Self::assemble_matrix(g, cfg, &pages, &inner, layout);
+        let a = Self::assemble_matrix(g, cfg, &pages, &inner);
         GroupContext {
             group_id: gid,
             beta_e: cfg.beta_e_for(&pages),
@@ -458,10 +365,7 @@ impl GroupContext {
                 *w = cfg.alpha / f64::from(degrees[*lu as usize]);
             }
         }
-        match &mut self.a {
-            GroupMatrix::Implicit(m) => m.set_scale(scale),
-            GroupMatrix::Explicit(m) => m.rescale_columns(&scale),
-        }
+        self.a.set_scale(scale);
         // New column factors, new norm; the efferent patterns stand (the
         // link structure did not move).
         self.norm = Memo::default();
@@ -476,7 +380,7 @@ impl GroupContext {
 
     /// The group's local propagation matrix.
     #[must_use]
-    pub fn matrix(&self) -> &GroupMatrix {
+    pub fn matrix(&self) -> &CsrImplicit {
         &self.a
     }
 
@@ -630,7 +534,7 @@ impl GroupContext {
 /// # Structure once, scores every window
 ///
 /// Between crawl deltas the link structure behind a source's `Y` never
-/// changes, only its scores do. The default mode therefore keeps, per
+/// changes, only its scores do. The state therefore keeps, per
 /// source, the page-id *pattern* of its last `Y`, the local row of every
 /// entry, and a *slot* per entry into one flat value array laid out row
 /// by row, ascending source within a row (`row_ptr` + `slot_vals`: `X =
@@ -643,41 +547,22 @@ impl GroupContext {
 /// [`AfferentState::set`]) re-localizes it and rebuilds the layout.
 ///
 /// [`AfferentState::refresh`] re-sums each marked row as one contiguous
-/// slice, *from scratch in ascending source order* — the order the full
-/// rebuild adds contributions in (`received` is a `BTreeMap`) — so `X` is
-/// bit-identical to a full rebuild at every refresh: floating-point
-/// addition is not associative, and the engine promises bit-identical
-/// runs per seed.
+/// slice, *from scratch in ascending source order*, so `X` is
+/// bit-identical at every refresh to summing every source's latest entries
+/// afresh in that order: floating-point addition is not associative, and
+/// the engine promises bit-identical runs per seed. The tests hold it to
+/// exactly that naive model (`tests/ext_cache.rs`, `ranker::tests`).
 ///
 /// Pages of a pattern this group does not own (a `Y` computed before a
 /// delta tombstoned them, still in flight) keep their place in the
 /// pattern and a slot in a trailing *spill row* that no `X` entry sums,
 /// so pattern and slots remain a faithful copy of the raw payload for
 /// [`AfferentState::replay_onto`].
-///
-/// [`AfferentState::new_full_rebuild`] keeps the pre-cache behavior
-/// (store localized entries, rebuild every row on any change) as the test
-/// oracle.
 #[derive(Debug, Clone)]
 pub struct AfferentState {
     x: Vec<f64>,
     rows_recomputed: u64,
-    store: Store,
-}
-
-#[derive(Debug, Clone)]
-enum Store {
-    Slotted(Slotted),
-    Full(FullRebuild),
-}
-
-/// The oracle: localized entries per source, every row re-summed on any
-/// change.
-#[derive(Debug, Clone, Default)]
-struct FullRebuild {
-    /// BTreeMap (not HashMap) so X materialization sums in a fixed order.
-    received: BTreeMap<GroupId, Vec<(u32, f64)>>,
-    dirty: bool,
+    store: Slotted,
 }
 
 /// One source group's latest contribution in slotted form; `local` and the
@@ -943,23 +828,10 @@ impl Slotted {
 }
 
 impl AfferentState {
-    /// State for a group with `n_local` pages (X starts at zero), in the
-    /// default slotted mode.
+    /// State for a group with `n_local` pages (X starts at zero).
     #[must_use]
     pub fn new(n_local: usize) -> Self {
-        Self {
-            x: vec![0.0; n_local],
-            rows_recomputed: 0,
-            store: Store::Slotted(Slotted::new(n_local)),
-        }
-    }
-
-    /// The pre-cache baseline: every refresh rebuilds the whole `X` vector
-    /// from the stored localized entries. Kept as the oracle the slotted
-    /// mode is tested against; results are bit-identical either way.
-    #[must_use]
-    pub fn new_full_rebuild(n_local: usize) -> Self {
-        Self { store: Store::Full(FullRebuild::default()), ..Self::new(n_local) }
+        Self { x: vec![0.0; n_local], rows_recomputed: 0, store: Slotted::new(n_local) }
     }
 
     /// Records the latest raw `Y` from `src`: `scores[k]` flows into page
@@ -983,17 +855,7 @@ impl AfferentState {
         assert_eq!(pattern.len(), scores.len(), "one score per pattern page");
         assert_eq!(pages.len(), self.x.len(), "pages must be the receiving group's");
         debug_assert!(pattern.windows(2).all(|w| w[0] < w[1]), "pattern must ascend");
-        match &mut self.store {
-            Store::Slotted(s) => s.deliver(pages, src, pattern, scores),
-            Store::Full(_) => {
-                let localized = pattern
-                    .iter()
-                    .zip(scores)
-                    .filter_map(|(p, &s)| pages.binary_search(p).ok().map(|li| (li as u32, s)))
-                    .collect();
-                self.set(src, localized);
-            }
-        }
+        self.store.deliver(pages, src, pattern, scores);
     }
 
     fn check_entries(&self, entries: &[(u32, f64)]) {
@@ -1013,15 +875,7 @@ impl AfferentState {
     /// [`GroupContext::localize`] produces).
     pub fn set(&mut self, src: GroupId, entries: Vec<(u32, f64)>) {
         self.check_entries(&entries);
-        match &mut self.store {
-            Store::Slotted(s) => s.set(src, entries),
-            // The baseline models the pre-cache engine: it re-stores and
-            // rebuilds on every arrival, bit-identical or not.
-            Store::Full(f) => {
-                f.received.insert(src, entries);
-                f.dirty = true;
-            }
-        }
+        self.store.set(src, entries);
     }
 
     /// Materializes and returns `X` ("Xi+1 = Refresh X" in Algorithms 3/4).
@@ -1031,51 +885,31 @@ impl AfferentState {
     }
 
     /// [`AfferentState::refresh`], appending the indices of every row whose
-    /// `x` entry was recomputed to `touched` (all rows in full-rebuild
-    /// mode). Callers maintaining derived per-row state — the ranker's
-    /// persistent `f = βE + X` buffer — use the worklist to update exactly
-    /// the rows that may have changed.
+    /// `x` entry was recomputed to `touched`. Callers maintaining derived
+    /// per-row state — the ranker's persistent `f = βE + X` buffer — use
+    /// the worklist to update exactly the rows that may have changed.
     pub fn refresh_tracked(&mut self, touched: Option<&mut Vec<u32>>) {
-        match &mut self.store {
-            Store::Full(f) => {
-                if !f.dirty {
-                    return;
-                }
-                self.x.iter_mut().for_each(|v| *v = 0.0);
-                for entries in f.received.values() {
-                    for &(li, s) in entries {
-                        self.x[li as usize] += s;
-                    }
-                }
-                self.rows_recomputed += self.x.len() as u64;
-                if let Some(t) = touched {
-                    t.extend(0..self.x.len() as u32);
-                }
-                f.dirty = false;
-            }
-            Store::Slotted(s) => {
-                if s.sources.iter().any(|source| matches!(source.held, Held::Staged(_))) {
-                    s.layout();
-                }
-                for &li in &s.dirty.rows {
-                    s.dirty.flags[li as usize] = false;
-                    let row = s.row_ptr[li as usize] as usize..s.row_ptr[li as usize + 1] as usize;
-                    // From-scratch re-sum in ascending source order: the
-                    // same additions, in the same order, as the full
-                    // rebuild above.
-                    let mut sum = 0.0;
-                    for &v in &s.slot_vals[row] {
-                        sum += v;
-                    }
-                    self.x[li as usize] = sum;
-                }
-                self.rows_recomputed += s.dirty.rows.len() as u64;
-                if let Some(t) = touched {
-                    t.extend_from_slice(&s.dirty.rows);
-                }
-                s.dirty.rows.clear();
-            }
+        let s = &mut self.store;
+        if s.sources.iter().any(|source| matches!(source.held, Held::Staged(_))) {
+            s.layout();
         }
+        for &li in &s.dirty.rows {
+            s.dirty.flags[li as usize] = false;
+            let row = s.row_ptr[li as usize] as usize..s.row_ptr[li as usize + 1] as usize;
+            // From-scratch re-sum in ascending source order: the same
+            // additions, in the same order, as summing every source's
+            // latest entries afresh.
+            let mut sum = 0.0;
+            for &v in &s.slot_vals[row] {
+                sum += v;
+            }
+            self.x[li as usize] = sum;
+        }
+        self.rows_recomputed += s.dirty.rows.len() as u64;
+        if let Some(t) = touched {
+            t.extend_from_slice(&s.dirty.rows);
+        }
+        s.dirty.rows.clear();
     }
 
     /// The current `X` without refreshing (test/inspection use).
@@ -1087,10 +921,7 @@ impl AfferentState {
     /// Number of source groups heard from so far.
     #[must_use]
     pub fn n_sources(&self) -> usize {
-        match &self.store {
-            Store::Slotted(s) => s.sources.len(),
-            Store::Full(f) => f.received.len(),
-        }
+        self.store.sources.len()
     }
 
     /// Copies out the per-source contributions in localized form, in
@@ -1101,12 +932,8 @@ impl AfferentState {
     /// rows in the same ascending source order.
     #[must_use]
     pub fn snapshot_received(&self) -> Vec<(GroupId, Vec<(u32, f64)>)> {
-        match &self.store {
-            Store::Slotted(s) => {
-                s.sources.iter().map(|source| (source.src, s.localized(source).collect())).collect()
-            }
-            Store::Full(f) => f.received.iter().map(|(&g, v)| (g, v.clone())).collect(),
-        }
+        let s = &self.store;
+        s.sources.iter().map(|source| (source.src, s.localized(source).collect())).collect()
     }
 
     /// Re-delivers every source's last raw `Y` into `fresh`, the state of
@@ -1115,10 +942,9 @@ impl AfferentState {
     /// would do: shifted local indices and dropped pages fall out of the
     /// re-localization. Only sources whose raw pattern is known replay; one
     /// installed by [`AfferentState::set`] (a checkpoint) is repopulated
-    /// by its sender's next publication, and the full-rebuild baseline
-    /// keeps no raw payloads at all.
+    /// by its sender's next publication.
     pub fn replay_onto(&self, pages: &[PageId], fresh: &mut AfferentState) {
-        let Store::Slotted(s) = &self.store else { return };
+        let s = &self.store;
         for source in &s.sources {
             if let Some(pattern) = &source.pattern {
                 let scores: Vec<f64> =
@@ -1128,8 +954,9 @@ impl AfferentState {
         }
     }
 
-    /// Total rows recomputed across all refreshes (a full rebuild counts
-    /// every row) — the work the slotted mode is there to avoid.
+    /// Total rows recomputed across all refreshes: the rows some delivery
+    /// marked, each counted once per refresh. Summing every row afresh on
+    /// any change would count all of them every time.
     #[must_use]
     pub fn rows_recomputed(&self) -> u64 {
         self.rows_recomputed
@@ -1166,24 +993,29 @@ mod tests {
     fn afferent_snapshot_replays_bit_identically() {
         // The checkpoint/restore contract the takeover protocol relies on:
         // replaying a snapshot through `set` on a fresh instance rebuilds
-        // the exact bits of `X`, in both caching modes.
+        // the exact bits of `X`, which are the snapshot's entries summed
+        // afresh in ascending source order.
         let mut st = AfferentState::new(5);
         st.set(3, vec![(0, 0.125), (4, 1.0 / 3.0)]);
-        st.set(0, vec![(0, 0.7), (2, 1e-9)]);
+        st.set(0, vec![(0, 0.7), (2, 1e-9), (4, 0.7)]);
         st.set(3, vec![(0, 0.125), (1, 0.2), (4, 1.0 / 3.0)]);
-        st.set(9, vec![(3, 0.55)]);
+        // Row 4 sums to different bits in descending source order.
+        st.set(9, vec![(3, 0.55), (4, 0.2)]);
         let x_before: Vec<u64> = st.refresh().iter().map(|v| v.to_bits()).collect();
         let snap = st.snapshot_received();
         assert_eq!(snap.len(), 3);
         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "ascending source order");
-        for fresh in [AfferentState::new(5), AfferentState::new_full_rebuild(5)] {
-            let mut fresh = fresh;
-            for (src, entries) in &snap {
-                fresh.set(*src, entries.clone());
+        let mut fresh = AfferentState::new(5);
+        let mut naive = [0.0; 5];
+        for (src, entries) in &snap {
+            fresh.set(*src, entries.clone());
+            for &(li, s) in entries {
+                naive[li as usize] += s;
             }
-            let x_after: Vec<u64> = fresh.refresh().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(x_before, x_after);
         }
+        let x_after: Vec<u64> = fresh.refresh().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(x_before, x_after);
+        assert_eq!(x_before, naive.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1257,30 +1089,26 @@ mod tests {
     }
 
     #[test]
-    fn matrix_layouts_solve_bit_identically() {
-        // Implicit (default) and explicit layouts hold the same entries, so
-        // a GroupPageRank solve must produce the same rank bits.
+    fn group_solve_is_bit_identical_to_its_explicit_twin() {
+        // The implicit matrix holds the same entries as its explicit twin,
+        // so a GroupPageRank solve must produce the same rank bits as the
+        // plain solver on the twin.
         let g = toy::complete(10);
         let assignment = (0..10u32).map(|p| p % 2).collect();
         let partition = Partition::from_assignment(2, assignment);
-        let cfg = RankConfig::default();
-        let build = |layout| GroupContext::build_all_with_layout(&g, &partition, &cfg, layout);
-        let implicit = build(MatrixLayout::Implicit);
-        let explicit = build(MatrixLayout::Explicit);
-        assert!(matches!(implicit[0].matrix(), GroupMatrix::Implicit(_)));
-        assert!(matches!(explicit[0].matrix(), GroupMatrix::Explicit(_)));
-        assert_eq!(implicit[0].matrix().nnz(), explicit[0].matrix().nnz());
-        assert!(implicit[0].matrix().heap_bytes() < explicit[0].matrix().heap_bytes());
-        let x = vec![0.01; implicit[0].n_local()];
-        let solve = |ctxs: &[GroupContext]| {
-            let mut r = vec![0.0; ctxs[0].n_local()];
-            let report =
-                ctxs[0].group_pagerank_pooled(&mut r, &x, 1e-12, 1000, &Pool::sequential());
-            assert!(report.converged);
-            r
-        };
-        let r_i = solve(&implicit);
-        let r_e = solve(&explicit);
+        let ctx = GroupContext::build_all(&g, &partition, &RankConfig::default()).swap_remove(0);
+        let twin = ctx.matrix().to_explicit();
+        assert_eq!(ctx.matrix().nnz(), twin.nnz());
+        assert!(ctx.matrix().heap_bytes() < twin.heap_bytes());
+        let x = vec![0.01; ctx.n_local()];
+        let mut r_i = vec![0.0; ctx.n_local()];
+        let report = ctx.group_pagerank_pooled(&mut r_i, &x, 1e-12, 1000, &Pool::sequential());
+        assert!(report.converged);
+        let f: Vec<f64> = ctx.beta_e().iter().zip(&x).map(|(b, xi)| b + xi).collect();
+        let mut r_e = vec![0.0; ctx.n_local()];
+        let solver =
+            FixedPointSolver { tolerance: 1e-12, max_iters: 1000, pool: Pool::sequential() };
+        assert_eq!(solver.solve(&twin, &f, &mut r_e).iterations, report.iterations);
         assert!(r_i.iter().zip(&r_e).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
@@ -1441,23 +1269,20 @@ mod tests {
     fn rebuild_per_group_matches_build_all() {
         // The incremental path's correctness anchor: rebuilding any single
         // group against the same graph reproduces the batch-built context
-        // exactly (same arrays, same bits), in every layout.
+        // exactly (same arrays, same bits).
         let g = dpr_graph::generators::random::erdos_renyi(200, 5, 4.0, 3);
         let partition = Partition::build(&g, &Strategy::HashBySite, 4, 0);
         let cfg = RankConfig::default();
-        for layout in [MatrixLayout::Implicit, MatrixLayout::Explicit] {
-            let all = GroupContext::build_all_with_layout(&g, &partition, &cfg, layout);
-            for ctx in &all {
-                let rebuilt = GroupContext::rebuild(
-                    &g,
-                    partition.assignment(),
-                    &cfg,
-                    ctx.group_id(),
-                    ctx.pages().to_vec(),
-                    layout,
-                );
-                assert_eq!(&rebuilt, ctx);
-            }
+        for ctx in &GroupContext::build_all(&g, &partition, &cfg) {
+            let rebuilt = GroupContext::rebuild(
+                &g,
+                partition.assignment(),
+                &cfg,
+                ctx.group_id(),
+                ctx.pages().to_vec(),
+                MatrixLayout::default(),
+            );
+            assert_eq!(&rebuilt, ctx);
         }
     }
 
@@ -1489,37 +1314,26 @@ mod tests {
         let assignment = vec![0u32, 0, 1, 1, 0, 1];
         let partition = Partition::from_assignment(2, assignment.clone());
         let cfg = RankConfig::default();
-        for layout in [MatrixLayout::Implicit, MatrixLayout::Explicit] {
-            let old = GroupContext::build_all_with_layout(&g, &partition, &cfg, layout);
-            for ctx in &old {
-                let mut patched = ctx.clone();
-                patched.rescale_in_place(&g2, &cfg);
-                let rebuilt = GroupContext::rebuild(
-                    &g2,
-                    &assignment,
-                    &cfg,
-                    ctx.group_id(),
-                    ctx.pages().to_vec(),
-                    layout,
-                );
-                assert_eq!(patched, rebuilt, "layout {layout:?} group {}", ctx.group_id());
+        for ctx in &GroupContext::build_all(&g, &partition, &cfg) {
+            let mut patched = ctx.clone();
+            patched.rescale_in_place(&g2, &cfg);
+            let rebuilt = GroupContext::rebuild(
+                &g2,
+                &assignment,
+                &cfg,
+                ctx.group_id(),
+                ctx.pages().to_vec(),
+                MatrixLayout::default(),
+            );
+            assert_eq!(patched, rebuilt, "group {}", ctx.group_id());
+            // The naive model: every column's factor is `α/d(u)` of its
+            // page in the new graph, and exactly 0.0 for a dangled page.
+            for (lu, &u) in patched.pages().iter().enumerate() {
+                let d = g2.out_degree(u);
+                let want = if d == 0 { 0.0 } else { cfg.alpha / f64::from(d) };
+                let got = patched.matrix().scale()[lu];
+                assert_eq!(got.to_bits(), want.to_bits(), "page {u}: {got} vs {want}");
             }
-        }
-        // The dangled page's column scale is exactly 0.0, not a residue.
-        let patched = {
-            let mut c = GroupContext::build_all(&g, &partition, &cfg)
-                .into_iter()
-                .find(|c| c.local_index(pages[3]).is_some())
-                .unwrap();
-            c.rescale_in_place(&g2, &cfg);
-            c
-        };
-        let li = patched.local_index(pages[3]).unwrap();
-        match patched.matrix() {
-            GroupMatrix::Implicit(m) => {
-                assert_eq!(m.scale()[li].to_bits(), 0.0f64.to_bits());
-            }
-            GroupMatrix::Explicit(_) => unreachable!("default layout is implicit"),
         }
     }
 
@@ -1559,9 +1373,7 @@ mod tests {
             let partition = Partition::build(&g2, &Strategy::HashBySite, 3, 0);
             let ctxs = GroupContext::build_all(&g2, &partition, &RankConfig::default());
             for ctx in &ctxs {
-                let GroupMatrix::Implicit(m) = ctx.matrix() else {
-                    unreachable!("default layout is implicit")
-                };
+                let m = ctx.matrix();
                 for (li, &p) in ctx.pages().iter().enumerate() {
                     if g2.out_degree(p) == 0 {
                         prop_assert_eq!(

@@ -61,7 +61,7 @@ pub mod threaded;
 pub use centralized::{open_pagerank, open_pagerank_with_pool, pagerank, PageRankOutcome};
 pub use config::RankConfig;
 pub use dpr_overlay::RouteCacheStats;
-pub use group::{AfferentState, GroupContext, GroupMatrix, MatrixLayout};
+pub use group::{AfferentState, GroupContext, MatrixLayout};
 pub use netrun::{
     group_owners, try_run_over_network, try_run_over_network_observed, ChurnUnsupported,
     NetCounters, NetRunConfig, NetRunError, NetRunResult, OverlayKind, PhaseSecs, Reliability,

@@ -216,109 +216,6 @@ impl RankSummary {
     }
 }
 
-/// Aggregates page ranks to site totals — "which hosts matter" is the
-/// site-granularity view the §4.1 partitioning already thinks in.
-#[must_use]
-pub fn site_ranks(g: &dpr_graph::WebGraph, ranks: &[f64]) -> Vec<f64> {
-    assert_eq!(ranks.len(), g.n_pages());
-    let mut out = vec![0.0; g.n_sites()];
-    for (p, &r) in ranks.iter().enumerate() {
-        out[g.site(p as u32) as usize] += r;
-    }
-    out
-}
-
-/// Log₂-bucketed latency histogram for the store's read-path load tests.
-///
-/// Bucket 0 counts 0 ns samples; bucket `i ≥ 1` counts samples in
-/// `[2^(i-1), 2^i)` ns, with the last bucket absorbing everything above.
-/// Power-of-two buckets keep `record` branch-free (one `leading_zeros`)
-/// so the histogram itself doesn't distort microsecond-scale
-/// measurements, and two histograms [`merge`](Self::merge) by bucket-wise
-/// addition — each reader thread records into its own and the bench merges
-/// them afterwards, no shared counters on the hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHistogram {
-    buckets: [u64; Self::BUCKETS],
-    count: u64,
-    max_ns: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// Number of buckets: covers up to 2^47 ns (≈ 1.6 days) exactly.
-    pub const BUCKETS: usize = 48;
-
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { buckets: [0; Self::BUCKETS], count: 0, max_ns: 0 }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, ns: u64) {
-        let b = ((u64::BITS - ns.leading_zeros()) as usize).min(Self::BUCKETS - 1);
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Adds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest sample seen (exact, not bucketed).
-    #[must_use]
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
-    /// Upper bound (exclusive) in ns of the bucket holding the nearest-rank
-    /// `q`-quantile sample — e.g. `quantile_upper_ns(0.99)` reads "99% of
-    /// queries finished within this many ns". Returns 0 on an empty
-    /// histogram; the answer never exceeds [`max_ns`](Self::max_ns).
-    #[must_use]
-    pub fn quantile_upper_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut acc = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                let upper = if i == 0 { 1 } else { 1u64 << i };
-                return upper.min(self.max_ns.max(1));
-            }
-        }
-        self.max_ns
-    }
-
-    /// Bucket counts trimmed after the last non-empty bucket (for reports;
-    /// bucket `i ≥ 1` spans `[2^(i-1), 2^i)` ns).
-    #[must_use]
-    pub fn counts(&self) -> Vec<u64> {
-        let last = self.buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-        self.buckets[..last].to_vec()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,17 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn site_ranks_sum_to_total() {
-        use dpr_graph::generators::toy;
-        let g = toy::two_cliques(4);
-        let ranks: Vec<f64> = (0..8).map(f64::from).collect();
-        let per_site = site_ranks(&g, &ranks);
-        assert_eq!(per_site.len(), 2);
-        let total: f64 = per_site.iter().sum();
-        assert!((total - 28.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn rank_summary_empty() {
         let s = RankSummary::compute(&[]);
         assert_eq!(s.n, 0);
@@ -435,53 +321,6 @@ mod tests {
         let one = RankSummary::compute(&[42.0]);
         assert_eq!(one.p50, 42.0);
         assert_eq!(one.p99, 42.0);
-    }
-
-    #[test]
-    fn latency_histogram_buckets_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        // 90 fast samples in [256, 512), 9 in [4096, 8192), one huge one.
-        for i in 0..90 {
-            h.record(256 + i);
-        }
-        for _ in 0..9 {
-            h.record(5000);
-        }
-        h.record(1 << 20);
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.max_ns(), 1 << 20);
-        assert_eq!(h.quantile_upper_ns(0.50), 512);
-        assert_eq!(h.quantile_upper_ns(0.90), 512);
-        assert_eq!(h.quantile_upper_ns(0.99), 8192);
-        // The tail quantile clamps to the exact max rather than its bucket
-        // upper bound.
-        assert_eq!(h.quantile_upper_ns(1.0), 1 << 20);
-        let counts = h.counts();
-        assert_eq!(counts.iter().sum::<u64>(), 100);
-        assert_eq!(*counts.last().unwrap(), 1, "trimmed at the last non-empty bucket");
-    }
-
-    #[test]
-    fn latency_histogram_merge_matches_combined_stream() {
-        let samples_a = [0u64, 1, 3, 700, 700, 12_000];
-        let samples_b = [2u64, 900, 1 << 30];
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for s in samples_a {
-            a.record(s);
-            both.record(s);
-        }
-        for s in samples_b {
-            b.record(s);
-            both.record(s);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
-        // Empty histogram: quantiles are 0, counts empty.
-        let empty = LatencyHistogram::new();
-        assert_eq!(empty.quantile_upper_ns(0.99), 0);
-        assert!(empty.counts().is_empty());
     }
 
     #[test]

@@ -37,7 +37,8 @@ use parking_lot::RwLock;
 use dpr_graph::{GraphDelta, PageId, WebGraph};
 use dpr_linalg::vec_ops;
 use dpr_overlay::{
-    CanNetwork, ChordNetwork, NodeIndex, Overlay, PastryNetwork, RouteCache, RouteCacheStats,
+    CanNetwork, ChordNetwork, NodeId, NodeIndex, Overlay, PastryNetwork, RouteCache,
+    RouteCacheStats,
 };
 use dpr_partition::{GroupId, Partition};
 use dpr_sim::waits::WaitModel;
@@ -148,7 +149,7 @@ impl AnyOverlay {
     /// `h` and `g` of §4.4) builds it here, the way the run does.
     #[must_use]
     pub fn build(cfg: &NetRunConfig) -> Self {
-        let seed = cfg.seed ^ 0x0E0E;
+        let seed = overlay_seed(cfg);
         match cfg.overlay {
             OverlayKind::Pastry => AnyOverlay::Pastry(PastryNetwork::with_nodes(cfg.n_nodes, seed)),
             OverlayKind::Chord => AnyOverlay::Chord(ChordNetwork::with_nodes(cfg.n_nodes, seed)),
@@ -631,10 +632,12 @@ enum ChurnEvent {
 /// [`NetRunError::Churn`] when `departures` are scheduled on CAN or
 /// `joins` on anything but Pastry; [`NetRunError::Config`] for malformed
 /// values (empty system, a horizon that is not positive and finite, a
-/// schedule time that is not finite, non-negative and increasing,
-/// replication on CAN, degenerate checkpoint/suspicion settings, an
-/// inverted or negative think-time interval, or a hop latency, bottleneck,
-/// loss probability, ack timeout or backoff outside its documented range).
+/// schedule time that is not finite, non-negative and increasing, a
+/// departure of a node that is not live then or of the last live one, a
+/// join whose id is already in use, replication on CAN, degenerate
+/// checkpoint/suspicion settings, an inverted or negative think-time
+/// interval, or a hop latency, bottleneck, loss probability, ack timeout or
+/// backoff outside its documented range).
 pub fn try_run_over_network(g: &WebGraph, cfg: NetRunConfig) -> Result<NetRunResult, NetRunError> {
     try_run_over_network_with_store(g, cfg, None)
 }
@@ -661,6 +664,11 @@ pub fn try_run_over_network_with_store(
     try_run_over_network_observed(g, cfg, store, &mut |_| {})
 }
 
+/// The seed the overlay draws its node ids from.
+fn overlay_seed(cfg: &NetRunConfig) -> u64 {
+    cfg.seed ^ 0x0E0E
+}
+
 /// One validation row: `Ok` when `ok`, else a [`NetRunError::Config`]
 /// naming `what`.
 fn require(ok: bool, what: &'static str, detail: String) -> Result<(), NetRunError> {
@@ -681,6 +689,46 @@ fn check_schedule(what: &'static str, times: impl Iterator<Item = f64>) -> Resul
         let detail = format!("times must be finite, non-negative and strictly increasing, got {t}");
         require(t.is_finite() && t >= 0.0 && t > prev, what, detail)?;
         prev = t;
+    }
+    Ok(())
+}
+
+/// Replays membership over departures and joins, merged in the order the
+/// driver's churn loop consumes them (a stable sort by time, departures
+/// before joins). A departure must name a node that is live at that
+/// moment: its index is below `n_nodes` plus the joins so far, it has not
+/// departed already, and another node stays live. A join must bring a
+/// Pastry id that no node, live or departed, holds yet.
+fn check_membership(cfg: &NetRunConfig) -> Result<(), NetRunError> {
+    let mut events: Vec<(f64, Option<NodeIndex>)> =
+        cfg.departures.iter().map(|&(t, node)| (t, Some(node))).collect();
+    events.extend(cfg.joins.iter().map(|&(t, _)| (t, None)));
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut ids: HashSet<NodeId> = HashSet::new();
+    if !cfg.joins.is_empty() {
+        ids.extend((0..cfg.n_nodes).map(|i| PastryNetwork::node_id(overlay_seed(cfg), i)));
+    }
+    let mut joins = cfg.joins.iter();
+    let mut live = vec![true; cfg.n_nodes];
+    let mut n_live = cfg.n_nodes;
+    for (t, event) in events {
+        match event {
+            Some(node) => {
+                let detail = format!("node {node} is not live at t={t}");
+                require(live.get(node) == Some(&true), "departures", detail)?;
+                let detail = format!("node {node} at t={t} is the last live node");
+                require(n_live > 1, "departures", detail)?;
+                live[node] = false;
+                n_live -= 1;
+            }
+            None => {
+                let &(_, id_seed) = joins.next().expect("one event per join");
+                let detail = format!("join seed {id_seed} at t={t} gives an id already in use");
+                require(ids.insert(NodeId::from_seed(id_seed)), "joins", detail)?;
+                live.push(true);
+                n_live += 1;
+            }
+        }
     }
     Ok(())
 }
@@ -708,6 +756,7 @@ fn validate(cfg: &NetRunConfig) -> Result<(), NetRunError> {
     check_schedule("departures", cfg.departures.iter().map(|e| e.0))?;
     check_schedule("joins", cfg.joins.iter().map(|e| e.0))?;
     check_schedule("deltas", cfg.deltas.iter().map(|e| e.0))?;
+    check_membership(cfg)?;
     if cfg.replication > 0 {
         let detail = "the CAN overlay has no replica sets (see DESIGN.md §11); use Pastry or Chord";
         require(overlay != "CAN", "replication", detail.into())?;
@@ -722,9 +771,12 @@ fn validate(cfg: &NetRunConfig) -> Result<(), NetRunError> {
     // The sampling loop would never advance.
     positive_finite("sample_every", cfg.sample_every)?;
     // A negative, NaN or infinite delay is one the engine refuses to
-    // schedule, and a zero, negative or NaN bandwidth makes one.
+    // schedule, and a zero, negative or NaN bandwidth makes one. So is the
+    // delay of the longest route, `n_nodes + joins` hops, when it overflows.
     let h = cfg.hop_latency;
-    require(h >= 0.0 && h.is_finite(), "hop_latency", format!("must be finite and >= 0, got {h}"))?;
+    let hops = cfg.n_nodes + cfg.joins.len();
+    let detail = format!("must be >= 0 and keep a {hops}-hop route's delay finite, got {h}");
+    require(h >= 0.0 && (hops as f64 * h).is_finite(), "hop_latency", detail)?;
     if let Some(b) = cfg.bottleneck_bytes_per_time {
         let detail = format!("must be finite and >= {MIN_BOTTLENECK}, got {b}");
         require(b >= MIN_BOTTLENECK && b.is_finite(), "bottleneck_bytes_per_time", detail)?;
@@ -976,6 +1028,8 @@ pub fn try_run_over_network_observed(
 ///   detection costs real windows, recovery starts near the fixed point
 ///   instead of at zero.
 fn apply_departure(sim: &mut Simulation<NetNode>, shared: &Shared, node: NodeIndex) {
+    // `check_membership` replayed this departure against a live node and
+    // CAN's departures were refused, so `depart` cannot fail or panic.
     shared.overlay.write().depart(node).expect("churn support validated before the run");
     shared.reassign_owners();
     let actors = sim.actors_mut();
@@ -998,6 +1052,8 @@ fn apply_departure(sim: &mut Simulation<NetNode>, shared: &Shared, node: NodeInd
 /// state intact* — a graceful handoff, unlike the state loss of
 /// [`apply_departure`].
 fn apply_join(sim: &mut Simulation<NetNode>, shared: &Shared, mean_wait: f64, id_seed: u64) {
+    // Joins run on Pastry only and `check_membership` gave this one an id
+    // new to the ring, so `join` cannot fail or panic.
     let new = shared.overlay.write().join(id_seed).expect("churn support validated before the run");
     shared.reassign_owners();
     let idx = sim.add_actor(NetNode::new(new, Vec::new(), mean_wait, shared));
@@ -1407,6 +1463,20 @@ mod tests {
         for bad in [-1.0, f64::NAN, f64::INFINITY] {
             assert_eq!(what(NetRunConfig { hop_latency: bad, ..base() }), "hop_latency");
         }
+        // A finite hop latency whose 64-hop route delay overflows used to
+        // panic in the engine on a direct run; the largest legal one runs.
+        let direct = |hop_latency| NetRunConfig {
+            k: 16,
+            t_end: 20.0,
+            transmission: Transmission::Direct,
+            hop_latency,
+            ..base()
+        };
+        for bad in [1e308, f64::MAX] {
+            assert_eq!(what(direct(bad)), "hop_latency");
+        }
+        try_run_over_network(&toy::two_cliques(6), direct(f64::MAX / 64.0))
+            .expect("a 64-hop route at this latency has a finite delay");
         // A B that is not positive makes an invalid delay, and so does a
         // positive one so small that a frame's delay overflows to infinity.
         for bad in [0.0, -5.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, 1e-310] {
@@ -1448,6 +1518,28 @@ mod tests {
             assert_eq!(what(NetRunConfig { deltas: vec![(bad, delta)], ..base() }), "deltas");
         }
         assert_eq!(what(NetRunConfig { joins: vec![(1.0, 3), (f64::NAN, 4)], ..base() }), "joins");
+        // Membership: a departure names a node live at that moment and
+        // leaves one live; a join brings an id new to the ring. These used
+        // to panic inside the overlay mid-run.
+        let churn = |overlay, n_nodes, departures: &[(f64, usize)], joins: &[(f64, u64)]| {
+            let (departures, joins) = (departures.to_vec(), joins.to_vec());
+            NetRunConfig { k: 8, n_nodes, overlay, departures, joins, t_end: 60.0, ..base() }
+        };
+        for overlay in [OverlayKind::Pastry, OverlayKind::Chord] {
+            let twice = churn(overlay, 12, &[(20.0, 4), (40.0, 4)], &[]);
+            assert_eq!(what(twice), "departures");
+            assert_eq!(what(churn(overlay, 12, &[(20.0, 99)], &[])), "departures");
+            assert_eq!(what(churn(overlay, 12, &[(20.0, 12)], &[])), "departures");
+            assert_eq!(what(churn(overlay, 2, &[(10.0, 0), (20.0, 1)], &[])), "departures");
+        }
+        let pastry = OverlayKind::Pastry;
+        assert_eq!(what(churn(pastry, 12, &[(10.0, 12)], &[(10.0, 3)])), "departures");
+        assert_eq!(what(churn(pastry, 12, &[], &[(1.0, 7), (2.0, 7)])), "joins");
+        let initial_seed = overlay_seed(&base());
+        assert_eq!(what(churn(pastry, 12, &[], &[(1.0, initial_seed)])), "joins");
+        // Crashing the node that joined before it is legal and runs.
+        let joined_then_crashed = churn(pastry, 12, &[(20.0, 12)], &[(10.0, 3)]);
+        try_run_over_network(&toy::two_cliques(6), joined_then_crashed).expect("node 12 is live");
         assert_eq!(
             what(NetRunConfig {
                 deltas: vec![(5.0, GraphDelta::empty()), (5.0, GraphDelta::empty())],

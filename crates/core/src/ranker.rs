@@ -397,24 +397,35 @@ mod tests {
     const VARIANTS: [DprVariant; 2] = [DprVariant::Dpr1, DprVariant::Dpr2];
     const EPSILON: f64 = 1e-10;
 
-    /// The reference: a ranker that caches nothing. `X` is rebuilt in full
-    /// from localized entries, `f` from scratch, every think solves through
-    /// the plain entry points, and `Y` is computed fresh.
+    /// The reference: a ranker that caches nothing. It keeps each source's
+    /// latest `Y` localized, re-sums every row of `X` from scratch in
+    /// ascending source order at every think, builds `f` from scratch,
+    /// solves through the plain entry points and computes `Y` fresh.
     struct Naive {
         ctx: Arc<GroupContext>,
         r: Vec<f64>,
-        afferent: AfferentState,
+        received: BTreeMap<GroupId, Vec<(u32, f64)>>,
+        x: Vec<f64>,
     }
 
     impl Naive {
         fn new(ctx: Arc<GroupContext>) -> Self {
             let n = ctx.n_local();
-            Self { ctx, r: vec![0.0; n], afferent: AfferentState::new_full_rebuild(n) }
+            Self { ctx, r: vec![0.0; n], received: BTreeMap::new(), x: vec![0.0; n] }
+        }
+
+        /// `src`'s latest raw part, localized by binary search into the
+        /// group's pages.
+        fn deliver(&mut self, src: GroupId, pattern: &[PageId], scores: &[f64]) {
+            let ctx = &self.ctx;
+            let entries = pattern.iter().zip(scores);
+            let local = entries.filter_map(|(&p, &s)| ctx.local_index(p).map(|li| (li as u32, s)));
+            self.received.insert(src, local.collect());
         }
 
         /// One window's solve of `r` against the current `X`.
         fn solve(&self, r: &mut Vec<f64>, variant: DprVariant) {
-            let (ctx, x, pool) = (&self.ctx, self.afferent.x(), Pool::sequential());
+            let (ctx, x, pool) = (&self.ctx, &self.x, Pool::sequential());
             match variant {
                 DprVariant::Dpr1 => {
                     ctx.group_pagerank_pooled(r, x, EPSILON, MAX_INNER_SWEEPS, &pool);
@@ -429,7 +440,12 @@ mod tests {
             if self.ctx.n_local() == 0 {
                 return Vec::new();
             }
-            self.afferent.refresh();
+            self.x = vec![0.0; self.ctx.n_local()];
+            for entries in self.received.values() {
+                for &(li, s) in entries {
+                    self.x[li as usize] += s;
+                }
+            }
             let mut r = std::mem::take(&mut self.r);
             self.solve(&mut r, variant);
             self.r = r;
@@ -530,7 +546,7 @@ mod tests {
                             let score = |k: usize| entries.get(k % n).map_or(0.0, |e| e.1);
                             let scores: Vec<f64> = (0..pattern.len()).map(score).collect();
                             ranker.deliver(*src, &pattern, &scores);
-                            naive.afferent.deliver(naive.ctx.pages(), *src, &pattern, &scores);
+                            naive.deliver(*src, &pattern, &scores);
                             raw.insert(*src, (pattern, scores));
                         }
                         8 => {
@@ -550,7 +566,7 @@ mod tests {
                                 *ri = naive.ctx.local_index(p).map_or(0.0, |j| naive.r[j]);
                             }
                             for (src, (pattern, scores)) in &raw {
-                                fresh.afferent.deliver(ctx.pages(), *src, pattern, scores);
+                                fresh.deliver(*src, pattern, scores);
                             }
                             naive = fresh;
                             let dropped: BTreeSet<GroupId> =

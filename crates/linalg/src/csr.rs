@@ -158,8 +158,8 @@ impl RowPtr {
 
 /// A sparse matrix layout the fixed-point solvers can drive. Implemented by
 /// the explicit-value [`Csr`] and the bandwidth-lean [`CsrImplicit`]; the
-/// solvers are generic over this trait so netruns can pick the layout
-/// without duplicating iteration logic.
+/// solvers are generic over this trait so the centralized solve (explicit)
+/// and the group solves (implicit) share one iteration loop.
 pub trait SpMatVec {
     /// Number of rows.
     fn n_rows(&self) -> usize;
@@ -195,14 +195,6 @@ pub trait SpMatVec {
     /// The contraction bound `min(‖A‖∞, ‖A‖₁)` used for solver error
     /// bounds (Theorem 3.2: any norm bounds the spectral radius).
     fn contraction_norm(&self) -> f64;
-    /// One Gauss–Seidel row visit: folds row `i`'s off-diagonal terms into
-    /// `init` in storage order (`acc += a_ij·x[j]` for `j ≠ i`),
-    /// accumulates the diagonal coefficient separately, and returns
-    /// `(acc, a_ii)`. Within-sweep solvers need per-row access with entry
-    /// values resolved — an implicit entry's value is its column's scale —
-    /// which `mul_into` cannot express because the iterate mutates
-    /// mid-sweep.
-    fn gs_row(&self, i: usize, init: f64, x: &[f64]) -> (f64, f64);
 }
 
 /// An immutable sparse matrix in compressed sparse row format.
@@ -276,20 +268,6 @@ impl Csr {
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.row_ptr.len() * 8 + self.col_idx.len() * 4 + self.values.len() * 8
-    }
-
-    /// Rewrites every stored value from per-column scale factors
-    /// (`values[k] = scale[col_idx[k]]`), keeping the entry structure — the
-    /// explicit-layout twin of [`CsrImplicit::set_scale`].
-    ///
-    /// # Panics
-    /// On a `scale` length other than `n_cols` or a non-finite factor.
-    pub fn rescale_columns(&mut self, scale: &[f64]) {
-        assert_eq!(scale.len(), self.n_cols, "scale must have one factor per column");
-        assert!(scale.iter().all(|s| s.is_finite()), "scale factors must be finite");
-        for (v, &c) in self.values.iter_mut().zip(&self.col_idx) {
-            *v = scale[c as usize];
-        }
     }
 
     /// The `(col, value)` pairs of row `r`.
@@ -476,18 +454,6 @@ impl SpMatVec for Csr {
     }
     fn contraction_norm(&self) -> f64 {
         self.inf_norm().min(self.one_norm())
-    }
-    fn gs_row(&self, i: usize, init: f64, x: &[f64]) -> (f64, f64) {
-        let mut acc = init;
-        let mut diag = 0.0;
-        for (j, v) in self.row(i) {
-            if j == i {
-                diag += v;
-            } else {
-                acc += v * x[j];
-            }
-        }
-        (acc, diag)
     }
 }
 
@@ -1046,22 +1012,6 @@ impl SpMatVec for CsrImplicit {
     }
     fn contraction_norm(&self) -> f64 {
         self.inf_norm().min(self.one_norm())
-    }
-    fn gs_row(&self, i: usize, init: f64, x: &[f64]) -> (f64, f64) {
-        // No pre-scaled workspace here: the iterate mutates mid-sweep, so
-        // each entry resolves its value (the column's scale) on the fly.
-        let (lo, hi) = self.row_ptr.bounds(i);
-        let mut acc = init;
-        let mut diag = 0.0;
-        for &c in &self.col_idx[lo..hi] {
-            let c = c as usize;
-            if c == i {
-                diag += self.scale[c];
-            } else {
-                acc += self.scale[c] * x[c];
-            }
-        }
-        (acc, diag)
     }
 }
 

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod csr;
-pub mod gauss_seidel;
 pub mod pool;
 pub mod solver;
 pub mod theory;
@@ -49,7 +48,6 @@ pub mod triplet;
 pub mod vec_ops;
 
 pub use csr::{column_scale, Csr, CsrImplicit, RowPtr, SpMatVec};
-pub use gauss_seidel::GaussSeidelSolver;
 pub use pool::Pool;
 pub use solver::{FixedPointSolver, SolveReport};
 pub use triplet::TripletMatrix;

@@ -82,8 +82,14 @@ impl PastryNetwork {
     /// `seed` (deterministic).
     #[must_use]
     pub fn with_nodes(n: usize, seed: u64) -> Self {
-        let ids = (0..n as u64).map(|i| NodeId::from_seed(seed ^ (i << 1))).collect();
-        Self::from_ids(ids)
+        Self::from_ids((0..n).map(|i| Self::node_id(seed, i)).collect())
+    }
+
+    /// The id [`Self::with_nodes`] gives node `i` of a network built from
+    /// `seed`.
+    #[must_use]
+    pub fn node_id(seed: u64, i: usize) -> NodeId {
+        NodeId::from_seed(seed ^ ((i as u64) << 1))
     }
 
     /// Like [`Self::with_nodes`] but places every node at a deterministic

@@ -1,11 +1,11 @@
 //! Property-based verification of the slotted afferent receive path:
 //! across random update arrival patterns (raw deliveries with unchanged,
 //! grown, shrunk, empty and foreign-page patterns; localized installs;
-//! arbitrary sources and row subsets; interleaved refreshes) the slotted
+//! arbitrary sources and row subsets; interleaved refreshes)
 //! [`AfferentState`] must materialize an `X` vector that is **bit-for-bit**
-//! identical to the full-rebuild baseline — floating-point addition is not
-//! associative, so this only holds because both modes sum each row's
-//! contributions from scratch in ascending source order.
+//! identical to a naive model that re-sums every row on any change —
+//! floating-point addition is not associative, so this only holds because
+//! both sum each row's contributions from scratch in ascending source order.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,6 +15,50 @@ use proptest::prelude::*;
 
 fn bits(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The naive model: each source's latest entries in localized form, and
+/// on any change every row re-summed from scratch in ascending source
+/// order.
+struct Naive {
+    n: usize,
+    received: BTreeMap<u32, Vec<(u32, f64)>>,
+    x: Vec<f64>,
+    dirty: bool,
+    rows_recomputed: u64,
+}
+
+impl Naive {
+    fn new(n: usize) -> Self {
+        Self { n, received: BTreeMap::new(), x: vec![0.0; n], dirty: false, rows_recomputed: 0 }
+    }
+
+    fn set(&mut self, src: u32, entries: Vec<(u32, f64)>) {
+        self.received.insert(src, entries);
+        self.dirty = true;
+    }
+
+    /// A raw part, localized by binary search into the group's `pages`.
+    fn deliver(&mut self, pages: &[u32], src: u32, pattern: &[u32], scores: &[f64]) {
+        let entries = pattern.iter().zip(scores);
+        let local =
+            entries.filter_map(|(p, &s)| pages.binary_search(p).ok().map(|li| (li as u32, s)));
+        self.set(src, local.collect());
+    }
+
+    fn refresh(&mut self) -> &[f64] {
+        if self.dirty {
+            self.x = vec![0.0; self.n];
+            for entries in self.received.values() {
+                for &(li, s) in entries {
+                    self.x[li as usize] += s;
+                }
+            }
+            self.rows_recomputed += self.n as u64;
+            self.dirty = false;
+        }
+        &self.x
+    }
 }
 
 proptest! {
@@ -35,7 +79,7 @@ proptest! {
         ),
     ) {
         let mut cached = AfferentState::new(n);
-        let mut full = AfferentState::new_full_rebuild(n);
+        let mut full = Naive::new(n);
         // Zero-update extreme: refreshing before any arrival is a no-op.
         prop_assert_eq!(bits(cached.refresh()), bits(full.refresh()));
         for (src, refresh_after, mut raw) in ops {
@@ -53,9 +97,9 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(cached.refresh()), bits(full.refresh()));
-        prop_assert_eq!(cached.n_sources(), full.n_sources());
+        prop_assert_eq!(cached.n_sources(), full.received.len());
         // The cache must never do *more* row work than the full rebuild.
-        prop_assert!(cached.rows_recomputed() <= full.rows_recomputed());
+        prop_assert!(cached.rows_recomputed() <= full.rows_recomputed);
     }
 }
 
@@ -76,9 +120,9 @@ proptest! {
 
     /// The receive path netrun uses: raw `(page, score)` parts delivered
     /// straight into the state. Every op goes to the slotted state and to
-    /// the oracle alike; in between, the group's page set shrinks (a delta
-    /// tombstones pages) and both are rebuilt — the slotted one by replay,
-    /// the oracle by re-delivering each source's last raw payload.
+    /// the naive model alike; in between, the group's page set shrinks (a
+    /// delta tombstones pages) and both are rebuilt — the slotted one by
+    /// replay, the model by re-delivering each source's last raw payload.
     #[test]
     fn raw_deliveries_match_full_rebuild_bit_for_bit(
         owned in prop::collection::vec(any::<bool>(), 1..48),
@@ -96,7 +140,7 @@ proptest! {
         let mut pages: Vec<u32> =
             owned.iter().enumerate().filter(|(_, &o)| o).map(|(p, _)| p as u32).collect();
         let mut slotted = AfferentState::new(pages.len());
-        let mut full = AfferentState::new_full_rebuild(pages.len());
+        let mut full = Naive::new(pages.len());
         // The last raw payload of every source still known by its pattern.
         let mut last: BTreeMap<u32, (Arc<[u32]>, Vec<f64>)> = BTreeMap::new();
         for (src, kind, refresh_after, mut raw) in ops {
@@ -160,7 +204,7 @@ proptest! {
                         .collect();
                     let mut replayed = AfferentState::new(shrunk.len());
                     slotted.replay_onto(&shrunk, &mut replayed);
-                    let mut oracle = AfferentState::new_full_rebuild(shrunk.len());
+                    let mut oracle = Naive::new(shrunk.len());
                     for (&s, (pattern, scores)) in &last {
                         oracle.deliver(&shrunk, s, pattern, scores);
                     }
@@ -172,27 +216,25 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(slotted.refresh()), bits(full.refresh()));
-        prop_assert_eq!(slotted.n_sources(), full.n_sources());
-        prop_assert!(slotted.rows_recomputed() <= full.rows_recomputed());
+        prop_assert_eq!(slotted.n_sources(), full.received.len());
+        prop_assert!(slotted.rows_recomputed() <= full.rows_recomputed);
 
         // The checkpoint contract: the localized snapshot equals the
-        // oracle's entry for entry, and replaying it through `set` lands on
-        // the same `X` bits in either mode.
+        // model's entry for entry, and replaying it through `set` lands on
+        // the same `X` bits.
         let snap = slotted.snapshot_received();
         let by_bits = |snap: &[(u32, Vec<(u32, f64)>)]| -> Vec<(u32, Vec<(u32, u64)>)> {
             snap.iter()
                 .map(|(g, v)| (*g, v.iter().map(|&(li, s)| (li, s.to_bits())).collect()))
                 .collect()
         };
-        prop_assert_eq!(by_bits(&snap), by_bits(&full.snapshot_received()));
-        for mut restored in
-            [AfferentState::new(pages.len()), AfferentState::new_full_rebuild(pages.len())]
-        {
-            for (src, entries) in &snap {
-                restored.set(*src, entries.clone());
-            }
-            prop_assert_eq!(bits(restored.refresh()), bits(slotted.x()));
+        let model: Vec<(u32, Vec<(u32, f64)>)> = full.received.into_iter().collect();
+        prop_assert_eq!(by_bits(&snap), by_bits(&model));
+        let mut restored = AfferentState::new(pages.len());
+        for (src, entries) in &snap {
+            restored.set(*src, entries.clone());
         }
+        prop_assert_eq!(bits(restored.refresh()), bits(slotted.x()));
     }
 }
 
@@ -203,7 +245,7 @@ proptest! {
 fn all_rows_updated_every_round_still_bit_identical() {
     let n = 16usize;
     let mut cached = AfferentState::new(n);
-    let mut full = AfferentState::new_full_rebuild(n);
+    let mut full = Naive::new(n);
     for round in 0..20u32 {
         for src in 0..4u32 {
             let entries: Vec<(u32, f64)> =
@@ -214,7 +256,7 @@ fn all_rows_updated_every_round_still_bit_identical() {
         assert_eq!(bits(cached.refresh()), bits(full.refresh()), "round {round}");
     }
     // Every row was stale at every refresh: identical work on both sides.
-    assert_eq!(cached.rows_recomputed(), full.rows_recomputed());
+    assert_eq!(cached.rows_recomputed(), full.rows_recomputed);
 }
 
 /// A replaced source whose new `Y` no longer touches a row must retract its
@@ -223,17 +265,18 @@ fn all_rows_updated_every_round_still_bit_identical() {
 #[test]
 fn replacement_retracts_abandoned_rows() {
     let mut cached = AfferentState::new(4);
-    let mut full = AfferentState::new_full_rebuild(4);
-    for st in [&mut cached, &mut full] {
-        st.set(0, vec![(0, 1.0), (2, 2.0)]);
-        st.set(1, vec![(2, 0.5)]);
-        st.refresh();
-        // Source 0 re-publishes without row 2: row 2 must fall back to
-        // source 1's contribution alone.
-        st.set(0, vec![(0, 3.0), (1, 0.25)]);
-    }
+    let mut full = Naive::new(4);
+    cached.set(0, vec![(0, 1.0), (2, 2.0)]);
+    full.set(0, vec![(0, 1.0), (2, 2.0)]);
+    cached.set(1, vec![(2, 0.5)]);
+    full.set(1, vec![(2, 0.5)]);
+    assert_eq!(bits(cached.refresh()), bits(full.refresh()));
+    // Source 0 re-publishes without row 2: row 2 must fall back to source
+    // 1's contribution alone.
+    cached.set(0, vec![(0, 3.0), (1, 0.25)]);
+    full.set(0, vec![(0, 3.0), (1, 0.25)]);
     assert_eq!(cached.refresh(), &[3.0, 0.25, 0.5, 0.0]);
     assert_eq!(bits(cached.refresh()), bits(full.refresh()));
     // Rows 0/1/2 went stale; row 3 was never touched.
-    assert!(cached.rows_recomputed() < full.rows_recomputed());
+    assert!(cached.rows_recomputed() < full.rows_recomputed);
 }

@@ -4,7 +4,8 @@
 //! and bit-exact replay of faulty runs.
 
 use dpr::core::{
-    try_run_over_network, NetRunConfig, NetRunResult, OverlayKind, Reliability, Transmission,
+    try_run_over_network, NetRunConfig, NetRunError, NetRunResult, OverlayKind, Reliability,
+    Transmission,
 };
 use dpr::graph::generators::edu::{edu_domain, EduDomainConfig};
 use dpr::graph::generators::toy;
@@ -201,5 +202,38 @@ proptest! {
         prop_assert_eq!(a.sim_stats, b.sim_stats);
         prop_assert_eq!(a.counters, b.counters);
         prop_assert_eq!(a.rel_err.points(), b.rel_err.points());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random churn schedules never panic: departures that name any index
+    /// up to three past the initial nodes, the same node twice or the last
+    /// live node, and joins (Pastry only) whose id seeds are drawn near
+    /// the ring's own so that ids collide. Every run completes or returns
+    /// a structured config error.
+    #[test]
+    fn random_churn_schedules_never_panic(
+        chord in any::<bool>(),
+        n_nodes in 3usize..=8,
+        mut departures in prop::collection::vec((0.0f64..30.0, 0usize..11), 0..=4),
+        mut joins in prop::collection::vec((0.0f64..30.0, 0xE00u64..0xE20), 0..=2),
+    ) {
+        for d in &mut departures {
+            d.1 %= n_nodes + 3;
+        }
+        departures.sort_by(|a, b| a.0.total_cmp(&b.0));
+        joins.sort_by(|a, b| a.0.total_cmp(&b.0));
+        if chord {
+            joins.clear();
+        }
+        let overlay = if chord { OverlayKind::Chord } else { OverlayKind::Pastry };
+        let cfg =
+            NetRunConfig { k: 4, n_nodes, overlay, departures, joins, t_end: 20.0, ..Default::default() };
+        match try_run_over_network(&toy::two_cliques(6), cfg) {
+            Ok(_) | Err(NetRunError::Config { .. }) => {}
+            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+        }
     }
 }
