@@ -3,6 +3,11 @@
 //! overlap and communication for the firewall / cross-over / exchange
 //! coordination modes, as the number of crawling agents grows.
 //!
+//! Asserted at every agent count (the bin exits non-zero when one fails):
+//! firewall mode exchanges no URL, cross-over fetches some page twice
+//! once there are two agents, and exchange fetches no page twice and
+//! covers at least what firewall mode does.
+//!
 //! Usage: `crawler_modes [--web-pages N] [--sites S] [--max-agents A]`
 
 use dpr_bench::BenchArgs;
@@ -58,6 +63,11 @@ fn main() {
                     / res.fetched.len().max(1) as f64,
             });
         }
+        let [fw, co, ex] = &rows[rows.len() - 3..] else { unreachable!("three modes per sweep") };
+        assert_eq!(fw.urls_exchanged, 0, "{agents} agents: firewall mode exchanged URLs");
+        assert!(agents == 1 || co.overlap > 0, "{agents} agents: cross-over never overlapped");
+        assert_eq!(ex.overlap, 0, "{agents} agents: exchange mode fetched a page twice");
+        assert!(ex.coverage_pct >= fw.coverage_pct, "{agents} agents: exchange covers less");
         eprintln!("[crawl] finished {agents}-agent sweep");
     }
 

@@ -8,6 +8,10 @@
 //! from the changed pages — showing why warm restarts after a small
 //! re-crawl converge so quickly.
 //!
+//! Asserted (the bin exits non-zero when it fails): mean |ΔR| falls
+//! strictly from distance 0 to 1 to 2, and distance 0 is at least 10×
+//! distance 2.
+//!
 //! Usage: `perturbation [--pages N] [--sites S] [--site SID]`
 
 use dpr_bench::BenchArgs;
@@ -110,12 +114,17 @@ fn main() {
         );
     }
     let near = rows.first().map_or(0.0, |r| r.mean_abs_delta);
-    let far = rows.last().map_or(0.0, |r| r.mean_abs_delta);
+    let (far_d, far) = rows.last().map_or((0, 0.0), |r| (r.distance, r.mean_abs_delta));
     println!(
-        "\nDecay: mean |dR| falls {:.0}x from the changed pages to distance {max_d}+ — the locality \
+        "\nDecay: mean |dR| falls {:.0}x from the changed pages to distance {far_d} — the locality \
          that makes incremental / warm-started re-ranking after small re-crawls cheap (§4.3).",
         near / far.max(1e-300)
     );
+    let [d0, d1, d2] = [0, 1, 2].map(|d| {
+        rows.iter().find(|r| r.distance == d).expect("pages at every distance to 2").mean_abs_delta
+    });
+    assert!(d0 > d1 && d1 > d2, "mean |dR| must fall hop by hop: {d0:.2e}, {d1:.2e}, {d2:.2e}");
+    assert!(d0 >= 10.0 * d2, "distance 0 must be >= 10x distance 2: {d0:.2e} vs {d2:.2e}");
 
     if let Err(e) = args.emit(&rows) {
         eprintln!("[perturbation] JSON write failed: {e}");

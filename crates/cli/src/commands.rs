@@ -679,13 +679,28 @@ pub fn analyze(args: &Args) -> CmdResult {
 
 /// `dpr plan`
 pub fn plan(args: &Args) -> CmdResult {
-    let model = CapacityModel {
-        total_pages: args.get("pages", 3.0e9)?,
-        link_record_bytes: args.get("record-bytes", 100.0)?,
-        usable_bisection_bytes_per_sec: args.get("bisection-mb", 100.0)? * 1e6,
-    };
+    let pages: f64 = args.get("pages", 3.0e9)?;
+    let record_bytes: f64 = args.get("record-bytes", 100.0)?;
+    let bisection_mb: f64 = args.get("bisection-mb", 100.0)?;
     let n = args.get("rankers", 1_000u64)?;
     args.reject_unread()?;
+    // Each one divides or is divided into the interval and the per-node
+    // share: zero, negative or infinite would print NaN or trip an assert.
+    for (flag, v) in
+        [("pages", pages), ("record-bytes", record_bytes), ("bisection-mb", bisection_mb)]
+    {
+        if !(v > 0.0 && v.is_finite()) {
+            return Err(format!("--{flag} must be positive and finite, got {v}"));
+        }
+    }
+    if n == 0 {
+        return Err("--rankers must be at least 1".into());
+    }
+    let model = CapacityModel {
+        total_pages: pages,
+        link_record_bytes: record_bytes,
+        usable_bisection_bytes_per_sec: bisection_mb * 1e6,
+    };
     let row = model.row(n);
     println!(
         "ranking {:.2e} pages over {n} rankers (h ≈ {:.2} Pastry hops):",

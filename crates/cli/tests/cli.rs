@@ -175,6 +175,24 @@ fn plan_runs_with_defaults_and_overrides() {
 }
 
 #[test]
+fn plan_rejects_degenerate_values() {
+    // Each of these used to panic on the capacity model's assert (exit 101
+    // with a backtrace) or print an infinite interval.
+    for bad in [
+        &["--rankers", "0"][..],
+        &["--pages", "0"],
+        &["--record-bytes", "-1"],
+        &["--bisection-mb", "0"],
+        &["--pages", "inf"],
+        &["--bisection-mb", "NaN"],
+    ] {
+        let argv: Vec<&str> = std::iter::once("plan").chain(bad.iter().copied()).collect();
+        let err = commands::plan(&args(&argv)).unwrap_err();
+        assert!(err.contains(bad[0]), "{bad:?}: {err}");
+    }
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let err = commands::stats(&args(&["stats", "/nonexistent/x.graph"])).unwrap_err();
     assert!(err.contains("cannot read"), "{err}");

@@ -27,8 +27,11 @@
 //!   interleavings;
 //! * [`hits`] — Kleinberg's HITS, the other seminal link-analysis baseline
 //!   the introduction discusses;
-//! * [`personalized`] — non-uniform `E` (§3's pointer to personalized page
-//!   ranking).
+//! * [`store`] — the epoch-versioned rank store a search front-end queries
+//!   while the rankers keep running.
+//!
+//! A non-uniform `E` (§3's pointer to personalized page ranking) is
+//! [`config::EVector::Custom`]: every solver above takes it as it is.
 //!
 //! ## A note on formula 3.5
 //!
@@ -51,8 +54,6 @@ pub mod hits;
 pub mod metrics;
 pub mod netrun;
 pub mod observe;
-pub mod personalized;
-pub mod query;
 pub mod ranker;
 pub mod ranks_io;
 pub mod store;
@@ -68,7 +69,6 @@ pub use netrun::{
     Transmission,
 };
 pub use observe::{RunRecorder, Sample};
-pub use query::{distributed_top_k, query_cost, site_totals, Hit, QueryCost};
 pub use ranker::{DprVariant, GroupSnapshot, Ranker, YPart};
-pub use store::{GroupPublish, PointLookup, RankStore, StoreStats, StoreView};
+pub use store::{GroupPublish, Hit, PointLookup, RankStore, StoreStats, StoreView};
 pub use threaded::{run_threaded, ThreadedRunConfig, ThreadedRunResult};

@@ -1,60 +1,6 @@
-//! Convergence and ranking-quality metrics.
+//! Ranking metrics: the top-k selection and the rank distribution summary.
 
 use std::cmp::Ordering;
-
-pub use dpr_linalg::vec_ops::{l1_diff, l1_norm, mean, relative_error};
-
-/// Kendall-tau-style pairwise order agreement between two rankings, sampled
-/// over `samples` random page pairs (exact Kendall tau is O(n²)). Returns a
-/// value in `[0, 1]`: 1.0 = identical ordering. Search engines care about
-/// the *order* PageRank induces more than its absolute values, so the
-/// experiment reports include this alongside relative error.
-#[must_use]
-pub fn sampled_order_agreement(a: &[f64], b: &[f64], samples: usize, seed: u64) -> f64 {
-    assert_eq!(a.len(), b.len());
-    if a.len() < 2 || samples == 0 {
-        return 1.0;
-    }
-    // splitmix64 in counter mode: every seed (including 0 and 1) yields a
-    // distinct stream, unlike the old `seed | 1` LCG which aliased seeds
-    // that differed only in the low bit.
-    let mut ctr = seed;
-    let mut next = || {
-        ctr = ctr.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        dpr_graph::urls::splitmix64(ctr)
-    };
-    // Unbiased index in [0, len): Lemire's widening multiply with rejection
-    // of the biased low region, instead of `next() % len`.
-    let len = a.len() as u64;
-    let threshold = len.wrapping_neg() % len;
-    let mut next_index = || loop {
-        let r = next();
-        let wide = u128::from(r) * u128::from(len);
-        if (wide as u64) >= threshold {
-            return (wide >> 64) as usize;
-        }
-    };
-    let mut agree = 0usize;
-    let mut counted = 0usize;
-    for _ in 0..samples {
-        let i = next_index();
-        let j = next_index();
-        if i == j {
-            continue;
-        }
-        let oa = a[i].partial_cmp(&a[j]);
-        let ob = b[i].partial_cmp(&b[j]);
-        counted += 1;
-        if oa == ob {
-            agree += 1;
-        }
-    }
-    if counted == 0 {
-        1.0
-    } else {
-        agree as f64 / counted as f64
-    }
-}
 
 /// The `k` first items of `items` under `cmp`, in `cmp` order: what a full
 /// sort followed by `truncate(k)` returns whenever `cmp` is a strict total
@@ -112,20 +58,6 @@ pub fn top_k_among(ranks: &[f64], pages: impl IntoIterator<Item = u32>, k: usize
     select_top_k_by(pages, k, |&i, &j| {
         ranks[j as usize].total_cmp(&ranks[i as usize]).then_with(|| i.cmp(&j))
     })
-}
-
-/// Overlap fraction of the top-`k` sets of two rankings (a precision-style
-/// metric: how many of the paper-relevant "important pages" the distributed
-/// run agrees on).
-#[must_use]
-pub fn top_k_overlap(a: &[f64], b: &[f64], k: usize) -> f64 {
-    if k == 0 {
-        return 1.0;
-    }
-    let ta: std::collections::HashSet<u32> = top_k(a, k).into_iter().collect();
-    let tb = top_k(b, k);
-    let inter = tb.iter().filter(|i| ta.contains(i)).count();
-    inter as f64 / k.min(a.len()).max(1) as f64
 }
 
 /// Distribution summary of a rank vector — the concentration statistics a
@@ -221,21 +153,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identical_rankings_fully_agree() {
-        let r = vec![0.3, 0.1, 0.9, 0.5];
-        assert_eq!(sampled_order_agreement(&r, &r, 1000, 1), 1.0);
-        assert_eq!(top_k_overlap(&r, &r, 2), 1.0);
-    }
-
-    #[test]
-    fn reversed_rankings_disagree() {
-        let a = vec![1.0, 2.0, 3.0, 4.0];
-        let b = vec![4.0, 3.0, 2.0, 1.0];
-        assert!(sampled_order_agreement(&a, &b, 1000, 1) < 0.05);
-        assert_eq!(top_k_overlap(&a, &b, 1), 0.0);
-    }
-
-    #[test]
     fn top_k_ordering_and_ties() {
         let r = vec![0.5, 0.9, 0.5, 0.1];
         assert_eq!(top_k(&r, 3), vec![1, 0, 2]);
@@ -290,25 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_seeds_give_distinct_sample_streams() {
-        // The old LCG seeded with `seed | 1`, so seeds 0 and 1 (and any pair
-        // differing only in bit 0) produced identical pair samples. Build
-        // rankings that agree on roughly half of all pairs, so the sampled
-        // agreement is sensitive to which pairs get drawn, then check that
-        // different seeds actually draw different pairs. (Two seeds can
-        // still coincide on the final fraction by chance, so we assert over
-        // a spread of seeds rather than one pair.)
-        let a: Vec<f64> = (0..64).map(f64::from).collect();
-        let b: Vec<f64> =
-            (0..64).map(|i| if i % 2 == 0 { f64::from(i) } else { -f64::from(i) }).collect();
-        let results: std::collections::HashSet<u64> =
-            (0..16).map(|seed| sampled_order_agreement(&a, &b, 25, seed).to_bits()).collect();
-        assert!(results.len() > 1, "all 16 seeds sampled identical pair streams");
-        // And the estimator itself stays deterministic for a fixed seed.
-        assert_eq!(sampled_order_agreement(&a, &b, 25, 7), sampled_order_agreement(&a, &b, 25, 7));
-    }
-
-    #[test]
     fn percentiles_follow_nearest_rank_definition() {
         // 1..=10: nearest-rank p50 = sorted[⌈0.5·10⌉−1] = sorted[4] = 5,
         // p90 = sorted[8] = 9, p99 = sorted[9] = 10.
@@ -325,10 +223,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert_eq!(sampled_order_agreement(&[], &[], 10, 1), 1.0);
-        assert_eq!(sampled_order_agreement(&[1.0], &[2.0], 10, 1), 1.0);
         assert_eq!(top_k(&[], 3), Vec::<u32>::new());
-        assert_eq!(top_k_overlap(&[1.0], &[1.0], 0), 1.0);
     }
 
     #[test]

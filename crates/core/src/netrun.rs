@@ -619,6 +619,7 @@ pub struct NetRunResult {
 
 /// One scheduled churn event, merged from `departures`, `joins`, and
 /// `deltas` (the index points into `cfg.deltas`).
+#[derive(Clone, Copy)]
 enum ChurnEvent {
     Depart(NodeIndex),
     Join { id_seed: u64 },
@@ -693,27 +694,36 @@ fn check_schedule(what: &'static str, times: impl Iterator<Item = f64>) -> Resul
     Ok(())
 }
 
-/// Replays membership over departures and joins, merged in the order the
-/// driver's churn loop consumes them (a stable sort by time, departures
-/// before joins). A departure must name a node that is live at that
-/// moment: its index is below `n_nodes` plus the joins so far, it has not
-/// departed already, and another node stays live. A join must bring a
-/// Pastry id that no node, live or departed, holds yet.
-fn check_membership(cfg: &NetRunConfig) -> Result<(), NetRunError> {
-    let mut events: Vec<(f64, Option<NodeIndex>)> =
-        cfg.departures.iter().map(|&(t, node)| (t, Some(node))).collect();
-    events.extend(cfg.joins.iter().map(|&(t, _)| (t, None)));
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+/// Departures, joins and crawl deltas merged into the one time-ordered
+/// churn schedule the driver consumes. The sort is stable, so coinciding
+/// times keep the departures → joins → deltas order.
+fn churn_schedule(cfg: &NetRunConfig) -> Vec<(f64, ChurnEvent)> {
+    let mut churn: Vec<(f64, ChurnEvent)> = cfg
+        .departures
+        .iter()
+        .map(|&(t, node)| (t, ChurnEvent::Depart(node)))
+        .chain(cfg.joins.iter().map(|&(t, id_seed)| (t, ChurnEvent::Join { id_seed })))
+        .chain(cfg.deltas.iter().enumerate().map(|(i, &(t, _))| (t, ChurnEvent::Delta(i))))
+        .collect();
+    churn.sort_by(|a, b| a.0.total_cmp(&b.0));
+    churn
+}
+
+/// Replays membership over the churn schedule, in the order the driver
+/// consumes it. A departure must name a node that is live at that moment:
+/// its index is below `n_nodes` plus the joins so far, it has not departed
+/// already, and another node stays live. A join must bring a Pastry id
+/// that no node, live or departed, holds yet.
+fn check_membership(cfg: &NetRunConfig, churn: &[(f64, ChurnEvent)]) -> Result<(), NetRunError> {
     let mut ids: HashSet<NodeId> = HashSet::new();
     if !cfg.joins.is_empty() {
         ids.extend((0..cfg.n_nodes).map(|i| PastryNetwork::node_id(overlay_seed(cfg), i)));
     }
-    let mut joins = cfg.joins.iter();
     let mut live = vec![true; cfg.n_nodes];
     let mut n_live = cfg.n_nodes;
-    for (t, event) in events {
+    for &(t, event) in churn {
         match event {
-            Some(node) => {
+            ChurnEvent::Depart(node) => {
                 let detail = format!("node {node} is not live at t={t}");
                 require(live.get(node) == Some(&true), "departures", detail)?;
                 let detail = format!("node {node} at t={t} is the last live node");
@@ -721,13 +731,13 @@ fn check_membership(cfg: &NetRunConfig) -> Result<(), NetRunError> {
                 live[node] = false;
                 n_live -= 1;
             }
-            None => {
-                let &(_, id_seed) = joins.next().expect("one event per join");
+            ChurnEvent::Join { id_seed } => {
                 let detail = format!("join seed {id_seed} at t={t} gives an id already in use");
                 require(ids.insert(NodeId::from_seed(id_seed)), "joins", detail)?;
                 live.push(true);
                 n_live += 1;
             }
+            ChurnEvent::Delta(_) => {}
         }
     }
     Ok(())
@@ -735,8 +745,9 @@ fn check_membership(cfg: &NetRunConfig) -> Result<(), NetRunError> {
 
 /// Every rule a configuration must keep before a run starts: the values
 /// the engine would otherwise assert on, and those that would hang the
-/// run or quietly turn a protocol off.
-fn validate(cfg: &NetRunConfig) -> Result<(), NetRunError> {
+/// run or quietly turn a protocol off. Returns the churn schedule it
+/// checked, for the driver to run.
+fn validate(cfg: &NetRunConfig) -> Result<Vec<(f64, ChurnEvent)>, NetRunError> {
     let (k, n) = (cfg.k, cfg.n_nodes);
     let detail = format!("need at least one group and one node, got k={k} n_nodes={n}");
     require(k >= 1 && n >= 1, "k/n_nodes", detail)?;
@@ -756,7 +767,8 @@ fn validate(cfg: &NetRunConfig) -> Result<(), NetRunError> {
     check_schedule("departures", cfg.departures.iter().map(|e| e.0))?;
     check_schedule("joins", cfg.joins.iter().map(|e| e.0))?;
     check_schedule("deltas", cfg.deltas.iter().map(|e| e.0))?;
-    check_membership(cfg)?;
+    let churn = churn_schedule(cfg);
+    check_membership(cfg, &churn)?;
     if cfg.replication > 0 {
         let detail = "the CAN overlay has no replica sets (see DESIGN.md §11); use Pastry or Chord";
         require(overlay != "CAN", "replication", detail.into())?;
@@ -790,7 +802,7 @@ fn validate(cfg: &NetRunConfig) -> Result<(), NetRunError> {
         let b = rel.backoff;
         require(b >= 1.0 && b.is_finite(), "backoff", format!("must be finite and >= 1, got {b}"))?;
     }
-    Ok(())
+    Ok(churn)
 }
 
 /// [`try_run_over_network_with_store`] with an observer: after every sample
@@ -809,7 +821,7 @@ pub fn try_run_over_network_observed(
 ) -> Result<NetRunResult, NetRunError> {
     let wall_start = Instant::now();
     cfg.rank.validate(g.n_pages());
-    validate(&cfg)?;
+    let churn = validate(&cfg)?;
     let cfg = Arc::new(cfg);
     let overlay = AnyOverlay::build(&cfg);
     let key_of: Vec<u128> = (0..cfg.k as u64).map(dpr_overlay::id::key_from_u64).collect();
@@ -866,18 +878,6 @@ pub fn try_run_over_network_observed(
         FaultPlan::new().with_latency(0.01).with_default_success(cfg.send_success_prob)
     });
     let mut sim = Simulation::with_plan(nodes, cfg.seed, plan);
-
-    // Merge departures, joins, and crawl deltas into one time-ordered
-    // churn schedule (the sort is stable, so coinciding times keep the
-    // departures → joins → deltas order deterministically).
-    let mut churn: Vec<(f64, ChurnEvent)> = cfg
-        .departures
-        .iter()
-        .map(|&(t, node)| (t, ChurnEvent::Depart(node)))
-        .chain(cfg.joins.iter().map(|&(t, id_seed)| (t, ChurnEvent::Join { id_seed })))
-        .chain(cfg.deltas.iter().enumerate().map(|(i, &(t, _))| (t, ChurnEvent::Delta(i))))
-        .collect();
-    churn.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     let setup_secs = wall_start.elapsed().as_secs_f64();
     // `engine_workers == 1` is the plain sequential event loop (the

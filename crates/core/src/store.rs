@@ -26,11 +26,10 @@
 //!   id (graph ids are dense; crawl deltas append), shared between views
 //!   while page sets are stable, so a lookup is one bounds-checked index.
 //!
-//! Answers are **bit-identical** to the one-shot scatter-gather in
-//! [`crate::query`] at the same epoch: hits use the exact published rank
-//! bits and the same `(rank desc, page asc)` total order, and site
-//! aggregates fold per-group partials in the same canonical order as
-//! [`crate::query::site_totals`].
+//! Answers are **bit-identical** to a one-shot scatter-gather over the
+//! live rankers at the same epoch: hits use the exact published rank bits
+//! and one `(rank desc, page asc)` total order, and site aggregates fold
+//! per-group partials in ascending group id.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,8 +40,22 @@ use dpr_graph::PageId;
 use dpr_partition::GroupId;
 
 use crate::metrics::select_top_k_by;
-use crate::query::{hit_order, Hit};
 use crate::ranker::Ranker;
+
+/// One query hit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Hit {
+    /// Global page id.
+    pub page: PageId,
+    /// Its current rank at the owning ranker.
+    pub rank: f64,
+}
+
+/// The one ordering every query answer uses: descending rank
+/// (`total_cmp`, so NaN-safe), ties broken by ascending page id.
+fn hit_order(a: &Hit, b: &Hit) -> std::cmp::Ordering {
+    b.rank.total_cmp(&a.rank).then_with(|| a.page.cmp(&b.page))
+}
 
 /// Default number of precomputed global top-k entries.
 pub const DEFAULT_TOPK_CAP: usize = 128;
@@ -226,10 +239,10 @@ impl StoreView {
         self.page_loc.located
     }
 
-    /// Global top-`k`: bit-identical to
-    /// [`crate::query::distributed_top_k`] over the live rankers at this
-    /// view's epochs. `k ≤ topk_cap` is answered from the precomputed
-    /// prefix (a memcpy); larger `k` selects from every published page.
+    /// Global top-`k`: bit-identical to merging every live ranker's pages
+    /// at this view's epochs. `k ≤ topk_cap` is answered from the
+    /// precomputed prefix (a memcpy); larger `k` selects from every
+    /// published page.
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<Hit> {
         if k <= self.topk_cap || self.topk.len() < self.topk_cap {
@@ -265,9 +278,10 @@ impl StoreView {
         Some(PointLookup { page, rank: g.ranks[li as usize], group, epoch: g.epoch })
     }
 
-    /// Precomputed per-site rank totals, bit-identical to
-    /// [`crate::query::site_totals`] at this view's epochs. `None` when the
-    /// store was built without site info.
+    /// Precomputed per-site rank totals, bit-identical to summing the live
+    /// rankers' pages per site, group by group in ascending group id, at
+    /// this view's epochs. `None` when the store was built without site
+    /// info.
     #[must_use]
     pub fn site_totals(&self) -> Option<&[f64]> {
         self.site_totals.as_deref().map(Vec::as_slice)
@@ -561,8 +575,8 @@ fn build_topk(groups: &[Option<Arc<GroupRanks>>], cap: usize) -> Vec<Hit> {
 }
 
 /// Folds per-group site partials into global totals in ascending group id
-/// — the same canonical order as [`crate::query::site_totals`], so the
-/// precomputed aggregate is bit-identical to the live reference.
+/// — the canonical order a per-site sum over the live rankers takes too,
+/// so the precomputed aggregate matches that sum bit for bit.
 fn fold_site_totals(groups: &[Option<Arc<GroupRanks>>], n_sites: usize) -> Vec<f64> {
     let mut totals = vec![0.0; n_sites];
     for g in groups.iter().flatten() {

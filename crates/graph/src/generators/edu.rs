@@ -68,12 +68,6 @@ impl Default for EduDomainConfig {
 }
 
 impl EduDomainConfig {
-    /// The paper's full scale: 1M pages, ~15M links, 100 sites.
-    #[must_use]
-    pub fn paper_full() -> Self {
-        Self { n_pages: 1_000_000, ..Self::default() }
-    }
-
     /// A small configuration for fast tests (5k pages, 20 sites).
     #[must_use]
     pub fn small() -> Self {

@@ -337,11 +337,6 @@ impl Csr {
         });
     }
 
-    /// [`Csr::mul_vec_pool`] on the process-wide [`Pool::global`] pool.
-    pub fn mul_vec_par(&self, x: &[f64], y: &mut [f64]) {
-        self.mul_vec_pool(x, y, Pool::global());
-    }
-
     /// The infinity norm `‖A‖∞ = max_r Σ_c |A[r,c]|` (maximum absolute row
     /// sum). Theorem 3.2 bounds the spectral radius by any matrix norm, and
     /// this is the cheapest one for CSR; the ranking matrices satisfy
@@ -365,13 +360,6 @@ impl Csr {
             col_sums[c as usize] += self.values[k].abs();
         }
         col_sums.into_iter().fold(0.0_f64, f64::max)
-    }
-
-    /// Whether every stored value is ≥ 0 (the `A ≥ 0` premise of the
-    /// appendix lemmas).
-    #[must_use]
-    pub fn is_nonneg(&self) -> bool {
-        self.values.iter().all(|v| *v >= 0.0)
     }
 
     /// Transposed copy (swaps the push/pull orientation).
@@ -399,43 +387,6 @@ impl Csr {
             }
         }
         Csr { n_rows: self.n_cols, n_cols: self.n_rows, row_ptr, col_idx, values }
-    }
-
-    /// Estimates the spectral radius `ρ(A)` by power iteration on `|A|`
-    /// (element-wise absolute values), returning the final Rayleigh-style
-    /// L1 growth ratio. Used in tests to confirm `ρ(A) ≤ ‖A‖∞` (Thm 3.2)
-    /// with a healthy margin on real link matrices.
-    #[must_use]
-    pub fn estimate_spectral_radius(&self, iters: usize) -> f64 {
-        assert_eq!(self.n_rows, self.n_cols, "spectral radius needs a square matrix");
-        if self.n_rows == 0 {
-            return 0.0;
-        }
-        let n = self.n_rows;
-        let mut x = vec![1.0 / n as f64; n];
-        let mut y = vec![0.0; n];
-        let mut ratio = 0.0;
-        for _ in 0..iters.max(1) {
-            for (r, yr) in y.iter_mut().enumerate() {
-                let lo = self.row_ptr[r] as usize;
-                let hi = self.row_ptr[r + 1] as usize;
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.values[k].abs() * x[self.col_idx[k] as usize];
-                }
-                *yr = acc;
-            }
-            let norm: f64 = y.iter().sum();
-            if norm == 0.0 {
-                return 0.0;
-            }
-            ratio = norm;
-            for v in y.iter_mut() {
-                *v /= norm;
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        ratio
     }
 }
 
@@ -941,14 +892,6 @@ impl CsrImplicit {
         }
         col_sums.into_iter().fold(0.0_f64, f64::max)
     }
-
-    /// Whether every implicit value is ≥ 0.
-    #[must_use]
-    pub fn is_nonneg(&self) -> bool {
-        // An entry's value is its column's scale; columns without entries
-        // don't contribute values at all.
-        self.col_idx.iter().all(|&c| self.scale[c as usize] >= 0.0)
-    }
 }
 
 impl SpMatVec for CsrImplicit {
@@ -1070,18 +1013,18 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_par_matches_sequential_small() {
+    fn mul_vec_pool_matches_sequential_small() {
         let m = sample();
         let x = [1.0, 2.0, 3.0];
         let mut y1 = [0.0; 3];
         let mut y2 = [0.0; 3];
         m.mul_vec(&x, &mut y1);
-        m.mul_vec_par(&x, &mut y2);
+        m.mul_vec_pool(&x, &mut y2, Pool::global());
         assert_eq!(y1, y2);
     }
 
     #[test]
-    fn mul_vec_par_matches_sequential_large() {
+    fn mul_vec_pool_matches_sequential_large() {
         let n = PAR_ROWS_THRESHOLD + 123;
         let mut rng = SmallRng::seed_from_u64(7);
         let mut t = TripletMatrix::new(n, n);
@@ -1093,7 +1036,7 @@ mod tests {
         let mut y1 = vec![0.0; n];
         let mut y2 = vec![0.0; n];
         m.mul_vec(&x, &mut y1);
-        m.mul_vec_par(&x, &mut y2);
+        m.mul_vec_pool(&x, &mut y2, Pool::global());
         for (a, b) in y1.iter().zip(&y2) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -1180,23 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn spectral_radius_bounded_by_inf_norm() {
-        let m = sample();
-        let rho = m.estimate_spectral_radius(100);
-        assert!(rho <= m.inf_norm() + 1e-9, "rho={rho} > inf_norm={}", m.inf_norm());
-    }
-
-    #[test]
-    fn spectral_radius_of_scaled_identity() {
-        let mut t = TripletMatrix::new(5, 5);
-        for i in 0..5 {
-            t.push(i, i, 0.7);
-        }
-        let rho = t.to_csr().estimate_spectral_radius(50);
-        assert!((rho - 0.7).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "row_ptr must end at nnz")]
     fn inconsistent_raw_parts_panic() {
         let _ = Csr::from_raw_parts(1, 1, vec![0, 2], vec![0], vec![1.0]);
@@ -1221,14 +1147,6 @@ mod tests {
     #[should_panic(expected = "scale factors must be finite")]
     fn implicit_rejects_non_finite_scale() {
         let _ = CsrImplicit::from_raw_parts(1, 1, vec![0, 0], vec![], vec![f64::INFINITY]);
-    }
-
-    #[test]
-    fn nonneg_detection() {
-        assert!(sample().is_nonneg());
-        let mut t = TripletMatrix::new(1, 1);
-        t.push(0, 0, -1.0);
-        assert!(!t.to_csr().is_nonneg());
     }
 
     #[test]
@@ -1264,7 +1182,6 @@ mod tests {
         assert_eq!(y_i.map(f64::to_bits), y_e.map(f64::to_bits));
         assert_eq!(m.inf_norm().to_bits(), twin.inf_norm().to_bits());
         assert_eq!(m.one_norm().to_bits(), twin.one_norm().to_bits());
-        assert!(m.is_nonneg());
         assert_eq!(m.nnz(), 3);
         assert!(m.heap_bytes() < twin.heap_bytes());
     }

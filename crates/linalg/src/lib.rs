@@ -11,10 +11,7 @@
 //!   by every iteration loop,
 //! * [`solver`] — the Jacobi-style fixed-point solver of Algorithm 2
 //!   (`GroupPageRank`), terminating on `‖x_m − x_{m−1}‖`, the test
-//!   Theorem 3.3 justifies,
-//! * [`theory`] — executable forms of Theorems 3.1–3.3 and the appendix
-//!   lemmas (spectral-radius bounds, contraction error bounds,
-//!   non-negativity and monotonicity of the fixed point),
+//!   Theorem 3.3 justifies, and reporting Theorem 3.3's error bound,
 //! * [`pool`] — the scoped worker pool behind every parallel kernel:
 //!   real OS threads, spawned once and reused across solves, with a fixed
 //!   chunking discipline that keeps pooled results bit-identical to the
@@ -43,7 +40,6 @@
 pub mod csr;
 pub mod pool;
 pub mod solver;
-pub mod theory;
 pub mod triplet;
 pub mod vec_ops;
 

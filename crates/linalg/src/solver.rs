@@ -9,7 +9,6 @@
 
 use crate::csr::SpMatVec;
 use crate::pool::Pool;
-use crate::theory;
 
 /// Configuration for the Jacobi-style fixed-point iteration.
 #[derive(Debug, Clone)]
@@ -59,8 +58,19 @@ impl SolveReport {
             iterations,
             final_delta,
             converged: final_delta <= tolerance,
-            error_bound: theory::contraction_error_bound(contraction_norm, final_delta),
+            error_bound: contraction_error_bound(contraction_norm, final_delta),
         }
+    }
+}
+
+/// Theorem 3.3: given `q = ‖A‖ < 1` and the successive difference
+/// `δ = ‖x_m − x_{m−1}‖`, the true error satisfies
+/// `‖x* − x_m‖ ≤ q/(1−q)·δ`. Returns `None` when `q ≥ 1`.
+fn contraction_error_bound(norm: f64, delta: f64) -> Option<f64> {
+    if norm < 1.0 {
+        Some(norm / (1.0 - norm) * delta)
+    } else {
+        None
     }
 }
 
@@ -206,6 +216,14 @@ mod tests {
             true_err <= bound + 1e-12,
             "Thm 3.3 violated: true error {true_err} > bound {bound}"
         );
+    }
+
+    #[test]
+    fn error_bound_none_at_or_above_one() {
+        assert!(contraction_error_bound(1.0, 0.5).is_none());
+        assert!(contraction_error_bound(1.7, 0.5).is_none());
+        let b = contraction_error_bound(0.5, 0.1).unwrap();
+        assert!((b - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! # Chunked reductions and bit-determinism
 //!
-//! The reductions ([`l1_norm`], [`l1_diff`], [`sum`], and their `_pool`
-//! variants) all accumulate over **fixed chunks of `REDUCE_CHUNK`
+//! The reductions ([`l1_norm`], [`l1_diff`], [`sum`], and
+//! [`l1_diff_pool`]) all accumulate over **fixed chunks of `REDUCE_CHUNK`
 //! elements** and then fold the per-chunk partials in chunk order.
 //! Floating-point addition is not associative, so this fixed association is
 //! what makes the sequential and pooled paths return *bit-identical*
@@ -75,22 +75,6 @@ pub fn l1_norm(x: &[f64]) -> f64 {
     chunked_reduce(x.len(), |lo, hi| x[lo..hi].iter().map(|v| v.abs()).sum()) + 0.0
 }
 
-/// [`l1_norm`] with the chunk partials computed on `pool`'s workers.
-/// Bit-identical to the sequential version at every worker count.
-#[must_use]
-pub fn l1_norm_pool(x: &[f64], pool: &Pool) -> f64 {
-    if !pool.is_parallel() || x.len() < PAR_THRESHOLD {
-        return l1_norm(x);
-    }
-    chunked_reduce_pool(x.len(), pool, |lo, hi| x[lo..hi].iter().map(|v| v.abs()).sum()) + 0.0
-}
-
-/// The L∞ norm `‖x‖∞ = max |xᵢ|`; zero for the empty vector.
-#[must_use]
-pub fn linf_norm(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// Adds to `acc`, in chunk order, the partials of `‖x − y‖₁` over the
 /// first `L` chunks of `x` and `y` (all full) and advances both past them.
 /// The `L` add chains run side by side: each partial is the same
@@ -150,27 +134,10 @@ pub fn l1_diff_pool(x: &[f64], y: &[f64], pool: &Pool) -> f64 {
     }) + 0.0
 }
 
-/// The L∞ distance `‖x − y‖∞`.
-#[must_use]
-pub fn linf_diff(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y.iter()).fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()))
-}
-
 /// Sum of all elements (signed, unlike [`l1_norm`]).
 #[must_use]
 pub fn sum(x: &[f64]) -> f64 {
     chunked_reduce(x.len(), |lo, hi| x[lo..hi].iter().sum())
-}
-
-/// [`sum`] with the chunk partials computed on `pool`'s workers.
-/// Bit-identical to the sequential version at every worker count.
-#[must_use]
-pub fn sum_pool(x: &[f64], pool: &Pool) -> f64 {
-    if !pool.is_parallel() || x.len() < PAR_THRESHOLD {
-        return sum(x);
-    }
-    chunked_reduce_pool(x.len(), pool, |lo, hi| x[lo..hi].iter().sum())
 }
 
 /// Arithmetic mean; zero for the empty vector.
@@ -198,34 +165,6 @@ pub fn scale(a: f64, x: &mut [f64]) {
     }
 }
 
-/// Adds the scalar `a` to every element (used for the uniform `βE` term).
-pub fn add_scalar(a: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi += a;
-    }
-}
-
-/// Element-wise `x ≥ y` (the partial order `r₁ ≥ r₂` of the appendix).
-#[must_use]
-pub fn ge_elementwise(x: &[f64], y: &[f64]) -> bool {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y.iter()).all(|(a, b)| a >= b)
-}
-
-/// Element-wise `x ≥ y − tol`, tolerating floating-point jitter when
-/// asserting the monotonicity of Theorem 4.1 on computed sequences.
-#[must_use]
-pub fn ge_elementwise_tol(x: &[f64], y: &[f64], tol: f64) -> bool {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y.iter()).all(|(a, b)| *a >= *b - tol)
-}
-
-/// `x ≥ 0` element-wise (appendix Lemma 1 precondition / conclusion).
-#[must_use]
-pub fn is_nonneg(x: &[f64]) -> bool {
-    x.iter().all(|v| *v >= 0.0)
-}
-
 /// Relative error `‖x − x*‖₁ / ‖x*‖₁`, the paper's §5 metric for the
 /// distance between distributed and centralized ranks.
 ///
@@ -233,15 +172,8 @@ pub fn is_nonneg(x: &[f64]) -> bool {
 /// both are zero.
 #[must_use]
 pub fn relative_error(x: &[f64], x_star: &[f64]) -> f64 {
-    relative_error_pool(x, x_star, &Pool::sequential())
-}
-
-/// [`relative_error`] with both reductions computed on `pool`'s workers.
-/// Bit-identical to the sequential version at every worker count.
-#[must_use]
-pub fn relative_error_pool(x: &[f64], x_star: &[f64], pool: &Pool) -> f64 {
-    let denom = l1_norm_pool(x_star, pool);
-    let num = l1_diff_pool(x, x_star, pool);
+    let denom = l1_norm(x_star);
+    let num = l1_diff(x, x_star);
     if denom == 0.0 {
         if num == 0.0 {
             0.0
@@ -283,13 +215,7 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|v| v * 1.0001 + 1e-7).collect();
         for workers in [2, 3, 8] {
             let pool = Pool::with_workers(workers);
-            assert_eq!(l1_norm(&x).to_bits(), l1_norm_pool(&x, &pool).to_bits());
             assert_eq!(l1_diff(&x, &y).to_bits(), l1_diff_pool(&x, &y, &pool).to_bits());
-            assert_eq!(sum(&x).to_bits(), sum_pool(&x, &pool).to_bits());
-            assert_eq!(
-                relative_error(&x, &y).to_bits(),
-                relative_error_pool(&x, &y, &pool).to_bits()
-            );
         }
     }
 
@@ -312,19 +238,8 @@ mod tests {
     }
 
     #[test]
-    fn linf_norm_basic() {
-        assert_eq!(linf_norm(&[1.0, -7.0, 3.0]), 7.0);
-        assert_eq!(linf_norm(&[]), 0.0);
-    }
-
-    #[test]
     fn l1_diff_basic() {
         assert_eq!(l1_diff(&[1.0, 2.0], &[0.0, 4.0]), 3.0);
-    }
-
-    #[test]
-    fn linf_diff_basic() {
-        assert_eq!(linf_diff(&[1.0, 2.0], &[0.0, 4.0]), 2.0);
     }
 
     #[test]
@@ -342,25 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_add_scalar() {
+    fn scale_basic() {
         let mut x = vec![1.0, -2.0];
         scale(3.0, &mut x);
         assert_eq!(x, vec![3.0, -6.0]);
-        add_scalar(1.0, &mut x);
-        assert_eq!(x, vec![4.0, -5.0]);
-    }
-
-    #[test]
-    fn elementwise_order() {
-        assert!(ge_elementwise(&[1.0, 2.0], &[1.0, 1.5]));
-        assert!(!ge_elementwise(&[1.0, 1.0], &[1.0, 1.5]));
-        assert!(ge_elementwise_tol(&[1.0, 1.0], &[1.0, 1.0 + 1e-13], 1e-12));
-    }
-
-    #[test]
-    fn nonneg_check() {
-        assert!(is_nonneg(&[0.0, 1.0]));
-        assert!(!is_nonneg(&[0.0, -1e-9]));
     }
 
     #[test]

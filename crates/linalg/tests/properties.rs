@@ -148,7 +148,7 @@ proptest! {
         // Parallel kernel agrees bit-for-bit at this size (it falls back to
         // sequential under the threshold, but the contract is agreement).
         let mut y2 = vec![0.0; r];
-        m.mul_vec_par(&x, &mut y2);
+        m.mul_vec_pool(&x, &mut y2, Pool::global());
         prop_assert_eq!(y, y2);
     }
 

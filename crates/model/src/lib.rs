@@ -105,34 +105,20 @@ impl CapacityModel {
         self.bytes_per_iteration(hops) / self.usable_bisection_bytes_per_sec
     }
 
-    /// Formula 4.7 solved for `B` at interval `t`: each of `n` nodes must
-    /// move its `D_it / n` share within `t`.
-    #[must_use]
-    pub fn bottleneck_needed(&self, hops: f64, n_rankers: u64, t_secs: f64) -> f64 {
-        assert!(n_rankers > 0 && t_secs > 0.0);
-        self.bytes_per_iteration(hops) / (n_rankers as f64 * t_secs)
-    }
-
-    /// Computes one Table 1 row for `n_rankers` nodes.
+    /// Computes one Table 1 row for `n_rankers` nodes. The bottleneck
+    /// column is formula 4.7 solved for `B` at the minimal interval `t`:
+    /// each of the `N` nodes must move its `D_it / N` share within `t`.
     #[must_use]
     pub fn row(&self, n_rankers: u64) -> Table1Row {
         let hops = pastry_hops(n_rankers);
         let t = self.min_iteration_interval(hops);
+        assert!(n_rankers > 0 && t > 0.0);
         Table1Row {
             n_rankers,
             hops,
             min_iteration_interval_secs: t,
-            min_bottleneck_bytes_per_sec: self.bottleneck_needed(hops, n_rankers, t),
+            min_bottleneck_bytes_per_sec: self.bytes_per_iteration(hops) / (n_rankers as f64 * t),
         }
-    }
-
-    /// Given a *target* iteration interval, the bisection share it would
-    /// require (inverse of formula 4.6) — a planning helper beyond the
-    /// paper's table.
-    #[must_use]
-    pub fn bisection_needed_for_interval(&self, hops: f64, t_secs: f64) -> f64 {
-        assert!(t_secs > 0.0);
-        self.bytes_per_iteration(hops) / t_secs
     }
 }
 
@@ -199,14 +185,6 @@ pub mod analytic {
     pub fn s_direct(h: f64, n: f64) -> f64 {
         (h + 1.0) * n * n
     }
-
-    /// The N beyond which indirect transmission sends fewer messages than
-    /// direct: smallest `n` with `g·n < (h+1)·n²`, i.e. `n > g/(h+1)`.
-    /// "Direct transmission seems better only for small N."
-    #[must_use]
-    pub fn message_crossover_n(g: f64, h: f64) -> f64 {
-        g / (h + 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -244,23 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn bottleneck_scales_inversely_with_n() {
-        let m = CapacityModel::default();
-        let b1 = m.bottleneck_needed(2.5, 1_000, 7_500.0);
-        let b2 = m.bottleneck_needed(2.5, 2_000, 7_500.0);
-        assert!((b1 / b2 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn planning_helper_roundtrip() {
-        let m = CapacityModel::default();
-        let h = 2.5;
-        let t = m.min_iteration_interval(h);
-        let c = m.bisection_needed_for_interval(h, t);
-        assert!((c - m.usable_bisection_bytes_per_sec).abs() < 1e-3);
-    }
-
-    #[test]
     fn render_contains_all_rows() {
         let text = render_table1(&table1());
         for key in ["1000", "10000", "100000", "7500s", "100KB/s"] {
@@ -293,6 +254,5 @@ mod tests {
         let (h, g) = (2.5, 40.0);
         let n = 3.0; // below the crossover g/(h+1) ≈ 11.4
         assert!(analytic::s_direct(h, n) < analytic::s_indirect(g, n));
-        assert!(analytic::message_crossover_n(g, h) > n);
     }
 }

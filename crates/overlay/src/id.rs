@@ -52,12 +52,6 @@ impl NodeId {
     pub fn distance(self, other: NodeId) -> u128 {
         self.0.abs_diff(other.0)
     }
-
-    /// Renders as 32 hex digits.
-    #[must_use]
-    pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
-    }
 }
 
 impl std::fmt::Display for NodeId {
@@ -151,11 +145,5 @@ mod tests {
             seen[NodeId(key_from_u64(x)).digit(0)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn hex_rendering() {
-        assert_eq!(NodeId(0).to_hex(), "0".repeat(32));
-        assert_eq!(NodeId(0xFF).to_hex().len(), 32);
     }
 }

@@ -219,15 +219,6 @@ impl FaultPlan {
         self.with_crash(node, start, f64::INFINITY)
     }
 
-    /// Whether `node` is inside a crash window it never exits — i.e. a
-    /// fail-stop failure rather than a crash/restart cycle. Recovery
-    /// drivers use this to distinguish "wait for the restart" from "the
-    /// state is gone, a replica must take over".
-    #[must_use]
-    pub fn is_permanently_crashed(&self, node: usize) -> bool {
-        self.crashes.iter().any(|c| c.node == node && c.end == f64::INFINITY)
-    }
-
     /// Effective success probability of a send `from → to` (loss processes
     /// compose multiplicatively).
     #[must_use]
@@ -252,12 +243,6 @@ impl FaultPlan {
             return Some(BlockReason::Partition);
         }
         None
-    }
-
-    /// Whether `node` is inside a crash window at `now`.
-    #[must_use]
-    pub fn is_crashed(&self, node: usize, now: f64) -> bool {
-        self.crashes.iter().any(|c| c.node == node && now >= c.start && now < c.end)
     }
 
     /// Network latency for a message sent by `from` (straggler-scaled).
@@ -296,18 +281,6 @@ impl FaultPlan {
             }
         }
     }
-
-    /// Whether any loss, jitter, window or straggler is configured (used
-    /// by callers that want a fast path for perfect networks).
-    #[must_use]
-    pub fn is_trivial(&self) -> bool {
-        self.default_success >= 1.0
-            && self.link_success.is_empty()
-            && self.jitter == Jitter::None
-            && self.partitions.is_empty()
-            && self.stragglers.is_empty()
-            && self.crashes.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -316,12 +289,11 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn loss_makes_a_plan_non_trivial() {
+    fn builder_sets_latency_and_loss() {
         let plan = FaultPlan::new().with_latency(0.25).with_default_success(0.7);
         assert_eq!(plan.latency, 0.25);
         assert_eq!(plan.default_success, 0.7);
-        assert!(!plan.is_trivial());
-        assert!(FaultPlan::new().with_latency(0.25).is_trivial());
+        assert_eq!(plan.success_prob(0, 1), 0.7);
     }
 
     #[test]
@@ -353,8 +325,9 @@ mod tests {
         assert_eq!(plan.block_reason(1, 3, 7.0), Some(BlockReason::Crash));
         // After restart the partition (which also isolates 3) still bites.
         assert_eq!(plan.block_reason(1, 3, 50.0), Some(BlockReason::Partition));
-        assert!(plan.is_crashed(3, 7.0));
-        assert!(!plan.is_crashed(3, 10.0));
+        // The window is half-open: at 10.0 only the partition still bites.
+        assert_eq!(plan.block_reason(3, 0, 9.9), Some(BlockReason::Crash));
+        assert_eq!(plan.block_reason(3, 0, 10.0), Some(BlockReason::Partition));
     }
 
     #[test]
@@ -395,17 +368,11 @@ mod tests {
     fn permanent_crash_never_restarts() {
         let plan = FaultPlan::new().with_permanent_crash(3, 50.0).with_crash(7, 50.0, 80.0);
         // Node 3 is fail-stop: down forever after 50.0.
-        assert!(!plan.is_crashed(3, 49.9));
-        assert!(plan.is_crashed(3, 50.0));
-        assert!(plan.is_crashed(3, 1e12));
-        assert!(plan.is_permanently_crashed(3));
-        // Node 7 restarts at 80.0 and is not permanent.
-        assert!(plan.is_crashed(7, 60.0));
-        assert!(!plan.is_crashed(7, 80.0));
-        assert!(!plan.is_permanently_crashed(7));
-        assert!(!plan.is_permanently_crashed(0));
-        // Both shapes block sends while down.
-        assert_eq!(plan.block_reason(3, 0, 100.0), Some(BlockReason::Crash));
-        assert_eq!(plan.block_reason(0, 7, 100.0), None);
+        assert_eq!(plan.block_reason(3, 0, 49.9), None);
+        assert_eq!(plan.block_reason(3, 0, 50.0), Some(BlockReason::Crash));
+        assert_eq!(plan.block_reason(0, 3, 1e12), Some(BlockReason::Crash));
+        // Node 7 restarts at 80.0.
+        assert_eq!(plan.block_reason(0, 7, 60.0), Some(BlockReason::Crash));
+        assert_eq!(plan.block_reason(0, 7, 80.0), None);
     }
 }

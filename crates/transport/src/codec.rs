@@ -19,12 +19,6 @@ pub const PAPER_LOOKUP_BYTES: usize = 50;
 /// Fixed per-message framing overhead (headers, destination key).
 pub const PAPER_HEADER_BYTES: usize = 40;
 
-/// Bytes per id-form record (`u32 from | u32 to | f64 score`): what a
-/// record costs once both endpoints are known page ids instead of URLs —
-/// the first compression idea in [`crate::compress`], which shrinks a
-/// record from ~100 to 16 bytes.
-pub const ID_RECORD_BYTES: usize = 16;
-
 /// A single rank-transfer record: page `from_page` (in the sending group)
 /// confers rank `score` on `to_page` (in the receiving group) through a
 /// hyperlink.
@@ -232,10 +226,5 @@ mod tests {
         let frame = enc.encode_batch(vec![(u, "http://a.edu/", "http://b.edu/"); 2]).to_vec();
         assert!(decode_batch(&frame[..frame.len() - 1]).is_none());
         assert_eq!(decode_batch(&[]).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn id_record_is_two_ids_and_a_score() {
-        assert_eq!(ID_RECORD_BYTES, std::mem::size_of::<u32>() * 2 + std::mem::size_of::<f64>());
     }
 }

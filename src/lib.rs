@@ -27,8 +27,8 @@
 
 #![warn(missing_docs)]
 
-/// Sparse linear algebra: CSR matrices, fixed-point solver, convergence
-/// theory (Theorems 3.1–3.3, appendix lemmas).
+/// Sparse linear algebra: CSR matrices and the fixed-point solver, with
+/// Theorem 3.3's error bound on every solve.
 pub use dpr_linalg as linalg;
 
 /// Web link graphs: builders, generators (incl. the edu-domain dataset
@@ -50,7 +50,7 @@ pub use dpr_transport as transport;
 pub use dpr_sim as sim;
 
 /// The core algorithms: Open System PageRank, GroupPageRank, DPR1/DPR2,
-/// CPR, HITS, personalized ranking, and the hosts that run them (§2–§5).
+/// CPR, HITS, the rank store, and the hosts that run them (§2–§5).
 pub use dpr_core as core;
 
 /// The analytic cost model: §4.4's closed-form costs of direct and

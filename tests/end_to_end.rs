@@ -2,7 +2,8 @@
 //! asynchronous simulation → convergence against the centralized baseline,
 //! across datasets, strategies, variants and failure levels.
 
-use dpr::core::metrics::{sampled_order_agreement, top_k_overlap};
+use dpr::core::config::EVector;
+use dpr::core::metrics::top_k;
 use dpr::core::{
     open_pagerank, try_run_over_network_observed, DprVariant, NetRunConfig, NetRunResult,
     RankConfig, RunRecorder,
@@ -44,9 +45,9 @@ fn dpr1_matches_cpr_on_edu_graph() {
     let (res, _) = rank(&g, base_cfg());
     let star = open_pagerank(&g, &RankConfig::default()).ranks;
     assert!(res.final_rel_err < 1e-4, "rel err {}", res.final_rel_err);
-    // The rankings agree, not just the error norm.
-    assert!(sampled_order_agreement(&res.final_ranks, &star, 20_000, 7) > 0.999);
-    assert_eq!(top_k_overlap(&res.final_ranks, &star, 50), 1.0);
+    // The rankings agree, not just the error norm: the same 50 best pages
+    // in the same order.
+    assert_eq!(top_k(&res.final_ranks, 50), top_k(&star, 50));
 }
 
 #[test]
@@ -138,8 +139,9 @@ fn distributed_personalized_ranking_converges() {
     // machinery must converge to the personalized fixed point too.
     let g =
         edu_domain(&EduDomainConfig { n_pages: 1_500, n_sites: 15, ..EduDomainConfig::default() });
-    let e = dpr::core::personalized::site_biased_e(&g, 3, 0.1, 2.0);
-    let personal = RankConfig { e, ..RankConfig::default() };
+    // Site 3's pages get 20 times the rank source of every other page.
+    let e = (0..g.n_pages() as u32).map(|p| if g.site(p) == 3 { 2.0 } else { 0.1 }).collect();
+    let personal = RankConfig { e: EVector::Custom(e), ..RankConfig::default() };
     let (res, _) =
         rank(&g, NetRunConfig { rank: personal, send_success_prob: 0.7, ..with_k(8, base_cfg()) });
     assert!(res.final_rel_err < 1e-4, "rel err {}", res.final_rel_err);

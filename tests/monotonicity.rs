@@ -5,7 +5,7 @@
 use dpr::core::{open_pagerank, try_run_over_network_observed, DprVariant, NetRunConfig};
 use dpr::core::{RankConfig, RunRecorder};
 use dpr::graph::generators::{random, toy};
-use dpr::linalg::{theory, TripletMatrix};
+use dpr::linalg::{Csr, FixedPointSolver, TripletMatrix};
 use dpr::partition::Strategy;
 use dpr::sim::FaultPlan;
 use proptest::prelude::*;
@@ -18,6 +18,37 @@ fn run_checked(g: &dpr::graph::WebGraph, cfg: NetRunConfig) -> RunRecorder {
     try_run_over_network_observed(g, cfg, None, &mut |s| rec.observe(s))
         .expect("a valid configuration");
     rec
+}
+
+/// Appendix Lemma 1 — `A ≥ 0`, `f ≥ 0`, `‖A‖∞ < 1` ⇒ the fixed point of
+/// `r = Ar + f` is non-negative — checked on the product solver's fixed
+/// point (up to `-tol` float jitter). The premises are asserted.
+fn lemma1_nonneg_fixed_point_holds(a: &Csr, f: &[f64], tol: f64) -> bool {
+    assert!(is_nonneg_matrix(a), "Lemma 1 premise: A >= 0");
+    assert!(f.iter().all(|v| *v >= 0.0), "Lemma 1 premise: f >= 0");
+    assert!(a.inf_norm() < 1.0, "Lemma 1 premise: ||A||_inf < 1");
+    let mut r = vec![0.0; f.len()];
+    FixedPointSolver::new(tol * 1e-3).solve(a, f, &mut r);
+    r.iter().all(|v| *v >= -tol)
+}
+
+/// Appendix Lemma 2 — under Lemma 1's premises on `A`, `f₁ ≥ f₂ ⇒ r₁ ≥ r₂`
+/// element-wise (up to `tol`) — checked on the product solver's fixed
+/// points. The engine behind Theorems 4.1/4.2.
+fn lemma2_monotone_in_f_holds(a: &Csr, f1: &[f64], f2: &[f64], tol: f64) -> bool {
+    assert!(is_nonneg_matrix(a), "Lemma 2 premise: A >= 0");
+    assert!(a.inf_norm() < 1.0, "Lemma 2 premise: ||A||_inf < 1");
+    assert!(f1.iter().zip(f2).all(|(x, y)| x >= y), "Lemma 2 premise: f1 >= f2 element-wise");
+    let solver = FixedPointSolver::new(tol * 1e-3);
+    let mut r1 = vec![0.0; f1.len()];
+    let mut r2 = vec![0.0; f2.len()];
+    solver.solve(a, f1, &mut r1);
+    solver.solve(a, f2, &mut r2);
+    r1.iter().zip(&r2).all(|(x, y)| *x >= *y - tol)
+}
+
+fn is_nonneg_matrix(a: &Csr) -> bool {
+    (0..a.n_rows()).flat_map(|r| a.row(r)).all(|(_, v)| v >= 0.0)
 }
 
 proptest! {
@@ -94,7 +125,7 @@ proptest! {
         let a = t.to_csr();
         prop_assume!(a.inf_norm() < 1.0);
         let f: Vec<f64> = (0..dim).map(|i| f_scale * ((i as u64 ^ seed) % 7) as f64 / 7.0).collect();
-        prop_assert!(theory::check_lemma1_nonneg_fixed_point(&a, &f, 1e-9));
+        prop_assert!(lemma1_nonneg_fixed_point_holds(&a, &f, 1e-9));
     }
 
     /// Appendix Lemma 2: the fixed point is monotone in f.
@@ -115,7 +146,7 @@ proptest! {
         let f2: Vec<f64> = (0..dim).map(|i| i as f64 * 0.1).collect();
         let f1: Vec<f64> =
             f2.iter().enumerate().map(|(i, v)| v + bump.get(i % bump.len()).copied().unwrap_or(0.0)).collect();
-        prop_assert!(theory::check_lemma2_monotone_in_f(&a, &f1, &f2, 1e-9));
+        prop_assert!(lemma2_monotone_in_f_holds(&a, &f1, &f2, 1e-9));
     }
 
     /// Theorem 3.3's stopping rule: wherever the solver reports

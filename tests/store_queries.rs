@@ -3,17 +3,17 @@
 //! `Ranker`s at the same epoch — including while the engine keeps
 //! committing and readers race publication — and old views stay frozen.
 //! The rankers come from netrun's sample hook, at the instant the driver
-//! samples the run.
+//! samples the run; the scatter-gather is a naive model in this file.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpr::core::netrun::{
     try_run_over_network_observed, try_run_over_network_with_store, NetRunConfig,
 };
-use dpr::core::query::{distributed_top_k, local_top_k, site_totals};
 use dpr::core::store::GroupPublish;
-use dpr::core::{metrics, RankStore, Sample};
+use dpr::core::{metrics, Hit, RankStore, Ranker, Sample};
 use dpr::graph::generators::edu::{edu_domain, EduDomainConfig};
 use dpr::graph::{PageId, WebGraph};
 use dpr::partition::Strategy;
@@ -22,12 +22,54 @@ fn graph() -> WebGraph {
     edu_domain(&EduDomainConfig::small())
 }
 
-/// Ranks `g` in eight by-site DPR1 groups on eight nodes, every node
-/// thinking once per time unit on average, and hands `observe` the live
-/// rankers every `sample_every` units until `t_end`.
-fn run(g: &WebGraph, seed: u64, sample_every: f64, t_end: f64, mut observe: impl FnMut(&Sample)) {
+/// The scatter-gather model of a top-`k` query: every page of every live
+/// ranker (only the candidates, if given, each page once), fully sorted
+/// by rank descending with ties by ascending page id, cut to `k`.
+fn model_top_k(rankers: &[&Ranker], k: usize, candidates: Option<&[PageId]>) -> Vec<Hit> {
+    let wanted: Option<HashSet<PageId>> = candidates.map(|c| c.iter().copied().collect());
+    let mut hits: Vec<Hit> = rankers
+        .iter()
+        .flat_map(|r| r.ctx().pages().iter().zip(r.ranks()))
+        .filter(|(p, _)| wanted.as_ref().is_none_or(|w| w.contains(p)))
+        .map(|(&page, &rank)| Hit { page, rank })
+        .collect();
+    hits.sort_by(|a, b| b.rank.total_cmp(&a.rank).then(a.page.cmp(&b.page)));
+    hits.truncate(k);
+    hits
+}
+
+/// The model of the per-site rank mass: each group's pages summed per
+/// site in local page order, and the group partials added into the totals
+/// in ascending group id.
+fn model_site_totals(rankers: &[&Ranker], site_of: &[u32], n_sites: usize) -> Vec<f64> {
+    let mut by_group = rankers.to_vec();
+    by_group.sort_by_key(|r| r.ctx().group_id());
+    let mut totals = vec![0.0; n_sites];
+    for r in by_group {
+        let mut partial = vec![0.0; n_sites];
+        for (&p, &rank) in r.ctx().pages().iter().zip(r.ranks()) {
+            partial[site_of[p as usize] as usize] += rank;
+        }
+        for (t, p) in totals.iter_mut().zip(&partial) {
+            *t += *p;
+        }
+    }
+    totals
+}
+
+/// Ranks `g` in eight DPR1 groups on eight nodes, every node thinking
+/// once per time unit on average, and hands `observe` the live rankers
+/// every `sample_every` units until `t_end`.
+fn run(
+    g: &WebGraph,
+    strategy: Strategy,
+    seed: u64,
+    sample_every: f64,
+    t_end: f64,
+    mut observe: impl FnMut(&Sample),
+) {
     let cfg = NetRunConfig {
-        strategy: Strategy::HashBySite,
+        strategy,
         t1: 1.0,
         t2: 1.0,
         seed,
@@ -42,7 +84,7 @@ fn site_map(g: &WebGraph) -> Vec<u32> {
     (0..g.n_pages() as u32).map(|p| g.site(p)).collect()
 }
 
-fn assert_hits_bits_equal(a: &[dpr::core::Hit], b: &[dpr::core::Hit], what: &str) {
+fn assert_hits_bits_equal(a: &[Hit], b: &[Hit], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.page, y.page, "{what}: page mismatch");
@@ -91,27 +133,23 @@ fn store_matches_live_rankers_at_every_epoch_under_concurrent_reads() {
 
     let candidates: Vec<PageId> = (0..60).chain([7, 7, 13]).collect();
     let mut distinct_rankings = 0usize;
-    let mut last_top: Option<Vec<dpr::core::Hit>> = None;
-    run(&g, 3, 10.0, 120.0, |sample| {
+    let mut last_top: Option<Vec<Hit>> = None;
+    run(&g, Strategy::HashBySite, 3, 10.0, 120.0, |sample| {
         store.publish_rankers(sample.rankers.iter().copied());
         let v = store.view();
 
         // Bit-identity against the live rankers at this exact epoch.
-        let live = distributed_top_k(sample.rankers, 10, None);
+        let live = model_top_k(sample.rankers, 10, None);
         assert_hits_bits_equal(&v.top_k(10), &live, "global top-k");
-        let live_c = distributed_top_k(sample.rankers, 5, Some(&candidates));
+        let live_c = model_top_k(sample.rankers, 5, Some(&candidates));
         assert_hits_bits_equal(&v.top_k_candidates(5, &candidates), &live_c, "candidate top-k");
         let global = sample.global;
         for p in [0u32, 7, 131, 999, g.n_pages() as u32 - 1] {
             let l = v.lookup(p).expect("every page is owned");
             assert_eq!(l.rank.to_bits(), global[p as usize].to_bits(), "point lookup page {p}");
         }
-        let live_sites = site_totals(sample.rankers, &site_of, n_sites);
-        let stored_sites = v.site_totals().expect("store built with site info");
-        assert_eq!(stored_sites.len(), live_sites.len());
-        for (s, (a, b)) in stored_sites.iter().zip(&live_sites).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "site {s} aggregate bits differ");
-        }
+        let live_sites = model_site_totals(sample.rankers, &site_of, n_sites);
+        assert_sites_bits_equal(v.site_totals().expect("store built with site info"), &live_sites);
 
         if last_top.as_ref() != Some(&live) {
             distinct_rankings += 1;
@@ -140,18 +178,18 @@ fn mid_run_snapshot_stays_frozen_while_store_advances() {
     let mut pinned = None;
     let mut fin_live = Vec::new();
     let mut global = Vec::new();
-    run(&g, 3, 6.0, 120.0, |sample| {
+    run(&g, Strategy::HashBySite, 3, 6.0, 120.0, |sample| {
         if pinned.is_none() {
             store.publish_rankers(sample.rankers.iter().copied());
             let mid = store.view();
             let mid_top = mid.top_k(10);
-            let mid_live = distributed_top_k(sample.rankers, 10, None);
+            let mid_live = model_top_k(sample.rankers, 10, None);
             assert_hits_bits_equal(&mid_top, &mid_live, "mid-run top-k");
             let mid_epochs: Vec<Option<u64>> = (0..8).map(|gid| mid.group_epoch(gid)).collect();
             pinned = Some((mid, mid_top, mid_epochs));
         } else if sample.t == 120.0 {
             store.publish_rankers(sample.rankers.iter().copied());
-            fin_live = distributed_top_k(sample.rankers, 10, None);
+            fin_live = model_top_k(sample.rankers, 10, None);
             global = sample.global.to_vec();
         }
     });
@@ -178,46 +216,62 @@ fn mid_run_snapshot_stays_frozen_while_store_advances() {
     }
 }
 
-/// Edge cases, each checked against the scatter-gather reference:
-/// `k == 0`, candidates nobody owns, duplicates, and `k` beyond the page
-/// count (the store's beyond-cap fallback path).
+fn assert_sites_bits_equal(stored: &[f64], live: &[f64]) {
+    assert_eq!(stored.len(), live.len());
+    for (s, (a, b)) in stored.iter().zip(live).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "site {s} aggregate bits differ");
+    }
+}
+
+/// Edge cases, each checked against the scatter-gather model: `k == 0`,
+/// candidates nobody owns, duplicates, `k` beyond the page count (the
+/// store's beyond-cap fallback path), and site totals when every site
+/// spans several groups (pages placed by URL hash).
 #[test]
 fn query_edge_cases_match_scatter_gather() {
     let g = graph();
-    run(&g, 5, 80.0, 80.0, |sample| query_edge_cases(&g, sample.rankers));
+    run(&g, Strategy::HashByUrl, 5, 80.0, 80.0, |sample| query_edge_cases(&g, sample.rankers));
 }
 
-fn query_edge_cases(g: &WebGraph, nodes: &[&dpr::core::Ranker]) {
-    let store = RankStore::new(8);
+fn query_edge_cases(g: &WebGraph, nodes: &[&Ranker]) {
+    let site_of = site_map(g);
+    let store = RankStore::new(8).with_sites(site_of.clone(), g.n_sites());
     store.publish_rankers(nodes.iter().copied());
     let v = store.view();
 
     // k == 0.
     assert!(v.top_k(0).is_empty());
-    assert!(distributed_top_k(nodes, 0, None).is_empty());
     assert!(v.top_k_candidates(0, &[1, 2, 3]).is_empty());
-    assert!(local_top_k(nodes[0], 0, None).is_empty());
 
     // All candidates unowned (beyond the page space).
     let ghosts: Vec<PageId> = (0..10).map(|i| g.n_pages() as u32 + i).collect();
     assert!(v.top_k_candidates(5, &ghosts).is_empty());
-    assert!(distributed_top_k(nodes, 5, Some(&ghosts)).is_empty());
     assert!(v.lookup(ghosts[0]).is_none());
 
     // Mixed owned/unowned with duplicates still agrees bit-for-bit.
     let mixed: Vec<PageId> = vec![5, 5, g.n_pages() as u32 + 1, 17, 5, 17];
     assert_hits_bits_equal(
         &v.top_k_candidates(10, &mixed),
-        &distributed_top_k(nodes, 10, Some(&mixed)),
+        &model_top_k(nodes, 10, Some(&mixed)),
         "mixed candidates",
     );
 
     // k far beyond the page count and the store's topk cap: the fallback
-    // merge returns every page, same order, same bits.
+    // merge returns every page, same order (ties included), same bits.
     let all_store = v.top_k(g.n_pages() + 50);
-    let all_live = distributed_top_k(nodes, g.n_pages() + 50, None);
+    let all_live = model_top_k(nodes, g.n_pages() + 50, None);
     assert_eq!(all_store.len(), g.n_pages());
     assert_hits_bits_equal(&all_store, &all_live, "full-ranking fallback");
+    let tied = all_live.windows(2).filter(|w| w[0].rank.to_bits() == w[1].rank.to_bits()).count();
+    assert!(tied > 0, "no two pages share a rank: the tie-break went unchecked");
+
+    // Pages are placed by URL hash, so a site spans several groups and the
+    // order the group partials are added in shows in the bits.
+    let spans =
+        nodes.iter().filter(|r| r.ctx().pages().iter().any(|&p| site_of[p as usize] == 0)).count();
+    assert!(spans > 2, "site 0 spans {spans} groups: the fold order went unchecked");
+    let live_sites = model_site_totals(nodes, &site_of, g.n_sites());
+    assert_sites_bits_equal(v.site_totals().expect("store built with site info"), &live_sites);
 }
 
 /// Readers racing a publisher that alternates between two whole-system
