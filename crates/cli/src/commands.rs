@@ -1,5 +1,7 @@
 //! The `dpr` subcommand implementations.
 
+use std::io::Write;
+
 use dpr_core::centralized::{open_pagerank, pagerank};
 use dpr_core::hits::{hits, HitsConfig};
 use dpr_core::metrics::{top_k, top_k_among};
@@ -78,7 +80,11 @@ COMMANDS:
             Capacity planning (paper Table 1 math).
 ";
 
-type CmdResult = Result<(), String>;
+/// What every command returns. Each writes its report to the writer it is
+/// handed and propagates a failed write as its `io::Error`, so a reader
+/// that goes away ends the command instead of panicking it; every other
+/// failure is a message.
+pub type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
 /// Loads a graph in either format, sniffing the binary snapshot magic.
 fn load_graph(path: &str) -> Result<WebGraph, String> {
@@ -106,7 +112,7 @@ fn parse_strategy(name: &str) -> Result<Strategy, String> {
 }
 
 /// `dpr generate`
-pub fn generate(args: &Args) -> CmdResult {
+pub fn generate(args: &Args, w: &mut dyn Write) -> CmdResult {
     let out = args.get_str("out", "");
     if out.is_empty() {
         return Err("generate needs --out FILE".into());
@@ -124,17 +130,17 @@ pub fn generate(args: &Args) -> CmdResult {
         // never materialized in memory, so 10M-page graphs are fine.
         dpr_graph::generators::edu_domain_to_snapshot_path(&cfg, out)
             .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("streamed {} pages to binary snapshot {out}", cfg.n_pages);
+        writeln!(w, "streamed {} pages to binary snapshot {out}", cfg.n_pages)?;
         return Ok(());
     }
     let g = edu_domain(&cfg);
     dpr_graph::io::save(&g, out).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {} pages / {} links to {out}", g.n_pages(), g.n_internal_links());
+    writeln!(w, "wrote {} pages / {} links to {out}", g.n_pages(), g.n_internal_links())?;
     Ok(())
 }
 
 /// `dpr crawl`
-pub fn crawl(args: &Args) -> CmdResult {
+pub fn crawl(args: &Args, w: &mut dyn Write) -> CmdResult {
     let out = args.get_str("out", "");
     if out.is_empty() {
         return Err("crawl needs --out FILE".into());
@@ -149,7 +155,7 @@ pub fn crawl(args: &Args) -> CmdResult {
         "firewall" => Mode::Firewall,
         "crossover" => Mode::CrossOver,
         "exchange" => Mode::Exchange,
-        other => return Err(format!("unknown mode `{other}`")),
+        other => return Err(format!("unknown mode `{other}`").into()),
     };
     let agents = args.get("agents", 4usize)?;
     let budget = CrawlBudget { max_pages: args.get("budget", usize::MAX)? };
@@ -157,41 +163,42 @@ pub fn crawl(args: &Args) -> CmdResult {
     let res = parallel_crawl(&web, agents, mode, budget);
     let g = crawl_to_graph(&web, &res.fetched);
     dpr_graph::io::save(&g, out).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    writeln!(
+        w,
         "crawled {} pages ({:.1}% of the web) with {agents} agents ({} URLs exchanged, {} overlap)",
         g.n_pages(),
         res.outcome.coverage * 100.0,
         res.outcome.urls_exchanged,
         res.outcome.overlap
-    );
-    println!("wrote {out}");
+    )?;
+    writeln!(w, "wrote {out}")?;
     Ok(())
 }
 
 /// `dpr stats`
-pub fn stats(args: &Args) -> CmdResult {
+pub fn stats(args: &Args, w: &mut dyn Write) -> CmdResult {
     args.reject_unread()?;
     let g = load_graph(args.positional(0, "graph")?)?;
-    println!("{}", GraphStats::compute(&g));
+    writeln!(w, "{}", GraphStats::compute(&g))?;
     Ok(())
 }
 
 /// `dpr partition`
-pub fn partition(args: &Args) -> CmdResult {
+pub fn partition(args: &Args, w: &mut dyn Write) -> CmdResult {
     let k = args.get("k", 64usize)?;
     let strategy = parse_strategy(args.get_str("strategy", "site"))?;
     args.reject_unread()?;
     let g = load_graph(args.positional(0, "graph")?)?;
     let p = Partition::build(&g, &strategy, k, 0);
     let m = PartitionMetrics::compute(&g, &p);
-    println!("strategy {} over K = {k} groups:", strategy.name());
-    println!("{m}");
-    println!("stable across re-crawls: {}", strategy.is_stable());
+    writeln!(w, "strategy {} over K = {k} groups:", strategy.name())?;
+    writeln!(w, "{m}")?;
+    writeln!(w, "stable across re-crawls: {}", strategy.is_stable())?;
     Ok(())
 }
 
 /// `dpr rank`
-pub fn rank(args: &Args) -> CmdResult {
+pub fn rank(args: &Args, w: &mut dyn Write) -> CmdResult {
     let top = args.get("top", 10usize)?;
     let cfg = RankConfig { alpha: args.get("alpha", 0.85f64)?, ..RankConfig::default() };
     let algo = args.get_str("algo", "cpr");
@@ -210,11 +217,11 @@ pub fn rank(args: &Args) -> CmdResult {
             let out = hits(&g, &HitsConfig::default());
             ("HITS authorities", out.authorities, out.iterations)
         }
-        other => return Err(format!("unknown algo `{other}` (cpr|pagerank|hits)")),
+        other => return Err(format!("unknown algo `{other}` (cpr|pagerank|hits)").into()),
     };
-    println!("{name}: converged in {iterations} iterations\n");
+    writeln!(w, "{name}: converged in {iterations} iterations\n")?;
     for p in top_k(&ranks, top) {
-        println!("{:>12.5}  {}", ranks[p as usize], g.url_of(p));
+        writeln!(w, "{:>12.5}  {}", ranks[p as usize], g.url_of(p))?;
     }
     Ok(())
 }
@@ -252,7 +259,7 @@ fn parse_partition(spec: &str) -> Result<(f64, f64, Vec<usize>), String> {
 
 /// The `--net` branch of `dpr simulate`: the whole-system simulator with
 /// overlay routing, fault injection and optional reliable delivery.
-fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
+fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant, w: &mut dyn Write) -> CmdResult {
     use dpr_core::{OverlayKind, Reliability, Transmission};
     use dpr_sim::FaultPlan;
 
@@ -262,12 +269,12 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         "pastry" => OverlayKind::Pastry,
         "chord" => OverlayKind::Chord,
         "can" => OverlayKind::Can { d: can_dims },
-        other => return Err(format!("unknown overlay `{other}` (pastry|chord|can)")),
+        other => return Err(format!("unknown overlay `{other}` (pastry|chord|can)").into()),
     };
     let transmission = match args.get_str("transmission", "indirect") {
         "indirect" => Transmission::Indirect,
         "direct" => Transmission::Direct,
-        other => return Err(format!("unknown transmission `{other}` (indirect|direct)")),
+        other => return Err(format!("unknown transmission `{other}` (indirect|direct)").into()),
     };
     let reliability = Reliability {
         ack_timeout: args.get("ack-timeout", Reliability::default().ack_timeout)?,
@@ -314,10 +321,10 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
             return Err("--churn-rate and --deltas are mutually exclusive".into());
         }
         if !(every > 0.0 && every.is_finite()) {
-            return Err(format!("--churn-every must be positive and finite, got {every}"));
+            return Err(format!("--churn-every must be positive and finite, got {every}").into());
         }
         if !t_end.is_finite() {
-            return Err(format!("--churn-rate needs a finite --t-end, got {t_end}"));
+            return Err(format!("--churn-rate needs a finite --t-end, got {t_end}").into());
         }
         let mut t = every;
         while t < t_end {
@@ -332,7 +339,7 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         let mut out = Vec::with_capacity(delta_spec.len());
         for (i, &(t, frac)) in delta_spec.iter().enumerate() {
             if !(0.0..=1.0).contains(&frac) {
-                return Err(format!("churn fraction must be in [0, 1], got {frac}"));
+                return Err(format!("churn fraction must be in [0, 1], got {frac}").into());
             }
             let d = dpr_graph::GraphDelta::link_churn(&live, frac, seed.wrapping_add(i as u64 + 1));
             live = d.apply(&live);
@@ -376,46 +383,52 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     });
     let res = dpr_core::netrun::try_run_over_network_with_store(g, cfg, store.as_ref())
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        w,
         "whole-system run: {k} groups on {n_nodes} {overlay:?} nodes, {transmission:?} transmission"
-    );
-    println!(
+    )?;
+    writeln!(
+        w,
         "network: {} data msgs, {} lookups, {:.1} MB on the wire, {:.2} mean route hops",
         res.counters.data_messages,
         res.counters.lookup_messages,
         res.counters.bytes as f64 / 1e6,
         res.mean_route_hops
-    );
-    println!(
+    )?;
+    writeln!(
+        w,
         "message path: {} parts coalesced away, route cache {:.1}% hit rate ({} hits / {} misses, {} invalidations)",
         res.counters.coalesced_parts,
         res.route_cache.hit_rate() * 100.0,
         res.route_cache.hits,
         res.route_cache.misses,
         res.route_cache.invalidations
-    );
+    )?;
     if res.counters.acks > 0 || res.counters.retries > 0 {
-        println!(
+        writeln!(
+        w,
             "reliability: {} acks, {} retries, {} duplicates suppressed, {} abandoned ({} updates gave up)",
             res.counters.acks,
             res.counters.retries,
             res.counters.duplicates_suppressed,
             res.counters.retry_exhausted,
             res.counters.gave_up
-        );
+        )?;
     }
     if res.counters.checkpoints_sent > 0 || res.counters.takeovers_cold > 0 {
-        println!(
+        writeln!(
+            w,
             "replication: {} checkpoints ({:.1} MB), {} warm takeovers, {} cold takeovers",
             res.counters.checkpoints_sent,
             res.counters.checkpoint_bytes as f64 / 1e6,
             res.counters.takeovers_warm,
             res.counters.takeovers_cold
-        );
+        )?;
     }
     let s = res.sim_stats;
     let p = res.phase_secs;
-    println!(
+    writeln!(
+        w,
         "engine: {} sends, {} dropped ({} by partition, {} by crash), {} delivered; \
          {:.3}s = deliver {:.3} + refresh {:.3} + solve {:.3} ({:.1}M rows/s) + compute-y {:.3} \
          + dispatch {:.3} + sample {:.3} + publish {:.3} + other {:.3}",
@@ -436,36 +449,40 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         p.sample,
         p.publish,
         res.engine_secs - p.total(),
-    );
+    )?;
     if engine_workers > 1 {
         let b = res.sched_stats;
-        println!(
+        writeln!(
+            w,
             "parallel engine: {engine_workers} workers, {} batches (max {} wakes, {} singleton)",
             b.batches, b.max_batch, b.singleton_batches
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        w,
         "inner solver: {} sweeps run, {} saved",
         res.counters.inner_sweeps, res.counters.sweeps_saved
-    );
-    println!("final relative error {:.6}%", res.final_rel_err * 100.0);
+    )?;
+    writeln!(w, "final relative error {:.6}%", res.final_rel_err * 100.0)?;
     match res.rel_err.first_time_below(1e-3) {
-        Some(t) => println!("reached 0.1% relative error at t = {t:.1}"),
-        None => println!("did not reach 0.1% relative error within t = {t_end}"),
+        Some(t) => writeln!(w, "reached 0.1% relative error at t = {t:.1}")?,
+        None => writeln!(w, "did not reach 0.1% relative error within t = {t_end}")?,
     }
     if n_deltas > 0 {
-        println!(
+        writeln!(
+            w,
             "crawl deltas: {n_deltas} applied, {} shipments, {:.1} KB on the wire",
             res.counters.delta_messages,
             res.counters.delta_bytes as f64 / 1e3
-        );
+        )?;
         if let Some(t0) = last_delta_at {
             match res.rel_err.first_time_below_after(t0, 1e-3) {
-                Some(t) => println!(
+                Some(t) => writeln!(
+        w,
                     "warm re-convergence: back under 0.1% at t = {t:.1} ({:.1} after the last delta)",
                     t - t0
-                ),
-                None => println!("did not re-converge after the last delta within t = {t_end}"),
+                )?,
+                None => writeln!(w, "did not re-converge after the last delta within t = {t_end}")?,
             }
         }
     }
@@ -475,35 +492,36 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         let hits = v.top_k(store_topk);
         let identical = hits.len() == store_topk.min(g.n_pages())
             && hits.iter().all(|h| h.rank.to_bits() == res.final_ranks[h.page as usize].to_bits());
-        println!(
+        writeln!(
+        w,
             "store: view v{} after {} publishes ({} group snapshots accepted, {} skipped as unchanged)",
             v.version(),
             stats.publishes,
             stats.group_updates,
             stats.skipped_updates
-        );
-        println!("store top ranks bit-identical to live final ranks: {identical}");
+        )?;
+        writeln!(w, "store top ranks bit-identical to live final ranks: {identical}")?;
         for h in hits.iter().take(store_topk.min(5)) {
-            println!("{:>12.5}  {}", h.rank, g.url_of(h.page));
+            writeln!(w, "{:>12.5}  {}", h.rank, g.url_of(h.page))?;
         }
     }
     Ok(())
 }
 
 /// `dpr simulate`
-pub fn simulate(args: &Args) -> CmdResult {
+pub fn simulate(args: &Args, w: &mut dyn Write) -> CmdResult {
     let g = load_graph(args.positional(0, "graph")?)?;
     let variant = match args.get_str("variant", "dpr1") {
         "dpr1" => DprVariant::Dpr1,
         "dpr2" => DprVariant::Dpr2,
-        other => return Err(format!("unknown variant `{other}` (dpr1|dpr2)")),
+        other => return Err(format!("unknown variant `{other}` (dpr1|dpr2)").into()),
     };
     let p = args.get("p", 1.0f64)?;
     if !(0.0..=1.0).contains(&p) {
-        return Err(format!("--p must be a probability in [0, 1], got {p}"));
+        return Err(format!("--p must be a probability in [0, 1], got {p}").into());
     }
     if args.flag("net")? {
-        return simulate_net(args, &g, variant);
+        return simulate_net(args, &g, variant, w);
     }
     let k = args.get("k", 100usize)?;
     if k == 0 {
@@ -522,16 +540,17 @@ pub fn simulate(args: &Args) -> CmdResult {
                 ..dpr_core::ThreadedRunConfig::default()
             },
         );
-        println!(
+        writeln!(
+            w,
             "threaded run: {} rounds, {} messages, final relative error {:.6}%",
             res.rounds,
             res.messages,
             res.final_rel_err * 100.0
-        );
+        )?;
         if let Some(path) = save_ranks {
             dpr_core::ranks_io::save(&res.final_ranks, path)
                 .map_err(|e| format!("cannot write ranks to {path}: {e}"))?;
-            println!("saved converged ranks to {path}");
+            writeln!(w, "saved converged ranks to {path}")?;
         }
         return Ok(());
     }
@@ -548,11 +567,12 @@ pub fn simulate(args: &Args) -> CmdResult {
     if !(t_end > 0.0 && t_end.is_finite() && sample_every > 0.0) {
         return Err(format!(
             "--t-end and --sample-every must be positive, got {t_end} and {sample_every}"
-        ));
+        )
+        .into());
     }
     let (t1, t2) = (args.get("t1", 0.0f64)?, args.get("t2", 6.0f64)?);
     if !(t1 >= 0.0 && t1 <= t2 && t2.is_finite()) {
-        return Err(format!("--t1/--t2 must satisfy 0 <= t1 <= t2, got {t1} and {t2}"));
+        return Err(format!("--t1/--t2 must satisfy 0 <= t1 <= t2, got {t1} and {t2}").into());
     }
     let cfg = NetRunConfig {
         variant,
@@ -574,30 +594,33 @@ pub fn simulate(args: &Args) -> CmdResult {
     if let Some(path) = save_ranks {
         dpr_core::ranks_io::save(&res.final_ranks, path)
             .map_err(|e| format!("cannot write ranks to {path}: {e}"))?;
-        println!("saved converged ranks to {path}");
+        writeln!(w, "saved converged ranks to {path}")?;
     }
-    println!("K = {k} rankers ({} active), variant {variant:?}", rec.active_groups);
-    println!(
+    writeln!(w, "K = {k} rankers ({} active), variant {variant:?}", rec.active_groups)?;
+    writeln!(
+        w,
         "messages: {} sent, {} dropped, {} delivered",
         res.sim_stats.sends_attempted, res.sim_stats.sends_dropped, res.sim_stats.deliveries
-    );
+    )?;
     match res.rel_err.first_time_below(threshold) {
-        Some(t) => println!(
+        Some(t) => writeln!(
+            w,
             "reached 0.01% relative error at t = {t:.1} ({:.1} mean outer iterations)",
             rec.epochs_at_threshold.unwrap_or(f64::NAN)
-        ),
-        None => println!("did not reach 0.01% relative error within t = {t_end}"),
+        )?,
+        None => writeln!(w, "did not reach 0.01% relative error within t = {t_end}")?,
     }
-    println!(
+    writeln!(
+        w,
         "final relative error {:.6}%, average rank {:.4}",
         res.final_rel_err * 100.0,
         rec.avg_rank.last_value().unwrap_or(f64::NAN)
-    );
+    )?;
     Ok(())
 }
 
 /// `dpr top`
-pub fn top(args: &Args) -> CmdResult {
+pub fn top(args: &Args, w: &mut dyn Write) -> CmdResult {
     let ranks_path = args.get_str("ranks", "");
     if ranks_path.is_empty() {
         return Err("top needs --ranks FILE (from `simulate --save-ranks`)".into());
@@ -612,41 +635,44 @@ pub fn top(args: &Args) -> CmdResult {
             "rank file has {} entries but the graph has {} pages",
             ranks.len(),
             g.n_pages()
-        ));
+        )
+        .into());
     }
     let order = match site_filter {
         None => top_k(&ranks, k),
         Some(s) => top_k_among(&ranks, (0..g.n_pages() as u32).filter(|&p| g.site(p) == s), k),
     };
     let summary = dpr_core::metrics::RankSummary::compute(&ranks);
-    println!(
+    writeln!(
+        w,
         "{} pages; mean rank {:.4}, gini {:.3}, p99 {:.4}\n",
         summary.n, summary.mean, summary.gini, summary.p99
-    );
+    )?;
     for p in order {
-        println!("{:>12.5}  {}", ranks[p as usize], g.url_of(p));
+        writeln!(w, "{:>12.5}  {}", ranks[p as usize], g.url_of(p))?;
     }
     Ok(())
 }
 
 /// `dpr analyze`
-pub fn analyze(args: &Args) -> CmdResult {
+pub fn analyze(args: &Args, w: &mut dyn Write) -> CmdResult {
     let sinks_only = args.flag("sinks-only")?;
     args.reject_unread()?;
     let g = load_graph(args.positional(0, "graph")?)?;
     let sccs = dpr_graph::analysis::tarjan_scc(&g);
     let sinks = dpr_graph::analysis::rank_sinks(&g, false);
     let closed: Vec<_> = sinks.iter().filter(|s| s.closed).collect();
-    println!("pages:                {}", g.n_pages());
-    println!("strongly connected components: {}", sccs.n_components);
-    println!("rank sinks (no escaping links): {}", sinks.len());
-    println!("  of which closed (no external links either): {}", closed.len());
+    writeln!(w, "pages:                {}", g.n_pages())?;
+    writeln!(w, "strongly connected components: {}", sccs.n_components)?;
+    writeln!(w, "rank sinks (no escaping links): {}", sinks.len())?;
+    writeln!(w, "  of which closed (no external links either): {}", closed.len())?;
     if let Some(biggest) = closed.iter().max_by_key(|s| s.pages.len()) {
-        println!(
+        writeln!(
+            w,
             "  largest closed sink: {} pages, e.g. {}",
             biggest.pages.len(),
             g.url_of(biggest.pages[0])
-        );
+        )?;
     }
     if !sinks_only {
         // Reachability from each site's first page (crawler seeds).
@@ -662,23 +688,25 @@ pub fn analyze(args: &Args) -> CmdResult {
         };
         let reach = dpr_graph::analysis::reachable_from(&g, &seeds);
         let n_reach = reach.iter().filter(|&&r| r).count();
-        println!(
+        writeln!(
+            w,
             "reachable from site seeds: {} / {} pages ({:.1}%)",
             n_reach,
             g.n_pages(),
             100.0 * n_reach as f64 / g.n_pages().max(1) as f64
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        w,
         "
 (Closed sinks are what §2's rank-sink term is about: without the βE virtual links \
          they swallow all rank; the open-system formulation is immune.)"
-    );
+    )?;
     Ok(())
 }
 
 /// `dpr plan`
-pub fn plan(args: &Args) -> CmdResult {
+pub fn plan(args: &Args, w: &mut dyn Write) -> CmdResult {
     let pages: f64 = args.get("pages", 3.0e9)?;
     let record_bytes: f64 = args.get("record-bytes", 100.0)?;
     let bisection_mb: f64 = args.get("bisection-mb", 100.0)?;
@@ -690,7 +718,7 @@ pub fn plan(args: &Args) -> CmdResult {
         [("pages", pages), ("record-bytes", record_bytes), ("bisection-mb", bisection_mb)]
     {
         if !(v > 0.0 && v.is_finite()) {
-            return Err(format!("--{flag} must be positive and finite, got {v}"));
+            return Err(format!("--{flag} must be positive and finite, got {v}").into());
         }
     }
     if n == 0 {
@@ -702,17 +730,27 @@ pub fn plan(args: &Args) -> CmdResult {
         usable_bisection_bytes_per_sec: bisection_mb * 1e6,
     };
     let row = model.row(n);
-    println!(
+    writeln!(
+        w,
         "ranking {:.2e} pages over {n} rankers (h ≈ {:.2} Pastry hops):",
         model.total_pages,
         pastry_hops(n)
-    );
-    println!("  bytes per iteration:        {:.1} GB", model.bytes_per_iteration(row.hops) / 1e9);
-    println!(
+    )?;
+    writeln!(
+        w,
+        "  bytes per iteration:        {:.1} GB",
+        model.bytes_per_iteration(row.hops) / 1e9
+    )?;
+    writeln!(
+        w,
         "  minimal iteration interval: {:.0} s ({:.1} h)",
         row.min_iteration_interval_secs,
         row.min_iteration_interval_secs / 3600.0
-    );
-    println!("  per-node bottleneck needed: {:.1} KB/s", row.min_bottleneck_bytes_per_sec / 1e3);
+    )?;
+    writeln!(
+        w,
+        "  per-node bottleneck needed: {:.1} KB/s",
+        row.min_bottleneck_bytes_per_sec / 1e3
+    )?;
     Ok(())
 }

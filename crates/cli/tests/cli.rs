@@ -3,10 +3,13 @@
 //! process shows: the exit code, and that a bad run ends at all.
 
 use dpr_cli::args::Args;
-use dpr_cli::commands;
+use dpr_cli::commands::{self, CmdResult};
 
-fn args(s: &[&str]) -> Args {
-    Args::parse(s.iter().map(ToString::to_string))
+type Command = fn(&Args, &mut dyn std::io::Write) -> CmdResult;
+
+/// Runs `command` on `argv`, its report discarded.
+fn run(command: Command, argv: &[&str]) -> CmdResult {
+    command(&Args::parse(argv.iter().map(ToString::to_string)), &mut std::io::sink())
 }
 
 fn tmp(name: &str) -> String {
@@ -18,14 +21,14 @@ fn tmp(name: &str) -> String {
 #[test]
 fn generate_stats_partition_rank_simulate_pipeline() {
     let path = tmp("pipeline.graph");
-    commands::generate(&args(&["generate", "--pages", "3000", "--sites", "20", "--out", &path]))
+    run(commands::generate, &["generate", "--pages", "3000", "--sites", "20", "--out", &path])
         .unwrap();
-    commands::stats(&args(&["stats", &path])).unwrap();
-    commands::partition(&args(&["partition", &path, "--k", "8", "--strategy", "site"])).unwrap();
-    commands::rank(&args(&["rank", &path, "--top", "5"])).unwrap();
-    commands::rank(&args(&["rank", &path, "--algo", "hits", "--top", "3"])).unwrap();
-    commands::rank(&args(&["rank", &path, "--algo", "pagerank"])).unwrap();
-    commands::simulate(&args(&["simulate", &path, "--k", "10", "--p", "0.8", "--t-end", "60"]))
+    run(commands::stats, &["stats", &path]).unwrap();
+    run(commands::partition, &["partition", &path, "--k", "8", "--strategy", "site"]).unwrap();
+    run(commands::rank, &["rank", &path, "--top", "5"]).unwrap();
+    run(commands::rank, &["rank", &path, "--algo", "hits", "--top", "3"]).unwrap();
+    run(commands::rank, &["rank", &path, "--algo", "pagerank"]).unwrap();
+    run(commands::simulate, &["simulate", &path, "--k", "10", "--p", "0.8", "--t-end", "60"])
         .unwrap();
     std::fs::remove_file(&path).ok();
 }
@@ -33,21 +36,24 @@ fn generate_stats_partition_rank_simulate_pipeline() {
 #[test]
 fn crawl_subcommand_produces_rankable_dataset() {
     let path = tmp("crawled.graph");
-    commands::crawl(&args(&[
-        "crawl",
-        "--web-pages",
-        "5000",
-        "--sites",
-        "16",
-        "--agents",
-        "3",
-        "--budget",
-        "400",
-        "--out",
-        &path,
-    ]))
+    run(
+        commands::crawl,
+        &[
+            "crawl",
+            "--web-pages",
+            "5000",
+            "--sites",
+            "16",
+            "--agents",
+            "3",
+            "--budget",
+            "400",
+            "--out",
+            &path,
+        ],
+    )
     .unwrap();
-    commands::rank(&args(&["rank", &path, "--top", "3"])).unwrap();
+    run(commands::rank, &["rank", &path, "--top", "3"]).unwrap();
     std::fs::remove_file(&path).ok();
 }
 
@@ -55,33 +61,21 @@ fn crawl_subcommand_produces_rankable_dataset() {
 fn simulate_save_and_warm_start_roundtrip() {
     let graph = tmp("warm.graph");
     let ranks = tmp("warm.ranks");
-    commands::generate(&args(&["generate", "--pages", "2000", "--sites", "15", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "2000", "--sites", "15", "--out", &graph])
         .unwrap();
-    commands::simulate(&args(&[
-        "simulate",
-        &graph,
-        "--k",
-        "8",
-        "--t-end",
-        "80",
-        "--save-ranks",
-        &ranks,
-    ]))
+    run(
+        commands::simulate,
+        &["simulate", &graph, "--k", "8", "--t-end", "80", "--save-ranks", &ranks],
+    )
     .unwrap();
     let saved = dpr_core::ranks_io::load(&ranks).unwrap();
     assert_eq!(saved.len(), 2000);
     assert!(saved.iter().any(|&r| r > 0.0));
     // Second invocation warm-starts from the saved file.
-    commands::simulate(&args(&[
-        "simulate",
-        &graph,
-        "--k",
-        "8",
-        "--t-end",
-        "40",
-        "--warm-start",
-        &ranks,
-    ]))
+    run(
+        commands::simulate,
+        &["simulate", &graph, "--k", "8", "--t-end", "40", "--warm-start", &ranks],
+    )
     .unwrap();
     std::fs::remove_file(&graph).ok();
     std::fs::remove_file(&ranks).ok();
@@ -90,9 +84,9 @@ fn simulate_save_and_warm_start_roundtrip() {
 #[test]
 fn threaded_simulate_via_cli() {
     let graph = tmp("threaded.graph");
-    commands::generate(&args(&["generate", "--pages", "1500", "--sites", "12", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "1500", "--sites", "12", "--out", &graph])
         .unwrap();
-    commands::simulate(&args(&["simulate", &graph, "--k", "6", "--threaded"])).unwrap();
+    run(commands::simulate, &["simulate", &graph, "--k", "6", "--threaded"]).unwrap();
     std::fs::remove_file(&graph).ok();
 }
 
@@ -100,27 +94,22 @@ fn threaded_simulate_via_cli() {
 fn top_reads_saved_ranks() {
     let graph = tmp("top.graph");
     let ranks = tmp("top.ranks");
-    commands::generate(&args(&["generate", "--pages", "800", "--sites", "8", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "800", "--sites", "8", "--out", &graph])
         .unwrap();
-    commands::simulate(&args(&[
-        "simulate",
-        &graph,
-        "--k",
-        "8",
-        "--t-end",
-        "60",
-        "--save-ranks",
-        &ranks,
-    ]))
+    run(
+        commands::simulate,
+        &["simulate", &graph, "--k", "8", "--t-end", "60", "--save-ranks", &ranks],
+    )
     .unwrap();
-    commands::top(&args(&["top", &graph, "--ranks", &ranks, "--k", "5"])).unwrap();
-    commands::top(&args(&["top", &graph, "--ranks", &ranks, "--site", "1"])).unwrap();
+    run(commands::top, &["top", &graph, "--ranks", &ranks, "--k", "5"]).unwrap();
+    run(commands::top, &["top", &graph, "--ranks", &ranks, "--site", "1"]).unwrap();
     // Mismatched rank file is a clean error.
     let small = tmp("small.graph");
-    commands::generate(&args(&["generate", "--pages", "100", "--sites", "4", "--out", &small]))
+    run(commands::generate, &["generate", "--pages", "100", "--sites", "4", "--out", &small])
         .unwrap();
-    assert!(commands::top(&args(&["top", &small, "--ranks", &ranks]))
+    assert!(run(commands::top, &["top", &small, "--ranks", &ranks])
         .unwrap_err()
+        .to_string()
         .contains("entries"));
     std::fs::remove_file(&graph).ok();
     std::fs::remove_file(&ranks).ok();
@@ -133,12 +122,14 @@ fn rank_file_with_an_unbacked_count_is_a_clean_error() {
     // on an 800 TB allocation before the first value was parsed.
     let graph = tmp("unbacked.graph");
     let ranks = tmp("unbacked.ranks");
-    commands::generate(&args(&["generate", "--pages", "100", "--sites", "4", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "100", "--sites", "4", "--out", &graph])
         .unwrap();
     std::fs::write(&ranks, "dpr-ranks v1\n100000000000000\n0.5\n").unwrap();
-    let err = commands::top(&args(&["top", &graph, "--ranks", &ranks])).unwrap_err();
+    let err = run(commands::top, &["top", &graph, "--ranks", &ranks]).unwrap_err().to_string();
     assert!(err.contains("unexpected end of file"), "{err}");
-    let err = commands::simulate(&args(&["simulate", &graph, "--warm-start", &ranks])).unwrap_err();
+    let err = run(commands::simulate, &["simulate", &graph, "--warm-start", &ranks])
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("unexpected end of file"), "{err}");
     std::fs::remove_file(&graph).ok();
     std::fs::remove_file(&ranks).ok();
@@ -153,7 +144,7 @@ fn snapshot_header_claiming_more_links_than_the_file_holds_is_a_clean_error() {
     bytes.extend_from_slice(&[0, 0]);
     bytes.extend_from_slice(&u64::MAX.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
-    let err = commands::stats(&args(&["stats", &path])).unwrap_err();
+    let err = run(commands::stats, &["stats", &path]).unwrap_err().to_string();
     assert!(err.contains("cannot read graph") && err.contains("link count"), "{err}");
     std::fs::remove_file(&path).ok();
 }
@@ -161,17 +152,17 @@ fn snapshot_header_claiming_more_links_than_the_file_holds_is_a_clean_error() {
 #[test]
 fn analyze_reports_structure() {
     let path = tmp("analyze.graph");
-    commands::generate(&args(&["generate", "--pages", "1000", "--sites", "10", "--out", &path]))
+    run(commands::generate, &["generate", "--pages", "1000", "--sites", "10", "--out", &path])
         .unwrap();
-    commands::analyze(&args(&["analyze", &path])).unwrap();
-    commands::analyze(&args(&["analyze", &path, "--sinks-only"])).unwrap();
+    run(commands::analyze, &["analyze", &path]).unwrap();
+    run(commands::analyze, &["analyze", &path, "--sinks-only"]).unwrap();
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn plan_runs_with_defaults_and_overrides() {
-    commands::plan(&args(&["plan"])).unwrap();
-    commands::plan(&args(&["plan", "--rankers", "100000", "--pages", "3e10"])).unwrap();
+    run(commands::plan, &["plan"]).unwrap();
+    run(commands::plan, &["plan", "--rankers", "100000", "--pages", "3e10"]).unwrap();
 }
 
 #[test]
@@ -187,86 +178,95 @@ fn plan_rejects_degenerate_values() {
         &["--bisection-mb", "NaN"],
     ] {
         let argv: Vec<&str> = std::iter::once("plan").chain(bad.iter().copied()).collect();
-        let err = commands::plan(&args(&argv)).unwrap_err();
+        let err = run(commands::plan, &argv).unwrap_err().to_string();
         assert!(err.contains(bad[0]), "{bad:?}: {err}");
     }
 }
 
 #[test]
 fn missing_file_is_a_clean_error() {
-    let err = commands::stats(&args(&["stats", "/nonexistent/x.graph"])).unwrap_err();
+    let err = run(commands::stats, &["stats", "/nonexistent/x.graph"]).unwrap_err().to_string();
     assert!(err.contains("cannot read"), "{err}");
 }
 
 #[test]
 fn bad_enums_are_clean_errors() {
     let path = tmp("enums.graph");
-    commands::generate(&args(&["generate", "--pages", "500", "--sites", "5", "--out", &path]))
+    run(commands::generate, &["generate", "--pages", "500", "--sites", "5", "--out", &path])
         .unwrap();
-    assert!(commands::partition(&args(&["partition", &path, "--strategy", "zigzag"]))
+    assert!(run(commands::partition, &["partition", &path, "--strategy", "zigzag"])
         .unwrap_err()
+        .to_string()
         .contains("unknown strategy"));
-    assert!(commands::rank(&args(&["rank", &path, "--algo", "eigentrust"]))
+    assert!(run(commands::rank, &["rank", &path, "--algo", "eigentrust"])
         .unwrap_err()
+        .to_string()
         .contains("unknown algo"));
-    assert!(commands::simulate(&args(&["simulate", &path, "--variant", "dpr9"]))
+    assert!(run(commands::simulate, &["simulate", &path, "--variant", "dpr9"])
         .unwrap_err()
+        .to_string()
         .contains("unknown variant"));
-    assert!(commands::crawl(&args(&["crawl", "--mode", "psychic", "--out", "/tmp/x"]))
+    assert!(run(commands::crawl, &["crawl", "--mode", "psychic", "--out", "/tmp/x"])
         .unwrap_err()
+        .to_string()
         .contains("unknown mode"));
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn generate_requires_out() {
-    assert!(commands::generate(&args(&["generate"])).unwrap_err().contains("--out"));
+    assert!(run(commands::generate, &["generate"]).unwrap_err().to_string().contains("--out"));
 }
 
 #[test]
 fn net_simulate_with_faults_and_reliability() {
     let graph = tmp("net.graph");
-    commands::generate(&args(&["generate", "--pages", "800", "--sites", "8", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "800", "--sites", "8", "--out", &graph])
         .unwrap();
     // Plain whole-system run over the default Pastry overlay.
-    commands::simulate(&args(&["simulate", &graph, "--net", "--k", "8", "--t-end", "120"]))
-        .unwrap();
+    run(commands::simulate, &["simulate", &graph, "--net", "--k", "8", "--t-end", "120"]).unwrap();
     // Lossy run with the reliability protocol and a crash + join schedule.
-    commands::simulate(&args(&[
-        "simulate",
-        &graph,
-        "--net",
-        "--k",
-        "8",
-        "--t-end",
-        "150",
-        "--p",
-        "0.7",
-        "--reliable",
-        "--ack-timeout",
-        "0.5",
-        "--max-retries",
-        "4",
-        "--crash",
-        "40:2",
-        "--join",
-        "60:901",
-    ]))
+    run(
+        commands::simulate,
+        &[
+            "simulate",
+            &graph,
+            "--net",
+            "--k",
+            "8",
+            "--t-end",
+            "150",
+            "--p",
+            "0.7",
+            "--reliable",
+            "--ack-timeout",
+            "0.5",
+            "--max-retries",
+            "4",
+            "--crash",
+            "40:2",
+            "--join",
+            "60:901",
+        ],
+    )
     .unwrap();
     // Partition window on a Chord deployment.
-    commands::simulate(&args(&[
-        "simulate",
-        &graph,
-        "--net",
-        "--k",
-        "8",
-        "--overlay",
-        "chord",
-        "--t-end",
-        "150",
-        "--partition",
-        "30:60:0-3",
-    ]))
+    run(
+        commands::simulate,
+        &[
+            "simulate",
+            &graph,
+            "--net",
+            "--k",
+            "8",
+            "--overlay",
+            "chord",
+            "--t-end",
+            "150",
+            "--partition",
+            "30:60:0-3",
+        ],
+    )
     .unwrap();
     std::fs::remove_file(&graph).ok();
 }
@@ -274,35 +274,36 @@ fn net_simulate_with_faults_and_reliability() {
 #[test]
 fn net_simulate_rejects_bad_specs() {
     let graph = tmp("net-bad.graph");
-    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "400", "--sites", "4", "--out", &graph])
         .unwrap();
-    assert!(commands::simulate(&args(&["simulate", &graph, "--net", "--overlay", "kademlia"]))
+    assert!(run(commands::simulate, &["simulate", &graph, "--net", "--overlay", "kademlia"])
         .unwrap_err()
+        .to_string()
         .contains("unknown overlay"));
-    assert!(commands::simulate(&args(&["simulate", &graph, "--net", "--crash", "oops"]))
+    assert!(run(commands::simulate, &["simulate", &graph, "--net", "--crash", "oops"])
         .unwrap_err()
+        .to_string()
         .contains("--crash"));
-    assert!(commands::simulate(&args(&["simulate", &graph, "--net", "--partition", "9:3:0-1"]))
+    assert!(run(commands::simulate, &["simulate", &graph, "--net", "--partition", "9:3:0-1"])
         .unwrap_err()
+        .to_string()
         .contains("--partition"));
-    assert!(commands::simulate(&args(&["simulate", &graph, "--p", "1.5"]))
+    assert!(run(commands::simulate, &["simulate", &graph, "--p", "1.5"])
         .unwrap_err()
+        .to_string()
         .contains("--p"));
-    assert!(commands::simulate(&args(&["simulate", &graph, "--net", "--join", "5:9,3:8"]))
+    assert!(run(commands::simulate, &["simulate", &graph, "--net", "--join", "5:9,3:8"])
         .unwrap_err()
+        .to_string()
         .contains("strictly increasing"));
     // Churn on an overlay that cannot support it surfaces as an error, not
     // a panic.
-    assert!(commands::simulate(&args(&[
-        "simulate",
-        &graph,
-        "--net",
-        "--overlay",
-        "can",
-        "--crash",
-        "10:1",
-    ]))
+    assert!(run(
+        commands::simulate,
+        &["simulate", &graph, "--net", "--overlay", "can", "--crash", "10:1",]
+    )
     .unwrap_err()
+    .to_string()
     .contains("not supported on the CAN overlay"));
     std::fs::remove_file(&graph).ok();
 }
@@ -312,10 +313,12 @@ fn degenerate_run_shapes_are_clean_errors_on_every_host() {
     // Each of these used to reach an `assert!` inside a library host and
     // abort with a backtrace.
     let graph = tmp("degenerate.graph");
-    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "400", "--sites", "4", "--out", &graph])
         .unwrap();
     let err = |extra: &[&str]| {
-        commands::simulate(&args(&[&["simulate", graph.as_str()], extra].concat())).unwrap_err()
+        run(commands::simulate, &[&["simulate", graph.as_str()], extra].concat())
+            .unwrap_err()
+            .to_string()
     };
     assert!(err(&["--t-end", "0"]).contains("--t-end"));
     assert!(err(&["--k", "0"]).contains("--k"));
@@ -330,7 +333,7 @@ fn degenerate_run_shapes_are_clean_errors_on_every_host() {
 #[test]
 fn retired_and_unknown_options_fail_by_name_before_anything_runs() {
     let graph = tmp("stale.graph");
-    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "400", "--sites", "4", "--out", &graph])
         .unwrap();
     // The A/B switches retired with their code paths: a script still
     // passing one must fail, not report a comparison it never ran.
@@ -342,38 +345,31 @@ fn retired_and_unknown_options_fail_by_name_before_anything_runs() {
         "--explicit-matrix",
         "--adaptive-epsilon",
     ] {
-        let err = commands::simulate(&args(&["simulate", &graph, "--net", "--k", "4", stale]))
-            .unwrap_err();
+        let err = run(commands::simulate, &["simulate", &graph, "--net", "--k", "4", stale])
+            .unwrap_err()
+            .to_string();
         assert!(err.contains(stale), "{stale}: {err}");
     }
     // Jacobi is the only inner solver: the switch that chose one is gone.
-    let err = commands::simulate(&args(&[
-        "simulate",
-        &graph,
-        "--net",
-        "--k",
-        "4",
-        "--inner-solver",
-        "jacobi",
-    ]))
-    .unwrap_err();
+    let err = run(
+        commands::simulate,
+        &["simulate", &graph, "--net", "--k", "4", "--inner-solver", "jacobi"],
+    )
+    .unwrap_err()
+    .to_string();
     assert!(err.contains("--inner-solver"), "{err}");
-    let err = commands::simulate(&args(&[
-        "simulate",
-        &graph,
-        "--net",
-        "--k",
-        "4",
-        "--ack-timeout",
-        "sor:1.1",
-    ]))
-    .unwrap_err();
+    let err = run(
+        commands::simulate,
+        &["simulate", &graph, "--net", "--k", "4", "--ack-timeout", "sor:1.1"],
+    )
+    .unwrap_err()
+    .to_string();
     assert!(err.contains("--ack-timeout") && err.contains("sor:1.1"), "{err}");
     // A whole-system option without --net would be silently ignored.
-    let err = commands::simulate(&args(&["simulate", &graph, "--nodes", "8"])).unwrap_err();
+    let err =
+        run(commands::simulate, &["simulate", &graph, "--nodes", "8"]).unwrap_err().to_string();
     assert!(err.contains("--nodes"), "{err}");
     // Every command checks, including the ones with no options at all.
-    type Command = fn(&dpr_cli::args::Args) -> Result<(), String>;
     let all: [(&str, Command); 9] = [
         ("generate", commands::generate),
         ("crawl", commands::crawl),
@@ -387,8 +383,9 @@ fn retired_and_unknown_options_fail_by_name_before_anything_runs() {
     ];
     let out = tmp("stale.out");
     for (name, command) in all {
-        let err = command(&args(&[name, &graph, "--out", &out, "--ranks", &out, "--bogus", "1"]))
-            .unwrap_err();
+        let err = run(command, &[name, &graph, "--out", &out, "--ranks", &out, "--bogus", "1"])
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("--bogus") && err.contains(name), "{name}: {err}");
     }
     assert!(!std::path::Path::new(&out).exists(), "a rejected command must not have run");
@@ -398,19 +395,25 @@ fn retired_and_unknown_options_fail_by_name_before_anything_runs() {
 #[test]
 fn unparsable_values_fail_by_name_instead_of_running_the_default() {
     let graph = tmp("unparsable.graph");
-    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "400", "--sites", "4", "--out", &graph])
         .unwrap();
-    let err = commands::simulate(&args(&["simulate", &graph, "--k", "abc"])).unwrap_err();
+    let err = run(commands::simulate, &["simulate", &graph, "--k", "abc"]).unwrap_err().to_string();
     assert!(err.contains("--k") && err.contains("abc"), "{err}");
-    let err = commands::simulate(&args(&["simulate", &graph, "--net", "--engine-workers", "two"]))
-        .unwrap_err();
+    let err = run(commands::simulate, &["simulate", &graph, "--net", "--engine-workers", "two"])
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("--engine-workers"), "{err}");
-    let err = commands::partition(&args(&["partition", &graph, "--k", "-3"])).unwrap_err();
+    let err =
+        run(commands::partition, &["partition", &graph, "--k", "-3"]).unwrap_err().to_string();
     assert!(err.contains("--k"), "{err}");
-    let err = commands::top(&args(&["top", &graph, "--ranks", &graph, "--site", "x"])).unwrap_err();
+    let err = run(commands::top, &["top", &graph, "--ranks", &graph, "--site", "x"])
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("--site"), "{err}");
     // A flag that swallowed the next argument says so.
-    let err = commands::simulate(&args(&["simulate", &graph, "--threaded", "yes"])).unwrap_err();
+    let err = run(commands::simulate, &["simulate", &graph, "--threaded", "yes"])
+        .unwrap_err()
+        .to_string();
     assert!(err.contains("--threaded") && err.contains("yes"), "{err}");
     std::fs::remove_file(&graph).ok();
 }
@@ -424,7 +427,7 @@ fn bad_net_times_exit_1_without_running() {
     // last one) or join one id twice, which used to panic inside the
     // overlay with exit 101.
     let graph = tmp("bad-times.graph");
-    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+    run(commands::generate, &["generate", "--pages", "400", "--sites", "4", "--out", &graph])
         .unwrap();
     let bads: [&[&str]; 11] = [
         &["--crash", "nan:0"],
@@ -462,6 +465,40 @@ fn bad_net_times_exit_1_without_running() {
         std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
         assert_eq!(status.code(), Some(1), "{bad:?}: {stderr}");
         assert!(stderr.starts_with("dpr: "), "{bad:?}: {stderr}");
+    }
+    std::fs::remove_file(&graph).ok();
+}
+
+#[test]
+fn closed_stdout_ends_quietly_and_other_write_errors_exit_1() {
+    // `dpr rank g --top 50 | head -2`: the reader is gone before the
+    // command writes. That ends the run quietly, with status 0 and nothing
+    // on stderr — not a "failed printing to stdout" panic with exit 101.
+    let graph = tmp("closed-stdout.graph");
+    run(commands::generate, &["generate", "--pages", "400", "--sites", "4", "--out", &graph])
+        .unwrap();
+    let spawn = |argv: &[&str], stdout: std::process::Stdio| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_dpr"))
+            .args(argv)
+            .stdout(stdout)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .unwrap()
+    };
+    for argv in [&["plan"][..], &["rank", &graph, "--top", "50"], &["help"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = spawn(argv, writer.into());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}: {stderr}");
+        assert!(stderr.is_empty(), "{argv:?}: {stderr}");
+    }
+    // Any other failed write is an error like any other.
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let out = spawn(&["plan"], full.into());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.starts_with("dpr: "), "{stderr}");
     }
     std::fs::remove_file(&graph).ok();
 }

@@ -19,8 +19,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use dpr_graph::{PageId, WebGraph};
-use dpr_linalg::pool::SharedSlice;
-use dpr_linalg::{column_scale, CsrImplicit, FixedPointSolver, Pool, SolveReport, SpMatVec};
+use dpr_linalg::{column_scale, CsrImplicit, FixedPointSolver, Pool, SolveReport};
 use dpr_partition::{GroupId, Partition};
 
 use crate::config::RankConfig;
@@ -120,48 +119,12 @@ pub struct GroupContext {
     beta_e: Vec<f64>,
     /// Outgoing rank routes, one batch per destination group.
     efferent: Vec<EfferentBatch>,
-    /// `min(‖A‖∞, ‖A‖₁)` of `a` (two passes over the matrix), computed by
-    /// the first solve that reports it.
-    norm: Memo<f64>,
-}
-
-/// The group matrix with its contraction norm read from the context's
-/// memo: what the solvers are handed, so a solve per think window does not
-/// pay two matrix passes for a bound nobody on that path reads.
-struct MemoNorm<'a>(&'a GroupContext);
-
-impl SpMatVec for MemoNorm<'_> {
-    fn n_rows(&self) -> usize {
-        self.0.a.n_rows()
-    }
-    fn n_cols(&self) -> usize {
-        self.0.a.n_cols()
-    }
-    fn nnz(&self) -> usize {
-        self.0.a.nnz()
-    }
-    fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool) {
-        self.0.a.mul_into(x, y, ws, pool);
-    }
-    fn sweep(
-        &self,
-        k: usize,
-        x: &[f64],
-        f: &[f64],
-        next: &mut [f64],
-        ws: &mut Vec<f64>,
-        pool: &Pool,
-    ) -> f64 {
-        self.0.a.sweep(k, x, f, next, ws, pool)
-    }
-    fn contraction_norm(&self) -> f64 {
-        self.0.contraction_norm()
-    }
 }
 
 impl GroupContext {
-    /// Builds the contexts of **all** groups of a partition in one pass over
-    /// the graph (O(pages + links)).
+    /// Builds the contexts of **all** groups of a partition: one
+    /// [`GroupContext::rebuild`]-equivalent assembly per group, fanned out
+    /// over the shared worker pool (O(pages + links) in total).
     #[must_use]
     pub fn build_all(g: &WebGraph, partition: &Partition, cfg: &RankConfig) -> Vec<GroupContext> {
         Self::build_all_with_layout(g, partition, cfg, MatrixLayout::default())
@@ -188,68 +151,100 @@ impl GroupContext {
             }
         }
 
-        // Inner links as local (row, col) = (dest, src) pairs; the entry
-        // value is implicit (`α/d(src)`, a function of the column alone),
-        // so nothing else needs collecting.
-        let mut inner: Vec<Vec<(u32, u32)>> = vec![Vec::new(); k];
-        let mut efferent_maps: Vec<HashMap<GroupId, Vec<EfferentEdge>>> = vec![HashMap::new(); k];
-
-        for u in 0..g.n_pages() as u32 {
-            let d = g.out_degree(u);
-            if d == 0 {
-                continue;
-            }
-            let w = cfg.alpha / f64::from(d);
-            let gu = partition.group_of(u);
-            let lu = local_of[u as usize];
-            for &v in g.out_links(u) {
-                let gv = partition.group_of(v);
-                if gv == gu {
-                    inner[gu as usize].push((local_of[v as usize], lu));
-                } else {
-                    efferent_maps[gu as usize].entry(gv).or_default().push((lu, w, v));
-                }
-            }
-        }
-
-        // Per-group assembly (CSR conversion, efferent-batch sorting) is
-        // independent across groups, so it fans out over the shared worker
-        // pool — one chunk per group, each output slot written exactly once,
-        // so the result is identical to the sequential loop. Small builds
-        // stay inline: the broadcast handoff would dominate.
+        // Groups assemble independently, one chunk each, so the result is
+        // identical to the sequential loop. Small builds stay inline: the
+        // broadcast handoff would dominate.
         let pool = if g.n_pages() >= 1 << 14 && k > 1 {
             Pool::global().clone()
         } else {
             Pool::sequential()
         };
-        let mut pages_in = group_pages;
-        let mut out: Vec<Option<GroupContext>> = (0..k).map(|_| None).collect();
-        {
-            let pages_slots = SharedSlice::new(&mut pages_in);
-            let eff_slots = SharedSlice::new(&mut efferent_maps);
-            let out_slots = SharedSlice::new(&mut out);
-            let inner = &inner;
-            pool.for_each_chunk(k, |gid| {
-                // SAFETY (all three): each `gid` is claimed by exactly one
-                // chunk, so the slot accesses are disjoint.
-                let pages = std::mem::take(unsafe { &mut pages_slots.slice_mut(gid, 1)[0] });
-                let eff_map = unsafe { &mut eff_slots.slice_mut(gid, 1)[0] };
-                let mut efferent: Vec<EfferentBatch> =
-                    eff_map.drain().map(|(dest, edges)| EfferentBatch::new(dest, edges)).collect();
-                efferent.sort_unstable_by_key(|b| b.dest);
-                let a = Self::assemble_matrix(g, cfg, &pages, &inner[gid]);
-                let ctx = GroupContext {
-                    group_id: gid as GroupId,
-                    beta_e: cfg.beta_e_for(&pages),
-                    a,
-                    pages,
-                    efferent,
-                    norm: Memo::default(),
-                };
-                unsafe { out_slots.slice_mut(gid, 1)[0] = Some(ctx) };
-            });
+        let slots: Vec<OnceLock<GroupContext>> = (0..k).map(|_| OnceLock::new()).collect();
+        pool.for_each_chunk(k, |gid| {
+            let pages = group_pages[gid].clone();
+            let local = |_: &[PageId], v: PageId| local_of[v as usize];
+            let ctx = Self::assemble(g, partition.assignment(), cfg, gid as GroupId, pages, local);
+            assert!(slots[gid].set(ctx).is_ok(), "group {gid} built twice");
+        });
+        slots.into_iter().map(|s| s.into_inner().expect("every group built")).collect()
+    }
+
+    /// Rebuilds **one** group's context against a mutated graph — the
+    /// incremental-ranking path: a delta dirties a handful of groups, each
+    /// of which re-derives its matrix, efferent routes, and `βE` from the
+    /// new graph, while every untouched group keeps its existing context
+    /// untouched. Cost is one pass over the group's own rows, independent
+    /// of graph size.
+    ///
+    /// `pages` is the group's sorted page set in the new graph;
+    /// `assignment` maps every page of `g` to its owning group. This is the
+    /// assembly [`GroupContext::build_all_with_layout`] runs per group, with
+    /// inner destinations localized by binary search instead of a
+    /// whole-graph index, so both yield the same arrays and all solve bits
+    /// match exactly.
+    ///
+    /// # Panics
+    /// If `pages` is not sorted-unique, contains a page outside `g` or not
+    /// assigned to `gid`, or `assignment` does not cover `g`.
+    #[must_use]
+    pub fn rebuild(
+        g: &WebGraph,
+        assignment: &[GroupId],
+        cfg: &RankConfig,
+        gid: GroupId,
+        pages: Vec<PageId>,
+        _layout: MatrixLayout,
+    ) -> GroupContext {
+        cfg.validate(g.n_pages());
+        assert_eq!(assignment.len(), g.n_pages(), "assignment must cover the graph");
+        assert!(pages.windows(2).all(|w| w[0] < w[1]), "pages must be sorted unique");
+        let local = |pages: &[PageId], v: PageId| {
+            pages.binary_search(&v).expect("inner destination owned") as u32
+        };
+        Self::assemble(g, assignment, cfg, gid, pages, local)
+    }
+
+    /// The one way a group's context is made: scans the group's pages in
+    /// ascending order, splits every out-link by its destination's group
+    /// into an inner pair (localized through `local_of(pages, v)`) or an
+    /// efferent edge, and assembles the matrix, the efferent batches and
+    /// `βE`. The scan order fixes every array, so the result does not
+    /// depend on how `local_of` finds an index.
+    fn assemble(
+        g: &WebGraph,
+        assignment: &[GroupId],
+        cfg: &RankConfig,
+        gid: GroupId,
+        pages: Vec<PageId>,
+        local_of: impl Fn(&[PageId], PageId) -> u32,
+    ) -> GroupContext {
+        // Inner links as local (row, col) = (dest, src) pairs; the entry
+        // value is implicit (`α/d(src)`, a function of the column alone),
+        // so nothing else needs collecting.
+        let mut inner: Vec<(u32, u32)> = Vec::new();
+        let mut eff_map: HashMap<GroupId, Vec<EfferentEdge>> = HashMap::new();
+        for (lu, &u) in pages.iter().enumerate() {
+            assert_eq!(assignment[u as usize], gid, "page {u} is not assigned to group {gid}");
+            let d = g.out_degree(u);
+            if d == 0 {
+                continue;
+            }
+            let w = cfg.alpha / f64::from(d);
+            let lu = lu as u32;
+            for &v in g.out_links(u) {
+                let gv = assignment[v as usize];
+                if gv == gid {
+                    inner.push((local_of(&pages, v), lu));
+                } else {
+                    eff_map.entry(gv).or_default().push((lu, w, v));
+                }
+            }
         }
-        out.into_iter().map(|c| c.expect("every group built")).collect()
+        let mut efferent: Vec<EfferentBatch> =
+            eff_map.into_iter().map(|(dest, edges)| EfferentBatch::new(dest, edges)).collect();
+        efferent.sort_unstable_by_key(|b| b.dest);
+        let a = Self::assemble_matrix(g, cfg, &pages, &inner);
+        GroupContext { group_id: gid, beta_e: cfg.beta_e_for(&pages), a, pages, efferent }
     }
 
     /// Assembles one group's local matrix from its inner-link pairs:
@@ -284,98 +279,6 @@ impl GroupContext {
             col_idx[row_ptr[r] as usize..row_ptr[r + 1] as usize].sort_unstable();
         }
         CsrImplicit::from_raw_parts(n, n, row_ptr, col_idx, scale)
-    }
-
-    /// Rebuilds **one** group's context against a mutated graph — the
-    /// incremental-ranking path: a delta dirties a handful of groups, each
-    /// of which re-derives its matrix, efferent routes, and `βE` from the
-    /// new graph, while every untouched group keeps its existing context
-    /// untouched. Cost is one pass over the group's own rows, independent
-    /// of graph size.
-    ///
-    /// `pages` is the group's sorted page set in the new graph;
-    /// `assignment` maps every page of `g` to its owning group. Building
-    /// every group this way yields contexts identical to
-    /// [`GroupContext::build_all_with_layout`]: pairs and efferent edges
-    /// are collected in the same ascending-source order, so the assembled
-    /// arrays — and therefore all solve bits — match exactly.
-    ///
-    /// # Panics
-    /// If `pages` is not sorted-unique, contains a page outside `g` or not
-    /// assigned to `gid`, or `assignment` does not cover `g`.
-    #[must_use]
-    pub fn rebuild(
-        g: &WebGraph,
-        assignment: &[GroupId],
-        cfg: &RankConfig,
-        gid: GroupId,
-        pages: Vec<PageId>,
-        _layout: MatrixLayout,
-    ) -> GroupContext {
-        cfg.validate(g.n_pages());
-        assert_eq!(assignment.len(), g.n_pages(), "assignment must cover the graph");
-        assert!(pages.windows(2).all(|w| w[0] < w[1]), "pages must be sorted unique");
-        let mut inner: Vec<(u32, u32)> = Vec::new();
-        let mut eff_map: HashMap<GroupId, Vec<EfferentEdge>> = HashMap::new();
-        for (lu, &u) in pages.iter().enumerate() {
-            assert_eq!(assignment[u as usize], gid, "page {u} is not assigned to group {gid}");
-            let d = g.out_degree(u);
-            if d == 0 {
-                continue;
-            }
-            let w = cfg.alpha / f64::from(d);
-            let lu = lu as u32;
-            for &v in g.out_links(u) {
-                if assignment[v as usize] == gid {
-                    let lv = pages.binary_search(&v).expect("inner destination owned") as u32;
-                    inner.push((lv, lu));
-                } else {
-                    eff_map.entry(assignment[v as usize]).or_default().push((lu, w, v));
-                }
-            }
-        }
-        let mut efferent: Vec<EfferentBatch> =
-            eff_map.into_iter().map(|(dest, edges)| EfferentBatch::new(dest, edges)).collect();
-        efferent.sort_unstable_by_key(|b| b.dest);
-        let a = Self::assemble_matrix(g, cfg, &pages, &inner);
-        GroupContext {
-            group_id: gid,
-            beta_e: cfg.beta_e_for(&pages),
-            a,
-            pages,
-            efferent,
-            norm: Memo::default(),
-        }
-    }
-
-    /// Patches this context in place for a delta that changed out-degrees
-    /// **without touching the group's link structure** (external-out-degree
-    /// edits, including ones that leave a page dangling): recomputes the
-    /// per-column `α/d(u)` factors — exactly `0.0` for a newly dangling
-    /// page — and the efferent edge weights, reusing the matrix's entry
-    /// structure and allocations. Bit-identical to a full
-    /// [`GroupContext::rebuild`] whenever that structural precondition
-    /// holds; the caller is responsible for checking it (netrun derives it
-    /// from the delta report's ext-only page list).
-    pub fn rescale_in_place(&mut self, g: &WebGraph, cfg: &RankConfig) {
-        let degrees: Vec<u32> = self.pages.iter().map(|&p| g.out_degree(p)).collect();
-        let scale = column_scale(cfg.alpha, &degrees);
-        for batch in &mut self.efferent {
-            for (lu, w, _) in &mut batch.edges {
-                *w = cfg.alpha / f64::from(degrees[*lu as usize]);
-            }
-        }
-        self.a.set_scale(scale);
-        // New column factors, new norm; the efferent patterns stand (the
-        // link structure did not move).
-        self.norm = Memo::default();
-    }
-
-    /// `min(‖A‖∞, ‖A‖₁)` of the group matrix — the contraction factor of
-    /// Theorems 3.2/3.3 — computed on first use and kept with the context.
-    #[must_use]
-    pub(crate) fn contraction_norm(&self) -> f64 {
-        *self.norm.0.get_or_init(|| self.a.contraction_norm())
     }
 
     /// The group's local propagation matrix.
@@ -413,34 +316,6 @@ impl GroupContext {
         self.pages.binary_search(&p).ok()
     }
 
-    /// **Algorithm 2**: solves `R = A·R + βE + X` starting from the current
-    /// contents of `r` (warm starts make DPR1's later outer loops cheap),
-    /// with the solve's SpMV/reduction kernels routed through `pool` —
-    /// bit-identical at every worker count (fixed chunk boundaries). Builds
-    /// `f = βE + X` and its buffers per call: the plain form, which the
-    /// real-thread driver uses and the tests hold [`Ranker`](crate::Ranker)
-    /// to.
-    ///
-    /// # Panics
-    /// If `r` or `x` have the wrong length.
-    pub fn group_pagerank_pooled(
-        &self,
-        r: &mut Vec<f64>,
-        x: &[f64],
-        epsilon: f64,
-        max_iters: usize,
-        pool: &Pool,
-    ) -> SolveReport {
-        assert_eq!(r.len(), self.n_local());
-        assert_eq!(x.len(), self.n_local());
-        let f: Vec<f64> = self.beta_e.iter().zip(x).map(|(b, xi)| b + xi).collect();
-        FixedPointSolver { tolerance: epsilon, max_iters, pool: pool.clone() }.solve(
-            &MemoNorm(self),
-            &f,
-            r,
-        )
-    }
-
     /// `βE` restricted to this group's pages. Callers that keep a persistent
     /// `f = βE + X` buffer rebuild its rows from this slice.
     #[must_use]
@@ -448,11 +323,13 @@ impl GroupContext {
         &self.beta_e
     }
 
-    /// [`GroupContext::group_pagerank_pooled`] with a *prepared* right-hand
-    /// side: the caller passes `f = βE + X` directly (maintained
-    /// incrementally across think steps) plus reusable solve and
-    /// multiply-workspace buffers, so the hot path allocates nothing.
-    /// Bit-identical to the allocating form for equal `f`.
+    /// **Algorithm 2**: solves `R = A·R + βE + X` starting from the current
+    /// contents of `r` (warm starts make DPR1's later outer loops cheap).
+    /// The caller passes the right-hand side `f = βE + X` directly
+    /// (maintained incrementally across think steps) plus reusable solve
+    /// and multiply-workspace buffers, so the hot path allocates nothing.
+    /// Bit-identical to [`FixedPointSolver::solve`] on
+    /// [`GroupContext::matrix`] for equal `f`.
     pub fn group_pagerank_prepared(
         &self,
         r: &mut Vec<f64>,
@@ -465,22 +342,12 @@ impl GroupContext {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(f.len(), self.n_local());
         FixedPointSolver { tolerance: epsilon, max_iters, pool: Pool::sequential() }
-            .solve_with_scratch(&MemoNorm(self), f, r, scratch, ws)
+            .solve_with_scratch(&self.a, f, r, scratch, ws)
     }
 
-    /// One iteration `R ← A·R + βE + X` (the DPR2 node body) on an explicit
-    /// pool, in the plain allocating form of
-    /// [`GroupContext::group_pagerank_pooled`]. Returns the successive L1
-    /// difference.
-    pub fn step_pooled(&self, r: &mut Vec<f64>, x: &[f64], pool: &Pool) -> f64 {
-        assert_eq!(r.len(), self.n_local());
-        assert_eq!(x.len(), self.n_local());
-        let f: Vec<f64> = self.beta_e.iter().zip(x).map(|(b, xi)| b + xi).collect();
-        FixedPointSolver::default().with_pool(pool.clone()).step(&self.a, &f, r, 1)
-    }
-
-    /// [`GroupContext::step_pooled`] with a prepared `f = βE + X` and
-    /// reusable double/workspace buffers (the allocation-free DPR2 think).
+    /// One iteration `R ← A·R + βE + X` (the DPR2 node body) with a
+    /// prepared `f = βE + X` and reusable double/workspace buffers, so it
+    /// allocates nothing. Returns the successive L1 difference.
     pub fn step_prepared(
         &self,
         r: &mut Vec<f64>,
@@ -918,12 +785,6 @@ impl AfferentState {
         &self.x
     }
 
-    /// Number of source groups heard from so far.
-    #[must_use]
-    pub fn n_sources(&self) -> usize {
-        self.store.sources.len()
-    }
-
     /// Copies out the per-source contributions in localized form, in
     /// ascending source order — the checkpoint payload the replication
     /// protocol ships. Replaying the snapshot through
@@ -966,8 +827,18 @@ impl AfferentState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use dpr_graph::generators::toy;
     use dpr_partition::Strategy;
+
+    /// Algorithm 2 spelled out on the context's own parts: `f = βE + X`,
+    /// then the plain solver on the group matrix.
+    fn solve(ctx: &GroupContext, r: &mut Vec<f64>, x: &[f64], eps: f64) -> SolveReport {
+        let f: Vec<f64> = ctx.beta_e().iter().zip(x).map(|(b, xi)| b + xi).collect();
+        let solver = FixedPointSolver { tolerance: eps, max_iters: 1000, pool: Pool::sequential() };
+        solver.solve(ctx.matrix(), &f, r)
+    }
 
     #[test]
     fn afferent_state_replaces_per_source() {
@@ -978,7 +849,7 @@ mod tests {
         // A newer Y from source 0 replaces, not accumulates.
         st.set(0, vec![(0, 3.0)]);
         assert_eq!(st.refresh(), &[3.5, 0.0, 0.0]);
-        assert_eq!(st.n_sources(), 2);
+        assert_eq!(st.snapshot_received().len(), 2);
     }
 
     #[test]
@@ -1061,7 +932,7 @@ mod tests {
         assert_eq!(fresh.refresh(), &[0.5, 9.0, 3.25]);
         let mut from_taken = AfferentState::new(3);
         taken.replay_onto(&[20, 25, 30], &mut from_taken);
-        assert_eq!(from_taken.n_sources(), 1);
+        assert_eq!(from_taken.snapshot_received().len(), 1);
         // An empty part retracts a source's whole contribution.
         fresh.deliver(&[20, 25, 30], 4, &Arc::from([]), &[]);
         assert_eq!(fresh.refresh(), &[0.5, 0.0, 0.25]);
@@ -1100,11 +971,11 @@ mod tests {
         let twin = ctx.matrix().to_explicit();
         assert_eq!(ctx.matrix().nnz(), twin.nnz());
         assert!(ctx.matrix().heap_bytes() < twin.heap_bytes());
-        let x = vec![0.01; ctx.n_local()];
+        let f: Vec<f64> = ctx.beta_e().iter().map(|b| b + 0.01).collect();
         let mut r_i = vec![0.0; ctx.n_local()];
-        let report = ctx.group_pagerank_pooled(&mut r_i, &x, 1e-12, 1000, &Pool::sequential());
+        let (mut scratch, mut ws) = (Vec::new(), Vec::new());
+        let report = ctx.group_pagerank_prepared(&mut r_i, &f, 1e-12, 1000, &mut scratch, &mut ws);
         assert!(report.converged);
-        let f: Vec<f64> = ctx.beta_e().iter().zip(&x).map(|(b, xi)| b + xi).collect();
         let mut r_e = vec![0.0; ctx.n_local()];
         let solver =
             FixedPointSolver { tolerance: 1e-12, max_iters: 1000, pool: Pool::sequential() };
@@ -1157,36 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn contraction_norm_is_memoized_and_follows_a_rescale() {
-        use dpr_graph::{DeltaOp, GraphDelta};
-        let g = dpr_graph::generators::random::erdos_renyi(120, 4, 5.0, 2);
-        let partition = Partition::build(&g, &Strategy::HashBySite, 2, 0);
-        let cfg = RankConfig::default();
-        let mut ctx = GroupContext::build_all(&g, &partition, &cfg).swap_remove(0);
-        assert_eq!(ctx.contraction_norm(), ctx.matrix().contraction_norm());
-        // The solvers report the same certified bound through the memo as
-        // straight off the matrix.
-        let x = vec![0.0; ctx.n_local()];
-        let mut r = vec![0.0; ctx.n_local()];
-        let report = ctx.group_pagerank_pooled(&mut r, &x, 1e-12, 1000, &Pool::sequential());
-        let mut r2 = vec![0.0; ctx.n_local()];
-        let direct =
-            FixedPointSolver { tolerance: 1e-12, max_iters: 1000, pool: Pool::sequential() }.solve(
-                ctx.matrix(),
-                ctx.beta_e(),
-                &mut r2,
-            );
-        assert_eq!(report, direct);
-        // More external links on every page shrink every column.
-        let ops = ctx.pages().iter().map(|&page| DeltaOp::SetExternal { page, ext_out: 50 });
-        let g2 = GraphDelta::new(ops.collect()).apply(&g);
-        let before = ctx.contraction_norm();
-        ctx.rescale_in_place(&g2, &cfg);
-        assert!(ctx.contraction_norm() < before);
-        assert_eq!(ctx.contraction_norm(), ctx.matrix().contraction_norm());
-    }
-
-    #[test]
     fn y_aggregates_parallel_edges_to_same_dest() {
         // Two pages in group 0 both link to the same page in group 1.
         let mut b = dpr_graph::GraphBuilder::new();
@@ -1215,9 +1056,7 @@ mod tests {
         let mut x: Vec<Vec<f64>> = r.clone();
         for _ in 0..200 {
             for (i, c) in ctxs.iter().enumerate() {
-                let report =
-                    c.group_pagerank_pooled(&mut r[i], &x[i], 1e-12, 1000, &Pool::sequential());
-                assert!(report.converged);
+                assert!(solve(c, &mut r[i], &x[i], 1e-12).converged);
             }
             // Exchange Y.
             let mut new_x: Vec<Vec<f64>> = ctxs.iter().map(|c| vec![0.0; c.n_local()]).collect();
@@ -1258,81 +1097,148 @@ mod tests {
         // And GroupPageRank alone reproduces CPR.
         let mut r = vec![0.0; 5];
         let x = vec![0.0; 5];
-        ctxs[0].group_pagerank_pooled(&mut r, &x, 1e-12, 1000, &Pool::sequential());
+        solve(&ctxs[0], &mut r, &x, 1e-12);
         // The reference is itself only converged to ~1e-8 (its epsilon), so
         // compare with matching slack.
         let star = crate::centralized::open_pagerank(&g, &RankConfig::default());
         assert!(dpr_linalg::vec_ops::relative_error(&r, &star.ranks) < 1e-7);
     }
 
-    #[test]
-    fn rebuild_per_group_matches_build_all() {
-        // The incremental path's correctness anchor: rebuilding any single
-        // group against the same graph reproduces the batch-built context
-        // exactly (same arrays, same bits).
-        let g = dpr_graph::generators::random::erdos_renyi(200, 5, 4.0, 3);
-        let partition = Partition::build(&g, &Strategy::HashBySite, 4, 0);
-        let cfg = RankConfig::default();
-        for ctx in &GroupContext::build_all(&g, &partition, &cfg) {
-            let rebuilt = GroupContext::rebuild(
-                &g,
-                partition.assignment(),
-                &cfg,
-                ctx.group_id(),
-                ctx.pages().to_vec(),
-                MatrixLayout::default(),
-            );
-            assert_eq!(&rebuilt, ctx);
+    /// One group as a reader of the paper derives it from the graph and the
+    /// assignment alone: per local row, the sorted local columns of its
+    /// inner in-links (parallel links repeated); per column, `α/d(u)` over
+    /// the total out-degree (`0.0` when dangling); per destination group,
+    /// the ascending distinct pages it is linked to and their `Y` under `r`.
+    struct ModelGroup {
+        rows: Vec<Vec<u32>>,
+        scale: Vec<f64>,
+        y: BTreeMap<GroupId, (Vec<PageId>, Vec<f64>)>,
+    }
+
+    fn model_group(
+        g: &WebGraph,
+        assignment: &[GroupId],
+        alpha: f64,
+        gid: GroupId,
+        r: &[f64],
+    ) -> ModelGroup {
+        let pages: Vec<PageId> =
+            (0..g.n_pages() as PageId).filter(|&p| assignment[p as usize] == gid).collect();
+        let local = |p: PageId| pages.iter().position(|&q| q == p).unwrap() as u32;
+        let degree = |u: PageId| g.out_links(u).len() as u32 + g.external_out_degree(u);
+        let scale: Vec<f64> = pages
+            .iter()
+            .map(|&u| if degree(u) == 0 { 0.0 } else { alpha / f64::from(degree(u)) })
+            .collect();
+        let mut rows = vec![Vec::new(); pages.len()];
+        let mut y_by_page: BTreeMap<GroupId, BTreeMap<PageId, f64>> = BTreeMap::new();
+        for (lu, &u) in pages.iter().enumerate() {
+            for &v in g.out_links(u) {
+                let gv = assignment[v as usize];
+                if gv == gid {
+                    rows[local(v) as usize].push(lu as u32);
+                } else {
+                    *y_by_page.entry(gv).or_default().entry(v).or_default() += scale[lu] * r[lu];
+                }
+            }
+        }
+        for row in &mut rows {
+            row.sort_unstable();
+        }
+        let y = y_by_page
+            .into_iter()
+            .map(|(dest, by_page)| (dest, by_page.into_iter().unzip()))
+            .collect();
+        ModelGroup { rows, scale, y }
+    }
+
+    /// Holds one built context to the model, entry for entry.
+    fn assert_matches_model(ctx: &GroupContext, model: &ModelGroup, r: &[f64]) {
+        let gid = ctx.group_id();
+        let m = ctx.matrix();
+        assert_eq!(m.scale().len(), model.scale.len(), "group {gid}: column count");
+        for (lu, (got, want)) in m.scale().iter().zip(&model.scale).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "group {gid} column {lu}: {got} vs {want}");
+        }
+        let twin = m.to_explicit();
+        for (lv, want) in model.rows.iter().enumerate() {
+            let (cols, vals): (Vec<u32>, Vec<f64>) =
+                twin.row(lv).map(|(c, v)| (c as u32, v)).unzip();
+            assert_eq!(&cols, want, "group {gid} row {lv}");
+            assert!(vals
+                .iter()
+                .zip(&cols)
+                .all(|(v, &c)| v.to_bits() == m.scale()[c as usize].to_bits()));
+        }
+        let parts: Vec<_> = ctx.y_parts(r).collect();
+        let dests: Vec<GroupId> = parts.iter().map(|p| p.0).collect();
+        assert_eq!(dests, model.y.keys().copied().collect::<Vec<_>>(), "group {gid}: destinations");
+        for ((dest, pattern, scores), (want_pattern, want_scores)) in
+            parts.iter().zip(model.y.values())
+        {
+            assert_eq!(&pattern[..], &want_pattern[..], "group {gid} -> {dest}: pattern");
+            for (got, want) in scores.iter().zip(want_scores) {
+                // Three or more contributions to one page may associate
+                // differently from the model's running sum.
+                assert!(
+                    (got - want).abs() <= 1e-15 * want.abs(),
+                    "group {gid} -> {dest}: Y {got} vs {want}"
+                );
+            }
         }
     }
 
-    #[test]
-    fn rescale_in_place_matches_rebuild_for_ext_only_delta() {
-        use dpr_graph::{DeltaOp, GraphDelta};
-        // p0→p1→p2→p0 plus external-only pages; the delta dangles p3
-        // (ext 4 → 0) and grows p5's external degree. No internal row
-        // changes, so every dirty group qualifies for the in-place rescale.
-        let mut b = dpr_graph::GraphBuilder::new();
-        let s = b.add_site("a.edu");
-        let pages: Vec<u32> = (0..6).map(|_| b.add_page(s)).collect();
-        b.add_link(pages[0], pages[1]);
-        b.add_link(pages[1], pages[2]);
-        b.add_link(pages[2], pages[0]);
-        b.add_link(pages[5], pages[0]);
-        b.add_external_links(pages[3], 4);
-        b.add_external_links(pages[4], 1);
-        b.add_external_links(pages[5], 2);
-        let g = b.build();
-        let delta = GraphDelta::new(vec![
-            DeltaOp::SetExternal { page: pages[3], ext_out: 0 },
-            DeltaOp::SetExternal { page: pages[5], ext_out: 7 },
-        ]);
-        let (g2, report) = delta.apply_report(&g);
-        assert_eq!(report.ext_only_pages, vec![pages[3], pages[5]]);
-        assert_eq!(report.touched_pages, report.ext_only_pages);
-
-        let assignment = vec![0u32, 0, 1, 1, 0, 1];
-        let partition = Partition::from_assignment(2, assignment.clone());
-        let cfg = RankConfig::default();
-        for ctx in &GroupContext::build_all(&g, &partition, &cfg) {
-            let mut patched = ctx.clone();
-            patched.rescale_in_place(&g2, &cfg);
-            let rebuilt = GroupContext::rebuild(
-                &g2,
-                &assignment,
-                &cfg,
-                ctx.group_id(),
-                ctx.pages().to_vec(),
-                MatrixLayout::default(),
-            );
-            assert_eq!(patched, rebuilt, "group {}", ctx.group_id());
-            // The naive model: every column's factor is `α/d(u)` of its
-            // page in the new graph, and exactly 0.0 for a dangled page.
-            for (lu, &u) in patched.pages().iter().enumerate() {
-                let d = g2.out_degree(u);
-                let want = if d == 0 { 0.0 } else { cfg.alpha / f64::from(d) };
-                let got = patched.matrix().scale()[lu];
-                assert_eq!(got.to_bits(), want.to_bits(), "page {u}: {got} vs {want}");
+    proptest::proptest! {
+        /// The one builder, reached through both entry points (the
+        /// all-groups pass and the per-group rebuild), against the model:
+        /// parallel links, dangling pages, pages with only external links
+        /// and groups that own nothing.
+        #[test]
+        fn builder_matches_a_model_read_off_the_graph(
+            n in 1usize..40,
+            k in 1usize..7,
+            links in proptest::collection::vec((0u32..40, 0u32..40), 0..160),
+            ext in proptest::collection::vec(0u32..3, 40),
+            owner in proptest::collection::vec(0u32..7, 40),
+            seed in 0u64..1000,
+        ) {
+            let mut b = dpr_graph::GraphBuilder::new();
+            let s = b.add_site("a.edu");
+            for _ in 0..n {
+                b.add_page(s);
+            }
+            let n32 = n as u32;
+            for &(u, v) in &links {
+                // Folding ids onto the page range repeats links: parallel
+                // inner and efferent links both occur.
+                b.add_link(u % n32, v % n32);
+            }
+            for (u, &e) in ext.iter().take(n).enumerate() {
+                b.add_external_links(u as PageId, e);
+            }
+            let g = b.build();
+            // Owners drawn from 0..7 folded onto `k` groups: some groups
+            // get no page.
+            let assignment: Vec<GroupId> =
+                owner.iter().take(n).map(|&o| o % k as u32).collect();
+            let partition = Partition::from_assignment(k, assignment.clone());
+            let cfg = RankConfig::default();
+            for ctx in GroupContext::build_all(&g, &partition, &cfg) {
+                let gid = ctx.group_id();
+                let r: Vec<f64> = (0..ctx.n_local())
+                    .map(|i| 0.1 + ((seed + i as u64 * 7919) % 1000) as f64 / 997.0)
+                    .collect();
+                let model = model_group(&g, &assignment, cfg.alpha, gid, &r);
+                assert_matches_model(&ctx, &model, &r);
+                let rebuilt = GroupContext::rebuild(
+                    &g,
+                    &assignment,
+                    &cfg,
+                    gid,
+                    ctx.pages().to_vec(),
+                    MatrixLayout::default(),
+                );
+                assert_matches_model(&rebuilt, &model, &r);
             }
         }
     }
@@ -1345,8 +1251,7 @@ mod tests {
         let ctxs = GroupContext::build_all(&g, &partition, &RankConfig::default());
         assert_eq!(ctxs[2].n_local(), 0);
         let mut r = vec![];
-        let report = ctxs[2].group_pagerank_pooled(&mut r, &[], 1e-9, 10, &Pool::sequential());
-        assert!(report.converged);
+        assert!(solve(&ctxs[2], &mut r, &[], 1e-9).converged);
         assert!(ctxs[2].compute_y(&r).is_empty());
     }
 

@@ -28,7 +28,7 @@
 //! may sleep or shut down ([`dpr_sim::FaultPlan`] crash windows and
 //! stragglers): the freedoms §4.2 grants.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -314,9 +314,8 @@ pub struct NetRunConfig {
     pub joins: Vec<(f64, u64)>,
     /// Scheduled crawl deltas: at each `(time, delta)` the live graph is
     /// patched in place and the affected groups re-rank *incrementally* —
-    /// each dirtied owner receives the delta as a priced message, patches
-    /// its group's matrix (a pure column rescale when only out-degrees
-    /// changed, a one-group rebuild otherwise), and warm-starts its solve
+    /// each dirtied owner receives the delta as a priced message, rebuilds
+    /// its group's context (one group, not the web), and warm-starts its solve
     /// from the previous fixed point with ranks and afferent history
     /// kept. Untouched converged groups never leave the stall
     /// short-circuit, and when a [`RankStore`](crate::store::RankStore)
@@ -1075,13 +1074,10 @@ fn apply_join(sim: &mut Simulation<NetNode>, shared: &Shared, mean_wait: f64, id
 /// incremental-ranking path. The graph is patched in place and only the
 /// groups the delta actually dirties are touched:
 ///
-/// * a dirty group whose pages all kept their internal out-rows (pure
-///   out-degree edits, including pages left dangling by a deletion)
-///   gets its matrix *rescaled in place* — same entry structure, new
-///   `α/d(u)` column factors;
-/// * any other dirty group (links rewired, pages inserted or tombstoned)
-///   gets a one-group [`GroupContext::rebuild`] against the new graph —
-///   cost proportional to the group, not the web;
+/// * every dirty group — one owning a page whose out-row or out-degree
+///   changed, or a page inserted or tombstoned — gets a one-group
+///   [`GroupContext::rebuild`] against the new graph, the same assembly
+///   the set-up ran: cost proportional to the group, not the web;
 /// * each dirty group's host *warm-starts* ([`Ranker::rebase`]): the
 ///   ranker resumes from the previous fixed point instead of from zero;
 /// * a rebuilt group that no longer links into some destination group
@@ -1121,53 +1117,36 @@ fn apply_delta(
     for p in assignment.len() as PageId..g_live.n_pages() as PageId {
         assignment.push(cfg.strategy.assign(g_live, p, cfg.k, 0));
     }
-    // Classify the dirty groups (BTreeMap: patch order is deterministic).
-    // `true` = structural (page set or link structure changed, full
-    // one-group rebuild); `false` = every dirty page kept its internal
-    // out-row, so an in-place column rescale suffices.
-    let ext_only: HashSet<PageId> = report.ext_only_pages.iter().copied().collect();
-    let mut dirty: BTreeMap<GroupId, bool> = BTreeMap::new();
-    for &p in &report.touched_pages {
-        let structural = dirty.entry(assignment[p as usize]).or_insert(false);
-        *structural |= !ext_only.contains(&p);
-    }
-    for &p in report.inserted.iter().chain(report.deleted.iter()) {
-        dirty.insert(assignment[p as usize], true);
-    }
+    // The dirty groups, ascending (BTreeSet: rebuild order is
+    // deterministic).
+    let pages = report.touched_pages.iter().chain(&report.inserted).chain(&report.deleted);
+    let dirty: BTreeSet<GroupId> = pages.map(|&p| assignment[p as usize]).collect();
     if dirty.is_empty() {
         return report; // an empty delta is bit-invisible
     }
     {
         let mut dir = contexts.write();
-        for (&gid, &structural) in &dirty {
-            let old_ctx = &dir[gid as usize];
-            let new_ctx = if structural {
-                let mut pages: Vec<PageId> = old_ctx
-                    .pages()
-                    .iter()
-                    .copied()
-                    .filter(|p| report.deleted.binary_search(p).is_err())
-                    .collect();
-                // Inserted ids all exceed the old page count, so appending
-                // the group's share keeps `pages` sorted.
-                pages.extend(
-                    report.inserted.iter().copied().filter(|&p| assignment[p as usize] == gid),
-                );
-                let layout = MatrixLayout::default();
-                Arc::new(GroupContext::rebuild(g_live, assignment, &cfg.rank, gid, pages, layout))
-            } else {
-                let mut c = (**old_ctx).clone();
-                c.rescale_in_place(g_live, &cfg.rank);
-                Arc::new(c)
-            };
-            dir[gid as usize] = new_ctx;
+        for &gid in &dirty {
+            let mut pages: Vec<PageId> = dir[gid as usize]
+                .pages()
+                .iter()
+                .copied()
+                .filter(|p| report.deleted.binary_search(p).is_err())
+                .collect();
+            // Inserted ids all exceed the old page count, so appending the
+            // group's share keeps `pages` sorted.
+            pages
+                .extend(report.inserted.iter().copied().filter(|&p| assignment[p as usize] == gid));
+            let layout = MatrixLayout::default();
+            dir[gid as usize] =
+                Arc::new(GroupContext::rebuild(g_live, assignment, &cfg.rank, gid, pages, layout));
         }
     }
     // Warm-restart each dirty group's hosted state and price the delta
     // shipment to the nodes owning dirty groups.
     let dir = contexts.read();
     let mut charged: BTreeSet<usize> = BTreeSet::new();
-    for &gid in dirty.keys() {
+    for &gid in &dirty {
         resolving.insert(gid);
         // Stale pre-delta checkpoints are useless for a warm takeover;
         // purge them everywhere (a frame already in flight is caught by
@@ -2235,6 +2214,67 @@ mod tests {
             run_over_network(&g, NetRunConfig { deltas: vec![(150.0, add)], t_end: 150.0, ..base });
         assert_eq!(added.counters.data_messages, quiet.counters.data_messages);
         assert_eq!(added.counters.bytes - added.counters.delta_bytes, quiet.counters.bytes);
+    }
+
+    #[test]
+    fn external_degree_only_delta_reconverges_to_the_new_fixed_point() {
+        // A delta of `SetExternal` ops moves no internal link, yet every
+        // edited page's `α/d(u)` changes, and with it its group's matrix
+        // column and `Y` weights: each such group must be rebuilt like any
+        // other dirty group. One edit leaves a page with only external
+        // links dangling (its column scale becomes exactly 0.0).
+        let n_sites = 8;
+        let mut b = dpr_graph::GraphBuilder::new();
+        let (mut first, mut leaf) = (Vec::new(), Vec::new());
+        for s in 0..n_sites {
+            let site = b.add_site(format!("s{s}.edu"));
+            let p: Vec<PageId> = (0..4).map(|_| b.add_page(site)).collect();
+            for i in 0..3 {
+                b.add_link(p[i], p[(i + 1) % 3]);
+            }
+            b.add_link(p[0], p[3]);
+            b.add_external_links(p[1], 1);
+            b.add_external_links(p[3], 2);
+            first.push(p[0]);
+            leaf.push(p[3]);
+        }
+        for s in 0..n_sites {
+            b.add_link(first[s], first[(s + 1) % n_sites]);
+        }
+        let g = b.build();
+        let delta = GraphDelta::new(vec![
+            DeltaOp::SetExternal { page: leaf[2], ext_out: 0 },
+            DeltaOp::SetExternal { page: first[5], ext_out: 4 },
+            DeltaOp::SetExternal { page: first[5] + 1, ext_out: 0 },
+            DeltaOp::SetExternal { page: first[1], ext_out: 3 },
+        ]);
+        let (g2, report) = delta.apply_report(&g);
+        assert!(report.inserted.is_empty() && report.deleted.is_empty());
+        assert_eq!(g2.out_degree(leaf[2]), 0, "the edit dangles a page");
+        let exact = RankConfig { epsilon: 1e-15, ..RankConfig::default() };
+        let (before, after) = (open_pagerank(&g, &exact).ranks, open_pagerank(&g2, &exact).ranks);
+        assert!(vec_ops::relative_error(&before, &after) > 1e-4, "the delta moves the fixed point");
+        let when = 150.0;
+        for variant in [DprVariant::Dpr1, DprVariant::Dpr2] {
+            let res = run_over_network(
+                &g,
+                NetRunConfig {
+                    k: 4,
+                    n_nodes: 4,
+                    strategy: Strategy::HashBySite,
+                    variant,
+                    rank: exact.clone(),
+                    inner_epsilon: 1e-15,
+                    t_end: 600.0,
+                    deltas: vec![(when, delta.clone())],
+                    ..NetRunConfig::default()
+                },
+            );
+            let pre = res.rel_err.value_at(when - 1.0).unwrap();
+            assert!(pre < 1e-10, "{variant:?} converged before the delta: {pre}");
+            let err = vec_ops::relative_error(&res.final_ranks, &after);
+            assert!(err <= 1e-12, "{variant:?}: {err} from the post-delta fixed point");
+        }
     }
 
     #[test]

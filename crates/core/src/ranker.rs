@@ -387,7 +387,7 @@ mod tests {
 
     use dpr_graph::generators::random::erdos_renyi;
     use dpr_graph::{DeltaOp, GraphDelta, WebGraph};
-    use dpr_linalg::Pool;
+    use dpr_linalg::{FixedPointSolver, Pool};
     use dpr_partition::{Partition, Strategy};
     use proptest::prelude::*;
 
@@ -400,7 +400,7 @@ mod tests {
     /// The reference: a ranker that caches nothing. It keeps each source's
     /// latest `Y` localized, re-sums every row of `X` from scratch in
     /// ascending source order at every think, builds `f` from scratch,
-    /// solves through the plain entry points and computes `Y` fresh.
+    /// solves with the plain solver on the group matrix and computes `Y` fresh.
     struct Naive {
         ctx: Arc<GroupContext>,
         r: Vec<f64>,
@@ -423,15 +423,21 @@ mod tests {
             self.received.insert(src, local.collect());
         }
 
-        /// One window's solve of `r` against the current `X`.
+        /// One window's solve of `r` against the current `X`: `f = βE + X`
+        /// built afresh, then the plain solver on the group matrix.
         fn solve(&self, r: &mut Vec<f64>, variant: DprVariant) {
-            let (ctx, x, pool) = (&self.ctx, &self.x, Pool::sequential());
+            let f: Vec<f64> = self.ctx.beta_e().iter().zip(&self.x).map(|(b, x)| b + x).collect();
+            let solver = FixedPointSolver {
+                tolerance: EPSILON,
+                max_iters: MAX_INNER_SWEEPS,
+                pool: Pool::sequential(),
+            };
             match variant {
                 DprVariant::Dpr1 => {
-                    ctx.group_pagerank_pooled(r, x, EPSILON, MAX_INNER_SWEEPS, &pool);
+                    solver.solve(self.ctx.matrix(), &f, r);
                 }
                 DprVariant::Dpr2 => {
-                    ctx.step_pooled(r, x, &pool);
+                    solver.step(self.ctx.matrix(), &f, r, 1);
                 }
             }
         }

@@ -109,16 +109,12 @@ pub struct GraphDelta {
 /// on. All ids refer to the *new* graph.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DeltaReport {
-    /// Surviving pages whose out-row or out-degree changed (sorted): the
-    /// exact set whose matrix column / efferent weights must be rebuilt.
-    /// Includes pages that merely lost an in-link *target* to a deletion.
+    /// Surviving pages whose out-row or out-degree changed (sorted): with
+    /// [`DeltaReport::inserted`] and [`DeltaReport::deleted`], the pages
+    /// whose groups must rebuild their matrix and efferent routes.
+    /// Includes pages that merely lost an in-link *target* to a deletion
+    /// and pages whose external out-degree alone changed.
     pub touched_pages: Vec<PageId>,
-    /// The subset of [`DeltaReport::touched_pages`] whose internal out-row
-    /// is byte-identical to the old graph — only the external out-degree
-    /// changed (sorted). A group all of whose dirty pages are here keeps
-    /// its matrix structure and may rescale in place instead of
-    /// rebuilding.
-    pub ext_only_pages: Vec<PageId>,
     /// Ids of inserted pages (sorted, all `≥` the old page count).
     pub inserted: Vec<PageId>,
     /// Pages tombstoned by this delta (sorted).
@@ -288,7 +284,6 @@ impl GraphDelta {
         let mut ext_out: Vec<u32> = Vec::with_capacity(n_total);
         let mut site_of: Vec<SiteId> = Vec::with_capacity(n_total);
         let mut touched: Vec<PageId> = Vec::new();
-        let mut ext_only: Vec<PageId> = Vec::new();
         for p in 0..n_old {
             let start = out_dst.len();
             let row: &[PageId] = match edited.get(&p) {
@@ -304,14 +299,9 @@ impl GraphDelta {
             let e = ext_edit.get(&p).copied().unwrap_or_else(|| g.external_out_degree(p));
             ext_out.push(e);
             site_of.push(site_edit.get(&p).copied().unwrap_or_else(|| g.site(p)));
-            if !deleted.contains(&p) {
-                let row_changed = out_dst[start..] != *g.out_links(p);
-                if row_changed || e != g.external_out_degree(p) {
-                    touched.push(p);
-                    if !row_changed {
-                        ext_only.push(p);
-                    }
-                }
+            let same_row = out_dst[start..] == *g.out_links(p);
+            if !deleted.contains(&p) && (!same_row || e != g.external_out_degree(p)) {
+                touched.push(p);
             }
         }
         for (i, (site, e, row)) in inserted.iter().enumerate() {
@@ -324,7 +314,6 @@ impl GraphDelta {
         let g2 = WebGraph::from_parts(out_ptr, out_dst, ext_out, site_of, site_names);
         let report = DeltaReport {
             touched_pages: touched,
-            ext_only_pages: ext_only,
             inserted: (n_old..n_old + inserted.len() as u32)
                 .filter(|p| !deleted.contains(p))
                 .collect(),

@@ -192,9 +192,6 @@ pub trait SpMatVec {
         }
         vec_ops::l1_diff_pool(next, x, pool)
     }
-    /// The contraction bound `min(‖A‖∞, ‖A‖₁)` used for solver error
-    /// bounds (Theorem 3.2: any norm bounds the spectral radius).
-    fn contraction_norm(&self) -> f64;
 }
 
 /// An immutable sparse matrix in compressed sparse row format.
@@ -402,9 +399,6 @@ impl SpMatVec for Csr {
     }
     fn mul_into(&self, x: &[f64], y: &mut [f64], _ws: &mut Vec<f64>, pool: &Pool) {
         self.mul_vec_pool(x, y, pool);
-    }
-    fn contraction_norm(&self) -> f64 {
-        self.inf_norm().min(self.one_norm())
     }
 }
 
@@ -664,8 +658,7 @@ pub struct CsrImplicit {
     /// `scale[u]` — the implicit value of every entry in column `u`.
     /// Exactly `0.0` for dangling (zero out-degree) columns.
     scale: Vec<f64>,
-    /// The order the gather visits rows in — a function of `row_ptr` alone,
-    /// so a rescale keeps it.
+    /// The order the gather visits rows in — a function of `row_ptr` alone.
     order: SweepOrder,
 }
 
@@ -701,8 +694,9 @@ impl CsrImplicit {
     }
 
     /// Forces the wide (`u64`) row pointer, undoing the automatic
-    /// narrowing. Exists so benchmarks can measure the narrow-pointer win
-    /// in isolation.
+    /// narrowing, so the tests can drive the gather over both pointer
+    /// widths.
+    #[cfg(test)]
     #[must_use]
     pub fn with_wide_row_ptr(mut self) -> Self {
         self.row_ptr = RowPtr::U64(self.row_ptr.to_wide());
@@ -728,6 +722,7 @@ impl CsrImplicit {
     }
 
     /// Whether the row pointer narrowed to `u32`.
+    #[cfg(test)]
     #[must_use]
     pub fn row_ptr_is_narrow(&self) -> bool {
         self.row_ptr.is_narrow()
@@ -737,20 +732,6 @@ impl CsrImplicit {
     #[must_use]
     pub fn scale(&self) -> &[f64] {
         &self.scale
-    }
-
-    /// Replaces the per-column scale factors in place, keeping the row
-    /// pointer and column indices — the incremental-ranking patch path: a
-    /// graph delta that changes out-degrees without touching this matrix's
-    /// entry structure only needs new `α/d(u)` factors.
-    ///
-    /// # Panics
-    /// On a `scale` length other than `n_cols` or a non-finite factor (the
-    /// same contract as [`CsrImplicit::from_raw_parts`]).
-    pub fn set_scale(&mut self, scale: Vec<f64>) {
-        assert_eq!(scale.len(), self.n_cols, "scale must have one factor per column");
-        assert!(scale.iter().all(|s| s.is_finite()), "scale factors must be finite");
-        self.scale = scale;
     }
 
     /// Heap bytes held by the matrix arrays (`row_ptr` + `col_idx` +
@@ -827,10 +808,10 @@ impl CsrImplicit {
         let base = w * SWEEP_WINDOW;
         let offsets = &self.order.offsets[base..self.n_rows.min(base + SWEEP_WINDOW)];
         // SAFETY: `order` was built in the constructor from this very
-        // `row_ptr` (and survives only operations that keep every row's
-        // in-degree: `set_scale`, `with_wide_row_ptr`), the arrays passed
-        // `validate_raw_parts` against `n_cols`, and `ws.len() == n_cols`
-        // was just asserted.
+        // `row_ptr`, which nothing changes afterwards (the test-only
+        // `with_wide_row_ptr` widens its words, not its values), the
+        // arrays passed `validate_raw_parts` against `n_cols`, and
+        // `ws.len() == n_cols` was just asserted.
         unsafe {
             match &self.row_ptr {
                 RowPtr::U32(p) => gather_window(p, &self.col_idx, ws, base, offsets, emit),
@@ -870,8 +851,9 @@ impl CsrImplicit {
     }
 
     /// The infinity norm `‖A‖∞` — computed in the same per-row, in-order
-    /// summation as [`Csr::inf_norm`] on the explicit twin, so the bounds
-    /// match bit for bit.
+    /// summation as [`Csr::inf_norm`] on the explicit twin, so the tests
+    /// can hold the two to the same bits.
+    #[cfg(test)]
     #[must_use]
     pub fn inf_norm(&self) -> f64 {
         (0..self.n_rows)
@@ -884,6 +866,7 @@ impl CsrImplicit {
 
     /// The 1-norm `‖A‖₁` — same accumulation order as [`Csr::one_norm`] on
     /// the explicit twin.
+    #[cfg(test)]
     #[must_use]
     pub fn one_norm(&self) -> f64 {
         let mut col_sums = vec![0.0_f64; self.n_cols];
@@ -952,9 +935,6 @@ impl SpMatVec for CsrImplicit {
             });
         });
         vec_ops::l1_diff_pool(next, x, pool)
-    }
-    fn contraction_norm(&self) -> f64 {
-        self.inf_norm().min(self.one_norm())
     }
 }
 
@@ -1203,7 +1183,6 @@ mod tests {
         assert!(ws.iter().all(|v| v.to_bits() == 0));
         assert_eq!(m.inf_norm(), 0.0);
         assert_eq!(m.one_norm(), 0.0);
-        assert_eq!(m.contraction_norm(), 0.0);
     }
 
     #[test]
@@ -1212,6 +1191,7 @@ mod tests {
         assert!(m.row_ptr_is_narrow());
         let wide = m.clone().with_wide_row_ptr();
         assert!(!wide.row_ptr_is_narrow());
+        assert_eq!(wide.order, m.order, "the sweep order is a function of row lengths alone");
         let x: Vec<f64> = (0..500).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let (mut y1, mut y2) = (vec![0.0; 500], vec![0.0; 500]);
         let (mut w1, mut w2) = (Vec::new(), Vec::new());
@@ -1249,26 +1229,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sweep_order_survives_set_scale_and_equals_a_rebuild() {
-        let m = random_implicit(3 * SWEEP_WINDOW + 5, 9, 0.85, 17);
-        let mut rescaled = m.clone();
-        rescaled.set_scale(m.scale().iter().map(|s| s * 0.5).collect());
-        assert_eq!(rescaled.order, m.order);
-        assert_ne!(rescaled, m);
-        // Same structure, built again: same order, and the halved scales
-        // give the very same matrix as the in-place patch.
-        let rebuilt = CsrImplicit::from_raw_parts(
-            m.n_rows,
-            m.n_cols,
-            m.row_ptr.to_wide(),
-            m.col_idx.clone(),
-            rescaled.scale().to_vec(),
-        );
-        assert_eq!(rebuilt, rescaled);
-        assert_eq!(m.clone().with_wide_row_ptr().order, m.order);
     }
 
     #[test]

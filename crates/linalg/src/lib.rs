@@ -11,7 +11,7 @@
 //!   by every iteration loop,
 //! * [`solver`] — the Jacobi-style fixed-point solver of Algorithm 2
 //!   (`GroupPageRank`), terminating on `‖x_m − x_{m−1}‖`, the test
-//!   Theorem 3.3 justifies, and reporting Theorem 3.3's error bound,
+//!   Theorem 3.3 justifies,
 //! * [`pool`] — the scoped worker pool behind every parallel kernel:
 //!   real OS threads, spawned once and reused across solves, with a fixed
 //!   chunking discipline that keeps pooled results bit-identical to the

@@ -5,7 +5,10 @@
 //! difference `‖Rᵢ₊₁ − Rᵢ‖₁` drops below a tolerance. Theorem 3.1 guarantees
 //! convergence whenever `ρ(A) < 1`, Theorem 3.2 reduces that to the checkable
 //! `‖A‖∞ < 1`, and Theorem 3.3 turns the successive difference into a bound
-//! on the true error — which is why the stopping rule is sound.
+//! on the true error — which is why the stopping rule is sound. The ranking
+//! matrices are contractions by construction (`‖A‖₁ ≤ α`), so the solver
+//! checks nothing per solve; `tests/monotonicity.rs` holds Theorem 3.3 to
+//! the true error.
 
 use crate::csr::SpMatVec;
 use crate::pool::Pool;
@@ -38,40 +41,6 @@ pub struct SolveReport {
     pub final_delta: f64,
     /// Whether `final_delta ≤ tolerance` was reached within `max_iters`.
     pub converged: bool,
-    /// Theorem 3.3 upper bound on `‖x* − x_m‖` from the final delta, or
-    /// `None` when `‖A‖∞ ≥ 1` (bound inapplicable).
-    pub error_bound: Option<f64>,
-}
-
-impl SolveReport {
-    /// The report every solver family shares: convergence is
-    /// `final_delta ≤ tolerance` and the error bound is Theorem 3.3
-    /// applied to `contraction_norm` (`min(‖A‖∞, ‖A‖₁)`).
-    #[must_use]
-    pub fn from_final_delta(
-        iterations: usize,
-        final_delta: f64,
-        tolerance: f64,
-        contraction_norm: f64,
-    ) -> Self {
-        Self {
-            iterations,
-            final_delta,
-            converged: final_delta <= tolerance,
-            error_bound: contraction_error_bound(contraction_norm, final_delta),
-        }
-    }
-}
-
-/// Theorem 3.3: given `q = ‖A‖ < 1` and the successive difference
-/// `δ = ‖x_m − x_{m−1}‖`, the true error satisfies
-/// `‖x* − x_m‖ ≤ q/(1−q)·δ`. Returns `None` when `q ≥ 1`.
-fn contraction_error_bound(norm: f64, delta: f64) -> Option<f64> {
-    if norm < 1.0 {
-        Some(norm / (1.0 - norm) * delta)
-    } else {
-        None
-    }
 }
 
 impl FixedPointSolver {
@@ -79,13 +48,6 @@ impl FixedPointSolver {
     #[must_use]
     pub fn new(tolerance: f64) -> Self {
         Self { tolerance, ..Self::default() }
-    }
-
-    /// Returns the solver with its kernels routed through `pool`.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Solves `x = A·x + f` in place, starting from the current contents of
@@ -114,11 +76,6 @@ impl FixedPointSolver {
         assert_eq!(f.len(), n);
         assert_eq!(x.len(), n);
         scratch.resize(n, 0.0);
-
-        // Any matrix norm certifies the contraction (Thm 3.2); take the
-        // tighter of the two cheap ones — ranking matrices in pull
-        // orientation are bounded in the column norm, not the row norm.
-        let norm = a.contraction_norm();
         let mut delta = f64::INFINITY;
         let mut iters = 0;
         while iters < self.max_iters {
@@ -130,7 +87,7 @@ impl FixedPointSolver {
                 break;
             }
         }
-        SolveReport::from_final_delta(iters, delta, self.tolerance, norm)
+        SolveReport { iterations: iters, final_delta: delta, converged: delta <= self.tolerance }
     }
 
     /// Convenience wrapper around [`Self::solve_with_scratch`] that allocates
@@ -182,7 +139,6 @@ mod tests {
     use super::*;
     use crate::csr::{column_scale, Csr, CsrImplicit};
     use crate::triplet::TripletMatrix;
-    use crate::vec_ops;
 
     /// 2×2 contraction with known fixed point:
     /// x = [[0.5, 0], [0.25, 0.25]]·x + [1, 1] ⇒ x* = [2, 2].
@@ -202,28 +158,6 @@ mod tests {
         assert!(report.converged);
         assert!((x[0] - expect[0]).abs() < 1e-10);
         assert!((x[1] - expect[1]).abs() < 1e-10);
-    }
-
-    #[test]
-    fn error_bound_is_valid() {
-        let (a, f, expect) = small_system();
-        let mut x = vec![0.0, 0.0];
-        let solver = FixedPointSolver { tolerance: 1e-6, max_iters: 50, ..Default::default() };
-        let report = solver.solve(&a, &f, &mut x);
-        let true_err = vec_ops::l1_diff(&x, &expect);
-        let bound = report.error_bound.expect("norm < 1 so bound applies");
-        assert!(
-            true_err <= bound + 1e-12,
-            "Thm 3.3 violated: true error {true_err} > bound {bound}"
-        );
-    }
-
-    #[test]
-    fn error_bound_none_at_or_above_one() {
-        assert!(contraction_error_bound(1.0, 0.5).is_none());
-        assert!(contraction_error_bound(1.7, 0.5).is_none());
-        let b = contraction_error_bound(0.5, 0.1).unwrap();
-        assert!((b - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -248,7 +182,6 @@ mod tests {
         let report = solver.solve(&a, &[1.0], &mut x);
         assert_eq!(report.iterations, 17);
         assert!(!report.converged);
-        assert!(report.error_bound.is_none());
     }
 
     #[test]
@@ -267,9 +200,8 @@ mod tests {
         FixedPointSolver::new(1e-12).solve(&a, &f, &mut x1);
         for workers in [2, 8] {
             let mut x2 = vec![0.0, 0.0];
-            FixedPointSolver::new(1e-12)
-                .with_pool(Pool::with_workers(workers))
-                .solve(&a, &f, &mut x2);
+            let pool = Pool::with_workers(workers);
+            FixedPointSolver { pool, ..FixedPointSolver::new(1e-12) }.solve(&a, &f, &mut x2);
             assert_eq!(x1, x2, "pooled solve diverged at {workers} workers");
         }
     }
@@ -323,7 +255,7 @@ mod tests {
     fn implicit_solve_is_bit_identical_to_explicit_twin() {
         // A 4-page ranking system: 0 → {1, 2}, 1 → {2, 3}, 2 → {0}, 3
         // dangling. Solving through the implicit layout must reproduce the
-        // explicit twin's iterates bit for bit, including the error bound.
+        // explicit twin's iterates bit for bit.
         let degrees = [2u32, 2, 1, 0];
         let m = CsrImplicit::from_raw_parts(
             4,

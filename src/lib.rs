@@ -27,8 +27,8 @@
 
 #![warn(missing_docs)]
 
-/// Sparse linear algebra: CSR matrices and the fixed-point solver, with
-/// Theorem 3.3's error bound on every solve.
+/// Sparse linear algebra: CSR matrices and the fixed-point solver, whose
+/// stopping rule Theorem 3.3 justifies.
 pub use dpr_linalg as linalg;
 
 /// Web link graphs: builders, generators (incl. the edu-domain dataset

@@ -97,7 +97,7 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(cached.refresh()), bits(full.refresh()));
-        prop_assert_eq!(cached.n_sources(), full.received.len());
+        prop_assert_eq!(cached.snapshot_received().len(), full.received.len());
         // The cache must never do *more* row work than the full rebuild.
         prop_assert!(cached.rows_recomputed() <= full.rows_recomputed);
     }
@@ -221,7 +221,7 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(slotted.refresh()), bits(full.refresh()));
-        prop_assert_eq!(slotted.n_sources(), full.received.len());
+        prop_assert_eq!(slotted.snapshot_received().len(), full.received.len());
         prop_assert!(slotted.rows_recomputed() <= full.rows_recomputed);
 
         // The checkpoint contract: the localized snapshot equals the
