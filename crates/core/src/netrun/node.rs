@@ -452,6 +452,18 @@ impl Replica {
     }
 }
 
+/// The solve counts of `groups`, summed; every other counter zero.
+fn solve_work(groups: &[Ranker]) -> NetCounters {
+    let mut c = NetCounters::default();
+    for g in groups {
+        c.rows_recomputed += g.rows_recomputed();
+        c.inner_sweeps += g.inner_sweeps();
+        c.rows_swept += g.rows_swept();
+        c.sweeps_saved += g.sweeps_saved();
+    }
+    c
+}
+
 /// An overlay node hosting zero or more page groups and relaying traffic.
 pub(super) struct NetNode {
     me: NodeIndex,
@@ -468,6 +480,9 @@ pub(super) struct NetNode {
     phase: PhaseSecs,
     /// Receive-path payload copies ([`NetCounters::payload_clones`]).
     payload_clones: u64,
+    /// The solve counts of the groups this node hosted when it crashed:
+    /// the work was done, so the run's totals keep it.
+    crashed_work: NetCounters,
     outbox: Outbox,
     link: ReliableLink,
     replica: Replica,
@@ -487,6 +502,7 @@ impl NetNode {
             active: true,
             phase: PhaseSecs::default(),
             payload_clones: 0,
+            crashed_work: NetCounters::default(),
             outbox: Outbox::new(Arc::clone(&shared.cfg)),
             link: ReliableLink { rel: shared.cfg.reliability, ..ReliableLink::default() },
             replica: Replica { last_checkpoint: f64::NEG_INFINITY, ..Replica::default() },
@@ -504,22 +520,22 @@ impl NetNode {
     }
 
     /// Network cost counters for traffic *originated or forwarded* here,
-    /// with the hosted groups' solve counts.
+    /// with the solve counts of every group hosted here, now or at a crash.
     pub(super) fn counters(&self) -> NetCounters {
         let mut c = self.outbox.counters;
         c += self.link.counters;
         c += self.replica.counters;
+        c += self.crashed_work;
+        c += solve_work(&self.groups);
         c.payload_clones = self.payload_clones;
-        c.rows_recomputed = self.groups.iter().map(Ranker::rows_recomputed).sum();
-        c.inner_sweeps = self.groups.iter().map(Ranker::inner_sweeps).sum();
-        c.rows_swept = self.groups.iter().map(Ranker::rows_swept).sum();
-        c.sweeps_saved = self.groups.iter().map(Ranker::sweeps_saved).sum();
         c
     }
 
     /// The node departs: it stops waking and relaying, and everything it
-    /// held dies with it. Returns its groups for the driver to dispose of.
+    /// held dies with it but the count of the work it did. Returns its
+    /// groups for the driver to dispose of.
     pub(super) fn crash(&mut self) -> Vec<Ranker> {
+        self.crashed_work += solve_work(&self.groups);
         self.active = false;
         self.relay.clear();
         self.pending_y.clear();
