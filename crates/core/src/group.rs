@@ -962,8 +962,9 @@ mod tests {
     #[test]
     fn group_solve_is_bit_identical_to_its_explicit_twin() {
         // The implicit matrix holds the same entries as its explicit twin,
-        // so a GroupPageRank solve must produce the same rank bits as the
-        // plain solver on the twin.
+        // and inside one window the window sweep is a Jacobi sweep, so a
+        // GroupPageRank solve of a group this small must produce the same
+        // rank bits as the plain (Jacobi) solver on the twin.
         let g = toy::complete(10);
         let assignment = (0..10u32).map(|p| p % 2).collect();
         let partition = Partition::from_assignment(2, assignment);

@@ -170,12 +170,13 @@ pub trait SpMatVec {
     /// `y ← A·x` on `pool`, bit-identical at every worker count. `ws` is a
     /// reusable workspace; layouts that need none leave it untouched.
     fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool);
-    /// Sweep `k` of a Jacobi solve: `next ← A·x + f`, returning
-    /// `δ = ‖next − x‖₁`, bit-identical at every worker count and across
-    /// layouts. A solve numbers its sweeps `0, 1, 2, …`, hands each one the
-    /// previous one's `next` as `x`, and leaves `ws` alone in between;
-    /// `ws` may hold anything when sweep `0` starts. The default body is
-    /// the four-pass reference (multiply, `+ f`, `δ`).
+    /// Sweep `k` of a solve of `x = A·x + f`: fills `next` and returns
+    /// `δ = ‖next − x‖₁`, bit-identical at every worker count. A solve
+    /// numbers its sweeps `0, 1, 2, …`, hands each one the previous one's
+    /// `next` as `x`, and leaves `ws` alone in between; `ws` may hold
+    /// anything when sweep `0` starts. The default body is a Jacobi sweep
+    /// `next ← A·x + f` (multiply, `+ f`, `δ`); [`CsrImplicit`]'s is a
+    /// window Gauss–Seidel sweep.
     fn sweep(
         &self,
         k: usize,
@@ -587,8 +588,8 @@ unsafe fn gather_quad(
 /// Gathers the window of rows `base .. base + offsets.len()` in the order
 /// `offsets` gives: `emit(o, Σ_k ws[col_idx[row_ptr[base + o] + k]])` for
 /// every offset `o`, each sum folded in storage order. The one gather
-/// kernel of the implicit layout — the multiply and the fused sweep differ
-/// only in `emit`.
+/// kernel of the implicit layout — the multiply and the sweep differ only
+/// in `emit` and in what they do between windows.
 ///
 /// # Safety
 /// `offsets` must be one window of the [`SweepOrder`] of `row_ptr` and
@@ -639,10 +640,10 @@ unsafe fn gather_window<P: PtrWord>(
 /// (in the ranking matrices, `α / d(u)`). One pre-scale pass per multiply
 /// (`ws[u] = scale[u] · x[u]`) turns the inner loop into a `u32` gather-sum
 /// that streams 4 bytes of column index per non-zero instead of 12 — plus a
-/// row pointer that auto-narrows to `u32` via [`RowPtr`]. A Jacobi solve
+/// row pointer that auto-narrows to `u32` via [`RowPtr`]. A solve
 /// pre-scales once and then makes one pass per sweep
-/// ([`SpMatVec::sweep`]); both walk the rows in the matrix's
-/// `SweepOrder`, four rows side by side.
+/// ([`SpMatVec::sweep`], window Gauss–Seidel); both walk the rows in the
+/// matrix's `SweepOrder`, four rows side by side.
 ///
 /// The multiply is bit-identical to [`Csr::mul_vec`] over the same entries:
 /// each product `scale[u] · x[u]` is one f64 multiply of the same operands
@@ -785,18 +786,6 @@ impl CsrImplicit {
         });
     }
 
-    /// Runs `window(w)` for every window of the sweep order — on `pool`
-    /// when the matrix is worth fanning out, inline otherwise. Windows are
-    /// fixed row ranges, so which thread runs one cannot change a bit.
-    fn for_each_window(&self, pool: &Pool, window: impl Fn(usize) + Sync) {
-        let n_windows = self.n_rows.div_ceil(SWEEP_WINDOW);
-        if spmv_parallel(pool, self.n_rows, self.nnz()) {
-            pool.for_each_chunk(n_windows, window);
-        } else {
-            (0..n_windows).for_each(window);
-        }
-    }
-
     /// Gathers window `w` over the pre-scaled `ws`, handing `emit(i, sum)`
     /// every row `w·SWEEP_WINDOW + i` of the window once.
     ///
@@ -839,7 +828,7 @@ impl CsrImplicit {
         ws.resize(self.n_cols, 0.0);
         self.prescale(x, ws, pool);
         let out = SharedSlice::new(y);
-        self.for_each_window(pool, |w| {
+        let window = |w: usize| {
             let base = w * SWEEP_WINDOW;
             // SAFETY: window `w` covers rows `[base, base + len)` and
             // windows are pairwise disjoint.
@@ -847,7 +836,15 @@ impl CsrImplicit {
             // SAFETY (`store`): `SweepOrder` fact 1 — a row of window `w`
             // lies in `[base, base + ys.len())`.
             self.gather(ws, w, |i, sum| unsafe { store(ys, i, sum) });
-        });
+        };
+        // Windows are fixed row ranges, so which thread runs one cannot
+        // change a bit.
+        let n_windows = self.n_rows.div_ceil(SWEEP_WINDOW);
+        if spmv_parallel(pool, self.n_rows, self.nnz()) {
+            pool.for_each_chunk(n_windows, window);
+        } else {
+            (0..n_windows).for_each(window);
+        }
     }
 
     /// The infinity norm `‖A‖∞` — computed in the same per-row, in-order
@@ -890,14 +887,15 @@ impl SpMatVec for CsrImplicit {
     fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool) {
         self.mul_vec_pool(x, y, ws, pool);
     }
-    /// The fused sweep, one pass over the matrix: `ws` holds two pre-scaled
-    /// vectors of `n` elements, the one sweep `k` gathers from (filled from
-    /// `x` when `k == 0`, by sweep `k − 1` otherwise) and the one it fills
-    /// for sweep `k + 1`. Per row `r` it writes `next[r] = Σ + f[r]` and
-    /// `scale[r]·next[r]` — every product still one multiply of the two
-    /// operands the explicit kernel multiplies per entry, every row sum the
-    /// same left-to-right fold, `δ` the same chunk partials — so iterate
-    /// and `δ` equal the default body's on the explicit twin bit for bit.
+    /// The window Gauss–Seidel sweep, one pass over the matrix: `ws` holds
+    /// `scale ⊙` the newest iterate (filled from `x` when `k == 0`). The
+    /// windows are gathered in order; window `w` writes
+    /// `next[r] = Σ + f[r]` for its rows and only then
+    /// `ws[r] = scale[r]·next[r]`, so it reads this sweep's values for the
+    /// columns of earlier windows and `x`'s for its own and later ones.
+    /// Within a window the update is Jacobi, and every row sum is the same
+    /// left-to-right fold as [`Csr::mul_vec`]. A sweep whose `δ` is `0.0`
+    /// wrote back only unchanged values: it was exactly a Jacobi sweep.
     fn sweep(
         &self,
         k: usize,
@@ -910,30 +908,20 @@ impl SpMatVec for CsrImplicit {
         let n = self.n_rows;
         assert_eq!(self.n_cols, n, "a sweep needs a square matrix");
         assert!(x.len() == n && f.len() == n && next.len() == n);
-        ws.resize(2 * n, 0.0);
-        let (even, odd) = ws.split_at_mut(n);
-        let (ws_cur, ws_next) = if k.is_multiple_of(2) { (even, odd) } else { (odd, even) };
+        ws.resize(n, 0.0);
         if k == 0 {
-            self.prescale(x, ws_cur, pool);
+            self.prescale(x, ws, pool);
         }
-        let ws_cur: &[f64] = ws_cur;
-        let (out, ws_out) = (SharedSlice::new(next), SharedSlice::new(ws_next));
-        self.for_each_window(pool, |w| {
-            let base = w * SWEEP_WINDOW;
-            let len = SWEEP_WINDOW.min(n - base);
-            // SAFETY (both): window `w` covers rows `[base, base + len)`
-            // and windows are pairwise disjoint.
-            let (out, ws_out) = unsafe { (out.slice_mut(base, len), ws_out.slice_mut(base, len)) };
-            let (f, scale) = (&f[base..base + len], &self.scale[base..base + len]);
-            // SAFETY (`load`/`store`): `SweepOrder` fact 1 — a row of
-            // window `w` lies in `[base, base + len)`, the length of all
-            // four window slices.
-            self.gather(ws_cur, w, |i, sum| unsafe {
-                let v = sum + load(f, i);
-                store(out, i, v);
-                store(ws_out, i, load(scale, i) * v);
-            });
-        });
+        for w in 0..n.div_ceil(SWEEP_WINDOW) {
+            let rows = w * SWEEP_WINDOW..n.min((w + 1) * SWEEP_WINDOW);
+            let (out, f) = (&mut next[rows.clone()], &f[rows.clone()]);
+            // SAFETY: `SweepOrder` fact 1 — a row of window `w` lies in
+            // `rows`, the range both slices cover.
+            self.gather(ws, w, |i, sum| unsafe { store(out, i, sum + load(f, i)) });
+            for ((wu, &s), &v) in ws[rows.clone()].iter_mut().zip(&self.scale[rows]).zip(&*out) {
+                *wu = s * v;
+            }
+        }
         vec_ops::l1_diff_pool(next, x, pool)
     }
 }
@@ -1227,32 +1215,6 @@ mod tests {
                 for &o in offsets {
                     assert!(!std::mem::replace(&mut seen[o as usize], true), "row visited twice");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_sweep_matches_the_explicit_twin_where_delta_fans_out() {
-        // Long enough for the pooled `δ` (16 384 elements) as well as the
-        // pooled gather, and not a multiple of the window or of the
-        // reduction chunk.
-        let n = (1 << 14) + 300;
-        let m = random_implicit(n, 6, 0.85, 3);
-        let twin = m.to_explicit();
-        let f: Vec<f64> = (0..n).map(|i| 1e-3 / (1.0 + (i % 13) as f64)).collect();
-        let x0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin().abs()).collect();
-        for workers in [1, 2, 8] {
-            let pool = Pool::with_workers(workers);
-            let (mut x_i, mut x_e) = (x0.clone(), x0.clone());
-            let (mut next_i, mut next_e) = (vec![0.0; n], vec![0.0; n]);
-            let (mut ws_i, mut ws_e) = (Vec::new(), Vec::new());
-            for k in 0..5 {
-                let d_i = m.sweep(k, &x_i, &f, &mut next_i, &mut ws_i, &pool);
-                let d_e = twin.sweep(k, &x_e, &f, &mut next_e, &mut ws_e, &pool);
-                assert_eq!(d_i.to_bits(), d_e.to_bits(), "sweep {k}, {workers} workers");
-                assert!(next_i.iter().zip(&next_e).all(|(a, b)| a.to_bits() == b.to_bits()));
-                std::mem::swap(&mut x_i, &mut next_i);
-                std::mem::swap(&mut x_e, &mut next_e);
             }
         }
     }

@@ -9,7 +9,7 @@
 //!   pool-parallel matrix–vector products (see [`pool`]),
 //! * [`vec_ops`] — the dense-vector kernels (norms, axpy, differences) used
 //!   by every iteration loop,
-//! * [`solver`] — the Jacobi-style fixed-point solver of Algorithm 2
+//! * [`solver`] — the fixed-point solver of Algorithm 2
 //!   (`GroupPageRank`), terminating on `‖x_m − x_{m−1}‖`, the test
 //!   Theorem 3.3 justifies,
 //! * [`pool`] — the scoped worker pool behind every parallel kernel:

@@ -9,11 +9,22 @@
 //! matrices are contractions by construction (`‖A‖₁ ≤ α`), so the solver
 //! checks nothing per solve; `tests/monotonicity.rs` holds Theorem 3.3 to
 //! the true error.
+//!
+//! A sweep is the matrix layout's ([`SpMatVec::sweep`]): Jacobi for the
+//! explicit [`crate::Csr`], window Gauss–Seidel for the group layout
+//! [`crate::CsrImplicit`]. Theorem 3.3 covers both. Split `A = L + M`, `L`
+//! the entries whose column lies in a window the sweep already finished
+//! (empty for Jacobi). A sweep computes `next = L·next + M·x + f`, so the
+//! residual at `next` is `A·next + f − next = M·(next − x)`, and
+//! `‖R* − next‖₁ ≤ ‖(I − A)⁻¹‖₁·‖M‖₁·δ ≤ q/(1 − q)·δ` with `q = ‖A‖₁`
+//! (for `A ≥ 0`, `‖M‖₁ ≤ ‖A‖₁`). With `A ≥ 0` and `f ≥ 0`, a sweep from a
+//! subsolution never lowers a row, which is what Theorems 4.1 and 4.2
+//! need.
 
 use crate::csr::SpMatVec;
 use crate::pool::Pool;
 
-/// Configuration for the Jacobi-style fixed-point iteration.
+/// Configuration for the fixed-point iteration.
 #[derive(Debug, Clone)]
 pub struct FixedPointSolver {
     /// Stop when `‖xᵢ₊₁ − xᵢ‖₁ ≤ tolerance`.
@@ -53,8 +64,8 @@ impl FixedPointSolver {
     /// Solves `x = A·x + f` in place, starting from the current contents of
     /// `x`. `scratch` is the double buffer (resized to `x`'s length); `ws`
     /// is the matrix layout's sweep workspace (an implicit-value matrix
-    /// keeps the pre-scaled iterate in it; the explicit layout leaves it
-    /// untouched). Callers in hot loops reuse both across solves to avoid
+    /// keeps the pre-scaled newest iterate in it; the explicit layout
+    /// leaves it untouched). Callers in hot loops reuse both across solves to avoid
     /// reallocation; neither carries anything from one solve to the next,
     /// so their contents on entry are irrelevant.
     ///
@@ -254,8 +265,9 @@ mod tests {
     #[test]
     fn implicit_solve_is_bit_identical_to_explicit_twin() {
         // A 4-page ranking system: 0 → {1, 2}, 1 → {2, 3}, 2 → {0}, 3
-        // dangling. Solving through the implicit layout must reproduce the
-        // explicit twin's iterates bit for bit.
+        // dangling. It fits in one window, where the window sweep is a
+        // Jacobi sweep: solving through the implicit layout must reproduce
+        // the explicit twin's iterates bit for bit.
         let degrees = [2u32, 2, 1, 0];
         let m = CsrImplicit::from_raw_parts(
             4,

@@ -98,7 +98,7 @@ fn l1_diff_chunks<const L: usize>(x: &mut &[f64], y: &mut &[f64], acc: &mut f64)
 
 /// The L1 distance `‖x − y‖₁` without materialising the difference vector.
 ///
-/// This is the `δ` of every Jacobi sweep, so the per-chunk add chains run
+/// This is the `δ` of every sweep, so the per-chunk add chains run
 /// up to four at a time (see `l1_diff_chunks`); the partials and the
 /// order they are added in are those of `chunked_reduce`.
 #[must_use]

@@ -2,7 +2,9 @@
 //! checked against naive dense references on arbitrary matrices.
 
 use dpr_linalg::csr::SWEEP_WINDOW;
-use dpr_linalg::{column_scale, Csr, CsrImplicit, FixedPointSolver, Pool, SpMatVec, TripletMatrix};
+use dpr_linalg::{
+    column_scale, vec_ops, Csr, CsrImplicit, FixedPointSolver, Pool, SpMatVec, TripletMatrix,
+};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -30,10 +32,10 @@ fn csr_of(r: usize, c: usize, entries: &[(usize, usize, f64)]) -> Csr {
     t.to_csr()
 }
 
-/// Row counts the fused-sweep property runs on: none, one, a few, just
-/// below / equal to / just above one window, several windows with and
-/// without a ragged last one, and two sizes big enough (with the in-degrees
-/// [`ranking_matrix`] draws) to cross the pool's fan-out gate.
+/// Row counts the window-sweep model test runs on: none, one, a few,
+/// just below / equal to / just above one window, and several windows with
+/// a ragged last one, the largest long enough for the pooled pre-scale and
+/// `δ` to fan out.
 const SWEEP_SHAPES: [usize; 11] = [
     0,
     1,
@@ -41,11 +43,11 @@ const SWEEP_SHAPES: [usize; 11] = [
     SWEEP_WINDOW - 1,
     SWEEP_WINDOW,
     SWEEP_WINDOW + 1,
-    3 * SWEEP_WINDOW,
+    3 * SWEEP_WINDOW + 1,
     3 * SWEEP_WINDOW + 77,
     1000,
     4 * 1024 + 3,
-    6000,
+    (1 << 14) + 300,
 ];
 
 /// A random pull-oriented ranking matrix in implicit form with every
@@ -90,15 +92,32 @@ fn ranking_matrix(n: usize, seed: u64) -> CsrImplicit {
     CsrImplicit::from_raw_parts(n, n, row_ptr, col_idx, column_scale(0.85, &degrees))
 }
 
+/// The naive window Gauss–Seidel sweep on the explicit twin: windows of
+/// [`SWEEP_WINDOW`] rows in order, each row folded left to right over
+/// [`Csr::row`] from `0.0`, a column in an earlier window read from this
+/// sweep's `next` and every other column from `x`; then `δ = ‖next − x‖₁`.
+fn window_sweep_model(twin: &Csr, x: &[f64], f: &[f64], next: &mut [f64]) -> f64 {
+    for first in (0..x.len()).step_by(SWEEP_WINDOW) {
+        for r in first..x.len().min(first + SWEEP_WINDOW) {
+            let mut sum = 0.0;
+            for (c, v) in twin.row(r) {
+                sum += v * if c < first { next[c] } else { x[c] };
+            }
+            next[r] = sum + f[r];
+        }
+    }
+    vec_ops::l1_diff(next, x)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The fused sweep of the implicit layout against the four-pass default
-    /// body on its explicit twin: 20 consecutive sweeps, each fed its own
-    /// output, at 1, 2 and 8 workers — every iterate and every `δ` bit for
-    /// bit. The workspaces start out holding garbage.
+    /// The implicit layout's sweep against the naive window model: 20
+    /// consecutive sweeps, each fed its own output, at 1, 2 and 8 workers —
+    /// every iterate and every `δ` bit for bit. The workspaces start out
+    /// holding garbage.
     #[test]
-    fn fused_sweep_matches_the_four_pass_sweep_bitwise(
+    fn sweep_matches_the_window_gauss_seidel_model(
         seed in 0u64..1u64 << 32,
         shape in 0usize..SWEEP_SHAPES.len(),
     ) {
@@ -110,24 +129,24 @@ proptest! {
         let x0: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
         for workers in [1usize, 2, 8] {
             let pool = Pool::with_workers(workers);
-            let (mut x_i, mut x_e) = (x0.clone(), x0.clone());
-            let (mut next_i, mut next_e) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-            let (mut ws_i, mut ws_e) = (vec![f64::NAN; 7], vec![f64::NAN; 7]);
+            let (mut x_i, mut x_m) = (x0.clone(), x0.clone());
+            let (mut next_i, mut next_m) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            let mut ws = vec![f64::NAN; 7];
             for k in 0..20 {
-                let d_i = m.sweep(k, &x_i, &f, &mut next_i, &mut ws_i, &pool);
-                let d_e = twin.sweep(k, &x_e, &f, &mut next_e, &mut ws_e, &pool);
+                let d_i = m.sweep(k, &x_i, &f, &mut next_i, &mut ws, &pool);
+                let d_m = window_sweep_model(&twin, &x_m, &f, &mut next_m);
                 prop_assert_eq!(
-                    d_i.to_bits(), d_e.to_bits(),
+                    d_i.to_bits(), d_m.to_bits(),
                     "delta of sweep {} diverged at {} workers (n = {})", k, workers, n
                 );
                 for r in 0..n {
                     prop_assert_eq!(
-                        next_i[r].to_bits(), next_e[r].to_bits(),
+                        next_i[r].to_bits(), next_m[r].to_bits(),
                         "row {} of sweep {} diverged at {} workers (n = {})", r, k, workers, n
                     );
                 }
                 std::mem::swap(&mut x_i, &mut next_i);
-                std::mem::swap(&mut x_e, &mut next_e);
+                std::mem::swap(&mut x_m, &mut next_m);
             }
         }
     }
