@@ -5,8 +5,9 @@
 use dpr::core::{open_pagerank, try_run_over_network_observed, DprVariant, NetRunConfig};
 use dpr::core::{RankConfig, RunRecorder};
 use dpr::graph::generators::{random, toy};
-use dpr::linalg::{Csr, FixedPointSolver, TripletMatrix};
-use dpr::partition::Strategy;
+use dpr::linalg::csr::SWEEP_WINDOW;
+use dpr::linalg::{column_scale, Csr, CsrImplicit, FixedPointSolver, TripletMatrix};
+use dpr::partition::{Partition, Strategy};
 use dpr::sim::FaultPlan;
 use proptest::prelude::*;
 
@@ -49,6 +50,29 @@ fn lemma2_monotone_in_f_holds(a: &Csr, f1: &[f64], f2: &[f64], tol: f64) -> bool
 
 fn is_nonneg_matrix(a: &Csr) -> bool {
     (0..a.n_rows()).flat_map(|r| a.row(r)).all(|(_, v)| v >= 0.0)
+}
+
+/// A random `n`-page ranking matrix in the group layout: out-degrees in
+/// `0..=9` (0 dangles), links drawn uniformly, entry `(v, u) = α/d(u)`.
+fn ranking_matrix(n: usize, seed: u64) -> CsrImplicit {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let mut degrees = vec![0u32; n];
+    let mut links: Vec<(u32, u32)> = Vec::new();
+    for (u, d) in degrees.iter_mut().enumerate() {
+        *d = rng.gen_range(0..=9);
+        links.extend((0..*d).map(|_| (rng.gen_range(0..n) as u32, u as u32)));
+    }
+    links.sort_unstable();
+    let mut row_ptr = vec![0u64; n + 1];
+    for &(v, _) in &links {
+        row_ptr[v as usize + 1] += 1;
+    }
+    for r in 0..n {
+        row_ptr[r + 1] += row_ptr[r];
+    }
+    let col_idx = links.iter().map(|&(_, u)| u).collect();
+    CsrImplicit::from_raw_parts(n, n, row_ptr, col_idx, column_scale(0.85, &degrees))
 }
 
 proptest! {
@@ -184,6 +208,60 @@ proptest! {
         prop_assert!(q < 1.0);
         let bound = q / (1.0 - q) * report.final_delta;
         prop_assert!(true_err <= bound + 1e-9, "true {true_err} > bound {bound}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Theorem 3.3's stopping rule for the group layout's sweep, on
+    /// ranking matrices of several windows: a sweep reads the windows it
+    /// already finished, so its residual is `M·(next − x)` with `M` the
+    /// entries of the current and later windows, and the true error of a
+    /// converged solve is still within `q/(1−q)·δ` for `q = ‖A‖₁`.
+    #[test]
+    fn contraction_error_bound_sound_across_windows(n in 600usize..3_000, seed in 0u64..500) {
+        use rand::{Rng, SeedableRng};
+        let a = ranking_matrix(n, seed);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed ^ 0xF00D);
+        let f: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let solver = FixedPointSolver { tolerance: 1e-4, max_iters: 10_000, ..Default::default() };
+        let mut x = vec![0.0; n];
+        let report = solver.solve(&a, &f, &mut x);
+        prop_assert!(report.converged);
+        let mut x_star = vec![0.0; n];
+        FixedPointSolver::new(1e-14).solve(&a.to_explicit(), &f, &mut x_star);
+        let true_err = dpr::linalg::vec_ops::l1_diff(&x, &x_star);
+        let q = a.to_explicit().one_norm();
+        prop_assert!(q < 1.0);
+        let bound = q / (1.0 - q) * report.final_delta;
+        prop_assert!(true_err <= bound + 1e-9, "true {true_err} > bound {bound} (n = {n})");
+    }
+}
+
+/// Theorems 4.1 and 4.2 where every group's solve crosses windows of the
+/// gather: a 3 000-page web in two groups of more than four windows each,
+/// DPR1 and DPR2 from `R₀ = 0` in the §5 deployment.
+#[test]
+fn theorems_hold_for_groups_of_several_windows() {
+    let g = random::erdos_renyi(3_000, 24, 5.0, 17);
+    for variant in [DprVariant::Dpr1, DprVariant::Dpr2] {
+        let cfg = NetRunConfig {
+            variant,
+            strategy: Strategy::HashByUrl,
+            t1: 0.5,
+            t2: 4.0,
+            seed: 17,
+            t_end: 300.0,
+            sample_every: 4.0,
+            ..NetRunConfig::section5(2)
+        };
+        let groups = Partition::build(&g, &cfg.strategy, cfg.k, 0);
+        let sizes: Vec<usize> = groups.group_pages().iter().map(Vec::len).collect();
+        assert!(sizes.iter().all(|&n| n > 4 * SWEEP_WINDOW), "group sizes {sizes:?}");
+        let rec = run_checked(&g, cfg);
+        assert_eq!(rec.theorems_held(), (true, true), "{variant:?}");
+        assert!(rec.epochs_at_threshold.is_some(), "{variant:?} never reached 0.01%");
     }
 }
 
