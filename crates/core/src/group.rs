@@ -19,7 +19,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use dpr_graph::{PageId, WebGraph};
-use dpr_linalg::{column_scale, CsrImplicit, FixedPointSolver, Pool, SolveReport};
+use dpr_linalg::{
+    column_scale, CsrImplicit, FixedPointSolver, Pool, SolveReport, INNER_STOP_RATIO,
+};
 use dpr_partition::{GroupId, Partition};
 
 use crate::config::RankConfig;
@@ -328,8 +330,13 @@ impl GroupContext {
     /// The caller passes the right-hand side `f = βE + X` directly
     /// (maintained incrementally across think steps) plus reusable solve
     /// and multiply-workspace buffers, so the hot path allocates nothing.
-    /// Bit-identical to [`FixedPointSolver::solve`] on
-    /// [`GroupContext::matrix`] for equal `f`.
+    ///
+    /// The solve stops at `δ_k ≤ max(epsilon, η·δ₁)` with `η =`
+    /// [`INNER_STOP_RATIO`]: a hundredth of what this think's first sweep
+    /// moved is already far below what the next think's inputs will
+    /// change, and `epsilon` is the floor. It is
+    /// [`FixedPointSolver::solve_relative_with_scratch`] on
+    /// [`GroupContext::matrix`], bit for bit.
     pub fn group_pagerank_prepared(
         &self,
         r: &mut Vec<f64>,
@@ -342,7 +349,7 @@ impl GroupContext {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(f.len(), self.n_local());
         FixedPointSolver { tolerance: epsilon, max_iters, pool: Pool::sequential() }
-            .solve_with_scratch(&self.a, f, r, scratch, ws)
+            .solve_relative_with_scratch(&self.a, f, r, scratch, ws, INNER_STOP_RATIO)
     }
 
     /// One iteration `R ← A·R + βE + X` (the DPR2 node body) with a
@@ -964,7 +971,8 @@ mod tests {
         // The implicit matrix holds the same entries as its explicit twin,
         // and inside one window the window sweep is a Jacobi sweep, so a
         // GroupPageRank solve of a group this small must produce the same
-        // rank bits as the plain (Jacobi) solver on the twin.
+        // rank bits as the plain (Jacobi) solver on the twin, stopped by
+        // the same relative rule.
         let g = toy::complete(10);
         let assignment = (0..10u32).map(|p| p % 2).collect();
         let partition = Partition::from_assignment(2, assignment);
@@ -980,7 +988,17 @@ mod tests {
         let mut r_e = vec![0.0; ctx.n_local()];
         let solver =
             FixedPointSolver { tolerance: 1e-12, max_iters: 1000, pool: Pool::sequential() };
-        assert_eq!(solver.solve(&twin, &f, &mut r_e).iterations, report.iterations);
+        let (mut scratch_e, mut ws_e) = (Vec::new(), Vec::new());
+        let report_e = solver.solve_relative_with_scratch(
+            &twin,
+            &f,
+            &mut r_e,
+            &mut scratch_e,
+            &mut ws_e,
+            INNER_STOP_RATIO,
+        );
+        assert_eq!(report_e.iterations, report.iterations);
+        assert_eq!(report_e.final_delta.to_bits(), report.final_delta.to_bits());
         assert!(r_i.iter().zip(&r_e).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 

@@ -226,10 +226,12 @@ impl Ranker {
         self.touched.is_empty() && self.last_delta == 0.0
     }
 
-    /// The loop body: refresh `X`, solve (DPR1: to `epsilon`; DPR2: one
-    /// sweep), and return this think's `Y`, one part per destination group
-    /// in ascending order, with where the time went. A group without pages
-    /// has nothing to think about and publishes nothing.
+    /// The loop body: refresh `X`, solve (DPR1: to the relative stop of
+    /// [`GroupContext::group_pagerank_prepared`], `epsilon` its floor;
+    /// DPR2: one sweep), and return this think's `Y`, one part per
+    /// destination group in ascending order, with where the time went. A
+    /// group without pages has nothing to think about and publishes
+    /// nothing.
     pub fn think(&mut self, variant: DprVariant, epsilon: f64) -> (&[YPart], ThinkSecs) {
         let n = self.ctx.n_local();
         if n == 0 {
@@ -394,7 +396,7 @@ mod tests {
 
     use dpr_graph::generators::random::erdos_renyi;
     use dpr_graph::{DeltaOp, GraphDelta, WebGraph};
-    use dpr_linalg::{FixedPointSolver, Pool};
+    use dpr_linalg::{FixedPointSolver, Pool, INNER_STOP_RATIO};
     use dpr_partition::{Partition, Strategy};
     use proptest::prelude::*;
 
@@ -407,7 +409,8 @@ mod tests {
     /// The reference: a ranker that caches nothing. It keeps each source's
     /// latest `Y` localized, re-sums every row of `X` from scratch in
     /// ascending source order at every think, builds `f` from scratch,
-    /// solves with the plain solver on the group matrix and computes `Y` fresh.
+    /// solves with the plain solver on the group matrix (DPR1 under the
+    /// relative stop, with fresh buffers) and computes `Y` fresh.
     struct Naive {
         ctx: Arc<GroupContext>,
         r: Vec<f64>,
@@ -441,7 +444,16 @@ mod tests {
             };
             match variant {
                 DprVariant::Dpr1 => {
-                    solver.solve(self.ctx.matrix(), &f, r);
+                    let (mut scratch, mut ws) = (Vec::new(), Vec::new());
+                    let m = self.ctx.matrix();
+                    solver.solve_relative_with_scratch(
+                        m,
+                        &f,
+                        r,
+                        &mut scratch,
+                        &mut ws,
+                        INNER_STOP_RATIO,
+                    );
                 }
                 DprVariant::Dpr2 => {
                     solver.step(self.ctx.matrix(), &f, r, 1);

@@ -45,5 +45,5 @@ pub mod vec_ops;
 
 pub use csr::{column_scale, Csr, CsrImplicit, RowPtr, SpMatVec};
 pub use pool::Pool;
-pub use solver::{FixedPointSolver, SolveReport};
+pub use solver::{FixedPointSolver, SolveReport, INNER_STOP_RATIO};
 pub use triplet::TripletMatrix;
