@@ -279,54 +279,54 @@ fn netrun_cells(on: &str) -> Vec<(String, u64)> {
 }
 
 const PASTRY_SITE: &[(&str, u64)] = &[
-    ("dpr1/direct/pastry-site/lossless", 0xcc809776ab299c94),
-    ("dpr1/indirect/pastry-site/lossless", 0x32bd2474527fd247),
+    ("dpr1/direct/pastry-site/lossless", 0x1402d6a5cebab59f),
+    ("dpr1/indirect/pastry-site/lossless", 0xb12b0de11e2fab76),
     ("dpr2/direct/pastry-site/lossless", 0x2f1a8fc739e32278),
     ("dpr2/indirect/pastry-site/lossless", 0x919625d11bf618e6),
-    ("dpr1/indirect/pastry-site/loss", 0xbf1fd84121202ab2),
+    ("dpr1/indirect/pastry-site/loss", 0x50f31af0c1618ae1),
     ("dpr2/direct/pastry-site/loss", 0x1cdbf1df5936b253),
-    ("dpr1/direct/pastry-site/loss-reliable-jitter", 0x0bd18fc7ba30ae34),
+    ("dpr1/direct/pastry-site/loss-reliable-jitter", 0x6b3e4fc7e6a5495d),
     ("dpr2/indirect/pastry-site/loss-reliable-jitter", 0x19c3b4151228012b),
-    ("dpr1/indirect/pastry-site/crash-warm", 0x66d96f3e6c72db19),
+    ("dpr1/indirect/pastry-site/crash-warm", 0x55150f99ec4a98f3),
     ("dpr2/direct/pastry-site/crash-warm", 0x486d814a36428e41),
-    ("dpr1/direct/pastry-site/crash-cold", 0xe7710b7e0b50c69f),
+    ("dpr1/direct/pastry-site/crash-cold", 0xe202f3c90defb516),
     ("dpr2/indirect/pastry-site/crash-cold", 0xe353d5242db7b1b3),
-    ("dpr1/direct/pastry-site/join", 0x7714b6a03eb9c9ac),
-    ("dpr1/indirect/pastry-site/join", 0xbcd5765285bb11fa),
+    ("dpr1/direct/pastry-site/join", 0xfdc680b06b450f80),
+    ("dpr1/indirect/pastry-site/join", 0x05daa459443aff8a),
     ("dpr2/direct/pastry-site/join", 0x0a190332a708714d),
     ("dpr2/indirect/pastry-site/join", 0x6a4474ba8b5dbe6e),
-    ("dpr1/direct/pastry-site/delta-add-only", 0x8ccde2ef58af5076),
+    ("dpr1/direct/pastry-site/delta-add-only", 0x6b54a8da222178c7),
     ("dpr2/indirect/pastry-site/delta-add-only", 0xa647151aa0af37f6),
-    ("dpr1/indirect/pastry-site/delta-insert-page", 0x1d7408991e3cedb1),
+    ("dpr1/indirect/pastry-site/delta-insert-page", 0x2de377ac319d11eb),
     ("dpr2/direct/pastry-site/delta-insert-page", 0xe82a4eaca8ca838d),
 ];
 
 const CHORD_URL: &[(&str, u64)] = &[
-    ("dpr1/direct/chord-url/lossless", 0xe37c43c43824a62d),
-    ("dpr1/indirect/chord-url/lossless", 0xa5e0693c86a937c6),
+    ("dpr1/direct/chord-url/lossless", 0x599684bdfb4b81dd),
+    ("dpr1/indirect/chord-url/lossless", 0x5bc25dd58a84b3f1),
     ("dpr2/direct/chord-url/lossless", 0xaca6db49f3a0eeb1),
     ("dpr2/indirect/chord-url/lossless", 0x512a1e9666a0a560),
-    ("dpr1/direct/chord-url/loss", 0xdc3007226f06db61),
+    ("dpr1/direct/chord-url/loss", 0xde6fcb3a941e3377),
     ("dpr2/indirect/chord-url/loss", 0x86aab83e35e93fc6),
-    ("dpr1/indirect/chord-url/loss-reliable-jitter", 0xadb8d80696c29563),
+    ("dpr1/indirect/chord-url/loss-reliable-jitter", 0x8020a8a83726d5f0),
     ("dpr2/direct/chord-url/loss-reliable-jitter", 0x107432a4f1c93344),
-    ("dpr1/direct/chord-url/crash-warm", 0x1506ba198f67e8c1),
+    ("dpr1/direct/chord-url/crash-warm", 0x4c17a595547c38e3),
     ("dpr2/indirect/chord-url/crash-warm", 0x0a2d4f9c7b788551),
-    ("dpr1/indirect/chord-url/crash-cold", 0x04ab642ea7570929),
+    ("dpr1/indirect/chord-url/crash-cold", 0x0161be1497b7fb2e),
     ("dpr2/direct/chord-url/crash-cold", 0x7636e1aab4cac22c),
-    ("dpr1/indirect/chord-url/delta-add-only", 0xf560c39d54e4f4b8),
+    ("dpr1/indirect/chord-url/delta-add-only", 0x56523b66bf79d5f7),
     ("dpr2/direct/chord-url/delta-add-only", 0xa6ae5e59cd75fea3),
-    ("dpr1/direct/chord-url/delta-insert-page", 0x94bd7712e07622ce),
+    ("dpr1/direct/chord-url/delta-insert-page", 0x3eb30455ef1369af),
     ("dpr2/indirect/chord-url/delta-insert-page", 0xba21a2ce8bbdcc3e),
 ];
 
 const SECTION5: &[(&str, u64)] = &[
-    ("dpr1/p1/site", 0xd1ec354b7828d6a3),
-    ("dpr1/p1/url", 0x46f84ca1086c94de),
-    ("dpr1/p1/site/warm", 0x491a844e0ed67df1),
-    ("dpr1/p0.7/site", 0x5f68f1e78c849da7),
-    ("dpr1/p0.7/url", 0x28ef35a86510a450),
-    ("dpr1/p0.7/site/warm", 0x65e1f21df4b4a324),
+    ("dpr1/p1/site", 0xae1d4bdd8729d035),
+    ("dpr1/p1/url", 0xfd0ca52262c4ece5),
+    ("dpr1/p1/site/warm", 0x5bf9e84f166b1051),
+    ("dpr1/p0.7/site", 0x6e81c6f53f2ace40),
+    ("dpr1/p0.7/url", 0x97f144c750a78ab2),
+    ("dpr1/p0.7/site/warm", 0x5bb983e47285c567),
     ("dpr2/p1/site", 0x2a1d122672d985e5),
     ("dpr2/p1/url", 0xca9e04c407ce369b),
     ("dpr2/p1/url/warm", 0xd0b57d9d661bc365),
@@ -336,7 +336,7 @@ const SECTION5: &[(&str, u64)] = &[
 ];
 
 const MULTI_WINDOW: &[(&str, u64)] = &[
-    ("dpr1/direct/multi-window", 0x1fe6ef7ff3bbbc17),
+    ("dpr1/direct/multi-window", 0xd2c7b80f9eec5669),
     ("dpr2/direct/multi-window", 0x2aab95ede821f36c),
 ];
 
