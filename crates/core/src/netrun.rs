@@ -200,12 +200,17 @@ impl AnyOverlay {
     ///
     /// # Errors
     /// [`ChurnUnsupported`] on Chord/CAN.
+    ///
+    /// # Panics
+    /// If no node of the network is live, or `seed`'s id is taken. A run's
+    /// churn schedule cannot get there: validation refuses the departure
+    /// of the last live node and a join whose id is in use.
     pub fn join(&mut self, seed: u64) -> Result<NodeIndex, ChurnUnsupported> {
         match self {
             AnyOverlay::Pastry(p) => {
-                let bootstrap = (0..p.n_nodes())
-                    .find(|&h| p.is_alive(h))
-                    .expect("network has at least one live node");
+                let bootstrap = (0..p.n_nodes()).find(|&h| p.is_alive(h)).expect(
+                    "a live node to bootstrap from: the last live node's departure is refused",
+                );
                 Ok(p.join(bootstrap, seed))
             }
             _ => Err(ChurnUnsupported { op: "joins", overlay: self.name() }),
@@ -912,11 +917,7 @@ pub fn try_run_over_network_observed(
     while t < cfg.t_end {
         let next_t = (t + cfg.sample_every).min(cfg.t_end);
         // Apply any churn scheduled inside this slice first.
-        while let Some(&(ct, _)) = churn.peek() {
-            if ct > next_t {
-                break;
-            }
-            let (ct, ev) = churn.next().expect("peeked");
+        while let Some((ct, ev)) = churn.next_if(|&(ct, _)| ct <= next_t) {
             run_until(&mut sim, ct);
             match ev {
                 ChurnEvent::Depart(node) => apply_departure(&mut sim, &shared, node),

@@ -321,10 +321,9 @@ impl ReliableLink {
         mut resend: impl FnMut(NodeIndex, u64, &Arc<Vec<YPart>>) -> f64,
     ) {
         let Some(rel) = self.rel else { return };
-        let due: Vec<u64> =
-            self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(&s, _)| s).collect();
-        for seq in due {
-            let mut p = self.pending.remove(&seq).expect("due entry present");
+        let due: Vec<(u64, PendingSend)> =
+            self.pending.extract_if(.., |_, p| p.deadline <= now).collect();
+        for (seq, mut p) in due {
             if p.retries >= rel.max_retries {
                 self.counters.retry_exhausted += 1;
                 self.counters.gave_up += p.parts.len() as u64;
